@@ -11,10 +11,6 @@ from .circlemap import (
     OneSidedDerivative,
     TangentMap,
     build_tangent_map,
-    derivative,
-    evaluate,
-    lift_eval,
-    orbit,
     second_intersection,
 )
 from .errors import (

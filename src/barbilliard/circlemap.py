@@ -242,22 +242,6 @@ class TangentMap:
         return pts
 
 
-def lift_eval(tmap: TangentMap, x: float) -> float:
-    return tmap.lift(x)
-
-
-def evaluate(tmap: TangentMap, v: IdealPoint) -> IdealPoint:
-    return tmap.evaluate(v)
-
-
-def derivative(tmap: TangentMap, v: IdealPoint) -> OneSidedDerivative:
-    return tmap.derivative(v)
-
-
-def orbit(tmap: TangentMap, v: IdealPoint, n: int) -> list[IdealPoint]:
-    return tmap.orbit(v, n)
-
-
 def _edge_breakpoint(a: DiskPoint, b: DiskPoint) -> IdealPoint:
     """Ideal endpoint of the line ab nearer to a (behind a, away from b)."""
     dx, dy = b.x - a.x, b.y - a.y

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from .circlemap import ITERATION_BUDGET
 from .errors import (
     BarBilliardError,
     CoincidentPoints,
@@ -37,6 +39,7 @@ from .pentagram import (
     tau_n,
     triangle_map,
 )
+from .rotation import MAX_Q
 from .svgfig import figure_svg, fmt
 
 
@@ -54,6 +57,16 @@ class CliError(Exception):
 def _emit_error(err: CliError) -> int:
     print(json.dumps({"error": err.code, "message": str(err)}, sort_keys=True))
     return err.exit_code
+
+
+def _check_budget(iters: int, q_max: int) -> None:
+    """Reject --iters and --qmax values no run could honour, before any work."""
+    if not 1 <= iters <= ITERATION_BUDGET:
+        raise CliError(
+            "InvalidArgument", f"--iters must be in [1, {ITERATION_BUDGET}], got {iters}"
+        )
+    if not 2 <= q_max <= MAX_Q:
+        raise CliError("InvalidArgument", f"--qmax must be in [2, {MAX_Q}], got {q_max}")
 
 
 def _triangle_from_args(args) -> tuple[Triangle, Optional[float], Optional[float]]:
@@ -119,6 +132,7 @@ def _report_dict(report) -> dict:
 
 
 def cmd_rho(args) -> int:
+    _check_budget(args.iters, args.qmax)
     tri, t, r = _triangle_from_args(args)
     verdict = conjecture_check(tri, n=args.iters, q_max=args.qmax)
     out = {
@@ -164,6 +178,7 @@ class SweepSpec:
             raise CliError("InvalidArgument", "grid steps must be >= 1")
         if self.iters < 1000:
             raise CliError("InvalidArgument", "sweep needs --iters >= 1000")
+        _check_budget(self.iters, self.q_max)
         if self.r_mode not in ("absolute", "relative_interval"):
             raise CliError("InvalidArgument", f"unknown r mode {self.r_mode!r}")
 
@@ -254,6 +269,8 @@ def _relative_radius(t: float, frac: float) -> float:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise CliError("InvalidArgument", f"--jobs must be >= 1, got {args.jobs}")
     t_lo, t_hi, t_steps = _parse_range(args.t_range, "--t")
     r_lo, r_hi, r_steps = _parse_range(args.r_range, "--r")
     if args.grid:
@@ -286,8 +303,9 @@ def cmd_sweep(args) -> int:
                 r = rv
             cells.append((t, r, spec.iters, spec.q_max))
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, os.cpu_count() or 1, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, cells, chunksize=8))
     else:
         rows = [_sweep_cell(c) for c in cells]
@@ -361,6 +379,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_budget(args.iters, args.qmax)
     tri, t, r = _triangle_from_args(args)
     verdict = conjecture_check(tri, n=args.iters, q_max=args.qmax)
     print(

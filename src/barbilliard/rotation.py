@@ -32,6 +32,9 @@ TANGENCY_TOL = 1e-9
 #: zeros closer than this in angle are merged before orbit grouping
 MERGE_TOL = 1e-8
 
+#: largest denominator a rational certificate may have
+MAX_Q = 64
+
 
 @dataclass(frozen=True)
 class RationalCertificate:
@@ -74,7 +77,12 @@ def estimate_rho(tmap: TangentMap, n: int = 100_000, x0: float = 0.0) -> Rotatio
 
 @dataclass(frozen=True)
 class ZeroScan:
-    """Zeros and extremes of g(x) = F^q(x) - x - p over one period."""
+    """Zeros and extremes of g(x) = F^q(x) - x - p over one period.
+
+    ``g_min``/``g_max`` are polished extremes, except when the scan found
+    a sign change and was not asked for tangencies: then no certificate
+    reads them and they are the plain grid extremes.
+    """
 
     roots: tuple[tuple[float, float, str], ...]  # (x, residual, kind)
     g_min: tuple[float, float]
@@ -109,6 +117,12 @@ def _local_extreme_cells(ys: np.ndarray, find_min: bool, keep: int = 12) -> list
     return [int(i) for i in idx[order][:keep]]
 
 
+def _sign_change_cells(ys: np.ndarray) -> np.ndarray:
+    """Grid indices i with ys[i] == 0 or a sign change from ys[i] to ys[i+1]
+    (cyclically), in increasing order."""
+    return np.nonzero((ys == 0.0) | (ys * np.roll(ys, -1) < 0.0))[0]
+
+
 def scan_winding_zeros(
     tmap: TangentMap,
     p: int,
@@ -119,11 +133,12 @@ def scan_winding_zeros(
 ) -> ZeroScan:
     """Locate every zero of F^q - id - p on [0, 1).
 
-    Sign changes on the grid are bisected to machine precision; local
-    extremes are polished so that tangential (double) zeros within the
-    tolerance band are picked up as well.  With ``keep_tangencies`` the
-    tangency scan also runs alongside transverse roots (they are kept
-    only when reasonably separated from every crossing).
+    Sign changes on the grid are bisected to machine precision.  When
+    there are none, local extremes are polished so that tangential
+    (double) zeros within the tolerance band are picked up as well.  With
+    ``keep_tangencies`` the tangency scan also runs alongside transverse
+    roots (they are kept only when reasonably separated from every
+    crossing).
     """
     g = _g_scalar(tmap, p, q)
     xs = np.arange(grid, dtype=float) / grid
@@ -131,24 +146,29 @@ def scan_winding_zeros(
 
     roots: list[tuple[float, float, str]] = []
 
-    for i in range(grid):
-        j = (i + 1) % grid
+    for i in _sign_change_cells(ys):
         xi = xs[i]
         xj = xs[i] + 1.0 / grid
-        yi, yj = ys[i], ys[j]
-        if yi == 0.0:
-            roots.append((xi, 0.0, "sign_change"))
+        if ys[i] == 0.0:
+            roots.append((float(xi), 0.0, "sign_change"))
             continue
-        if yi * yj < 0.0:
-            # re-evaluate through the scalar path so brentq sees consistent signs
-            gi, gj = g(xi), g(xj)
-            if gi == 0.0:
-                roots.append((xi % 1.0, 0.0, "sign_change"))
-                continue
-            if gi * gj >= 0.0:
-                continue  # last-ulp disagreement; the extreme scan covers it
-            x_root = brentq(g, xi, xj, xtol=1e-13, rtol=8.9e-16)
-            roots.append((x_root % 1.0, g(x_root), "sign_change"))
+        # re-evaluate through the scalar path so brentq sees consistent signs
+        gi, gj = g(xi), g(xj)
+        if gi == 0.0:
+            roots.append((float(xi % 1.0), 0.0, "sign_change"))
+            continue
+        if gi * gj >= 0.0:
+            continue  # last-ulp disagreement; the extreme scan covers it
+        x_root = brentq(g, xi, xj, xtol=1e-13, rtol=8.9e-16)
+        roots.append((x_root % 1.0, g(x_root), "sign_change"))
+
+    if roots and not keep_tangencies:
+        # only the tangency and dip scans below read polished extremes
+        return ZeroScan(
+            roots=tuple(_merge_roots(roots)),
+            g_min=_grid_extreme(xs, ys, find_min=True),
+            g_max=_grid_extreme(xs, ys, find_min=False),
+        )
 
     # polish extremes: catches tangencies and dips the grid missed
     refined_min = _refine_extremes(g, xs, ys, grid, find_min=True)
@@ -156,17 +176,15 @@ def scan_winding_zeros(
     g_min = min(refined_min, key=lambda t: t[1])
     g_max = max(refined_max, key=lambda t: t[1])
 
-    have_signs = any(k == "sign_change" for _, _, k in roots)
-    if not have_signs or keep_tangencies:
-        sign_xs = [x for x, _, k in roots if k == "sign_change"]
-        for x_e, y_e in refined_min + refined_max:
-            if abs(y_e) > tangency_tol:
-                continue
-            if sign_xs and min(
-                min(abs(x_e - x), 1.0 - abs(x_e - x)) for x in sign_xs
-            ) <= 1e-6:
-                continue
-            roots.append((x_e % 1.0, y_e, "tangency"))
+    sign_xs = [x for x, _, _ in roots]
+    for x_e, y_e in refined_min + refined_max:
+        if abs(y_e) > tangency_tol:
+            continue
+        if sign_xs and min(
+            min(abs(x_e - x), 1.0 - abs(x_e - x)) for x in sign_xs
+        ) <= 1e-6:
+            continue
+        roots.append((x_e % 1.0, y_e, "tangency"))
     if g_min[1] < 0.0 < g_max[1] and not roots:
         # a dip below zero invisible on the grid: bracket it explicitly
         x_e = g_min[0]
@@ -189,11 +207,15 @@ def _refine_extremes(g, xs, ys, grid, find_min: bool) -> list[tuple[float, float
         lo = xs[i] - 1.0 / grid
         hi = xs[i] + 1.0 / grid
         x_e, f_e = golden_min(lambda x: sign * g(x), lo, hi, xtol=1e-12)
-        out.append((x_e % 1.0, sign * f_e))
+        out.append((float(x_e % 1.0), float(sign * f_e)))
     if not out:
-        i = int(np.argmin(sign * ys))
-        out.append((float(xs[i]), float(ys[i])))
+        out.append(_grid_extreme(xs, ys, find_min))
     return out
+
+
+def _grid_extreme(xs, ys, find_min: bool) -> tuple[float, float]:
+    i = int(np.argmin(ys) if find_min else np.argmax(ys))
+    return float(xs[i]), float(ys[i])
 
 
 def _merge_roots(roots):
@@ -223,31 +245,8 @@ def certify_rational(
     n_estimate: int = 10_000,
 ) -> RotationResult:
     """Certify rho = p/q, or report which side of p/q rho falls on."""
-    if not (1 <= p < q <= 64) or math.gcd(p, q) != 1:
-        raise InvalidRational(f"{p}/{q} is not a reduced rational with 1<=p<q<=64")
+    certificate, comparison = _certify(tmap, p, q, grid)
     est = estimate_rho(tmap, n_estimate)
-    scan = scan_winding_zeros(tmap, p, q, grid=grid)
-
-    sign_roots = [r for r in scan.roots if r[2] == "sign_change"]
-    tangent_roots = [r for r in scan.roots if r[2] == "tangency"]
-    certificate = None
-    comparison = None
-    if sign_roots:
-        best = min(sign_roots, key=lambda r: (abs(r[1]), r[0]))
-        certificate = RationalCertificate(p, q, best[0], best[1], "sign_change")
-    elif tangent_roots:
-        best = min(tangent_roots, key=lambda r: r[0])
-        certificate = RationalCertificate(p, q, best[0], best[1], "tangency")
-    elif scan.g_min[1] > 0.0:
-        comparison = RationalComparison(p, q, "greater")
-    elif scan.g_max[1] < 0.0:
-        comparison = RationalComparison(p, q, "less")
-    else:
-        # extremes straddle zero but every crossing eluded refinement;
-        # treat the deeper extreme as a tangency witness
-        x_e, y_e = min((scan.g_min, scan.g_max), key=lambda t: abs(t[1]))
-        certificate = RationalCertificate(p, q, x_e, y_e, "tangency")
-
     return RotationResult(
         estimate=est.estimate,
         n_iters=est.n_iters,
@@ -255,6 +254,32 @@ def certify_rational(
         certificate=certificate,
         comparison=comparison,
     )
+
+
+def _certify(
+    tmap: TangentMap, p: int, q: int, grid: int
+) -> tuple[Optional[RationalCertificate], Optional[RationalComparison]]:
+    """The certificate of rho = p/q, or else the strict side of p/q."""
+    if not (1 <= p < q <= MAX_Q) or math.gcd(p, q) != 1:
+        raise InvalidRational(f"{p}/{q} is not a reduced rational with 1<=p<q<={MAX_Q}")
+    scan = scan_winding_zeros(tmap, p, q, grid=grid)
+
+    sign_roots = [r for r in scan.roots if r[2] == "sign_change"]
+    tangent_roots = [r for r in scan.roots if r[2] == "tangency"]
+    if sign_roots:
+        best = min(sign_roots, key=lambda r: (abs(r[1]), r[0]))
+        return RationalCertificate(p, q, best[0], best[1], "sign_change"), None
+    if tangent_roots:
+        best = min(tangent_roots, key=lambda r: r[0])
+        return RationalCertificate(p, q, best[0], best[1], "tangency"), None
+    if scan.g_min[1] > 0.0:
+        return None, RationalComparison(p, q, "greater")
+    if scan.g_max[1] < 0.0:
+        return None, RationalComparison(p, q, "less")
+    # extremes straddle zero but every crossing eluded refinement;
+    # treat the deeper extreme as a tangency witness
+    x_e, y_e = min((scan.g_min, scan.g_max), key=lambda t: abs(t[1]))
+    return RationalCertificate(p, q, x_e, y_e, "tangency"), None
 
 
 def _candidate_rationals(estimate: float, n: int, q_max: int) -> list[tuple[int, int]]:
@@ -292,16 +317,14 @@ def classify_rho(
 
     certificate = None
     for p, q in _candidate_rationals(est.estimate, n, q_max):
-        res = certify_rational(tmap, p, q, grid=grid)
-        if res.certificate is not None:
-            certificate = res.certificate
+        certificate, _ = _certify(tmap, p, q, grid)
+        if certificate is not None:
             break
 
     comparison = None
     if certificate is None:
-        probe = certify_rational(tmap, 2, 5, grid=grid)
-        certificate = probe.certificate  # only if the shortlist missed 2/5
-        comparison = probe.comparison
+        # the certificate is set only if the shortlist missed 2/5
+        certificate, comparison = _certify(tmap, 2, 5, grid)
     elif (certificate.p, certificate.q) != (2, 5):
         rel = "less" if certificate.p * 5 < certificate.q * 2 else "greater"
         comparison = RationalComparison(2, 5, rel)

@@ -1,8 +1,14 @@
 import json
+import os
 import subprocess
 import sys
 
+import pytest
+
+from barbilliard import cli
 from barbilliard.cli import CSV_HEADER, main
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def run_cli(args):
@@ -135,6 +141,69 @@ class TestSweep:
             ]
         )
         assert code == 2
+
+
+class TestResourceFlags:
+    """--iters, --qmax and --jobs are checked before any work starts."""
+
+    TRIANGLE = ["--t", "0.9", "--r=-0.02"]
+    SWEEP = ["sweep", "--t", "0.88:0.92:2", "--r=-0.03:-0.01:2", "--iters", "1500"]
+
+    @pytest.mark.parametrize("command", ["rho", "verify"])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--iters", "0"], ["--iters", "20000000"], ["--qmax", "65"], ["--qmax", "1"]],
+    )
+    def test_rho_and_verify_reject_out_of_range(self, capsys, command, flags):
+        code = main([command, *self.TRIANGLE, *flags])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert out["error"] == "InvalidArgument"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--jobs", "0"], ["--jobs", "-3"], ["--qmax", "65"], ["--iters", "20000000"]],
+    )
+    def test_sweep_rejects_out_of_range(self, tmp_path, capsys, flags):
+        out = tmp_path / "x.csv"
+        code = main([*self.SWEEP, *flags, "--out", str(out)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "InvalidArgument"
+        assert not out.exists()
+
+    def test_pool_capped_by_cpus_and_cells(self, tmp_path, monkeypatch, capsys):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        out = tmp_path / "x.csv"
+        assert main([*self.SWEEP, "--jobs", "64", "--out", str(out)]) == 0
+        assert main(["sweep", "--t", "0.9:0.9:1", "--r=-0.03:-0.01:2", "--iters", "1500",
+                     "--jobs", "64", "--out", str(out)]) == 0
+        assert sizes == [3, 2]
+
+
+def test_sweep_reproduces_pinned_band_csv(tmp_path, capsys):
+    """A 4x4 criterion-9-band sweep, byte for byte as first committed."""
+    out = tmp_path / "band.csv"
+    code = main(["sweep", "--t", "0.85:0.95:4", "--r=-0.04:-0.006:4",
+                 "--iters", "2000", "--seed", "3", "--out", str(out)])
+    assert code == 0
+    with open(os.path.join(DATA, "sweep_band_4x4_seed3.csv"), "rb") as fh:
+        assert out.read_bytes() == fh.read()
 
 
 class TestTauCmd:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from barbilliard import (
@@ -10,10 +11,12 @@ from barbilliard import (
     build_tangent_map,
     certify_rational,
     classify_rho,
+    ellipse_pentagram,
     estimate_rho,
     standard_pentagram,
 )
 from barbilliard.pentagram import triangle_map
+from barbilliard.rotation import _sign_change_cells, scan_winding_zeros
 from conftest import random_convex_polygon
 
 
@@ -142,3 +145,80 @@ class TestCertificateSemiStable:
         res = certify_rational(triangle_map(tri), 2, 5)
         assert res.certificate is not None
         assert abs(res.certificate.residual) <= 1e-9
+
+
+class TestPlainFloatCertificates:
+    @pytest.mark.parametrize(
+        "tri, kind",
+        [
+            (standard_pentagram(0.9)[0], "sign_change"),  # a zero on a grid node
+            (canonical_triangle(0.9, -0.02), "sign_change"),  # a bracketed zero
+            (ellipse_pentagram(0.9, 0.1)[0], "tangency"),
+        ],
+    )
+    def test_witness_and_residual_are_floats(self, tri, kind):
+        cert = certify_rational(triangle_map(tri), 2, 5).certificate
+        assert cert.kind == kind
+        assert type(cert.witness_x) is float
+        assert type(cert.residual) is float
+
+
+CLASSIFY_CASES = {
+    "sandwich": canonical_triangle(0.9, -0.02),
+    "standard_pentagram": standard_pentagram(0.9)[0],
+    "ellipse_pentagram": ellipse_pentagram(0.9, 0.1)[0],
+    "strict_inside": canonical_triangle(0.9, -0.001),
+    "tall_isosceles": canonical_triangle(0.9, -0.3),
+    "equilateral": Triangle(
+        DiskPoint(-0.25, 0.4330127018922193),
+        DiskPoint(-0.25, -0.4330127018922193),
+        DiskPoint(0.5, 0.0),
+    ),
+}
+
+
+class TestClassifyMatchesCertify:
+    """classify_rho certifies its candidates without certify_rational's
+    estimate; its verdict must be the one certify_rational gives."""
+
+    @pytest.mark.parametrize("name", sorted(CLASSIFY_CASES))
+    def test_same_certificate_and_comparison(self, name):
+        tmap = triangle_map(CLASSIFY_CASES[name])
+        res = classify_rho(tmap, n=20_000)
+        cert = res.certificate
+        if cert is not None:
+            assert certify_rational(tmap, cert.p, cert.q).certificate == cert
+        if cert is None or (cert.p, cert.q) == (2, 5):
+            probe = certify_rational(tmap, 2, 5)
+            assert (probe.certificate, probe.comparison) == (cert, res.comparison)
+        assert cert is not None or res.comparison is not None
+
+    def test_sign_change_scan_skips_refinement_but_keeps_roots(self):
+        tmap = triangle_map(canonical_triangle(0.9, -0.02))
+        fast = scan_winding_zeros(tmap, 2, 5)
+        full = scan_winding_zeros(tmap, 2, 5, keep_tangencies=True)
+        assert fast.roots
+        assert fast.roots == tuple(r for r in full.roots if r[2] == "sign_change")
+        # grid extremes can only be shallower than the polished ones
+        assert full.g_min[1] <= fast.g_min[1] < 0.0 < fast.g_max[1] <= full.g_max[1]
+
+
+def _sign_change_cells_loop(ys):
+    out = []
+    for i in range(len(ys)):
+        yi, yj = ys[i], ys[(i + 1) % len(ys)]
+        if yi == 0.0 or yi * yj < 0.0:
+            out.append(i)
+    return out
+
+
+class TestSignChangeCells:
+    def test_matches_the_cell_by_cell_loop(self, rng):
+        for _ in range(50):
+            ys = rng.normal(size=int(rng.integers(1, 40)))
+            ys[rng.random(len(ys)) < 0.2] = 0.0
+            assert _sign_change_cells(ys).tolist() == _sign_change_cells_loop(ys)
+
+    def test_wraparound_and_zero_nodes(self):
+        ys = np.array([-1.0, -2.0, 0.0, 3.0, 1.0])
+        assert _sign_change_cells(ys).tolist() == [2, 4]
