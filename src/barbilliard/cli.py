@@ -32,7 +32,7 @@ from .errors import (
     PointOnLine,
     PreconditionFailed,
 )
-from .geometry import DiskPoint, IdealPoint, Triangle, delta_n, foot_and_delta, hyp_distance
+from .geometry import DiskPoint, IdealPoint, Triangle, delta_n, hyp_distance
 from .pentagram import (
     conjecture_check,
     detect_period5,
@@ -131,27 +131,29 @@ def _report_dict(report) -> dict:
     }
 
 
-def cmd_rho(args) -> int:
+def cmd_verdict(args) -> int:
+    """``verify`` prints the verdict; ``rho`` adds the triangle and its 2/5 orbits."""
     _check_budget(args.iters, args.qmax)
     tri, t, r = _triangle_from_args(args)
     verdict = conjecture_check(tri, n=args.iters, q_max=args.qmax)
     out = {
-        "triangle": [[_round12(v.x), _round12(v.y)] for v in tri.vertices],
-        "t": _round12(t) if t is not None else None,
-        "r": _round12(r) if r is not None else None,
-        "condition_report": _report_dict(verdict.report),
-        "rotation": _rotation_dict(verdict.rotation),
         "condition": verdict.condition,
         "rho_verdict": verdict.rho_verdict,
         "consistent": verdict.consistent,
+        "condition_report": _report_dict(verdict.report),
+        "rotation": _rotation_dict(verdict.rotation),
     }
-    cert = verdict.rotation.certificate
-    if cert is not None and (cert.p, cert.q) == (2, 5):
-        orbits = detect_period5(triangle_map(tri))
-        out["orbits"] = [
-            [_round12(p.angle) for p in pent.points] for pent in orbits.orbits
-        ]
-        out["zero_count"] = orbits.zero_count
+    if args.command == "rho":
+        out["triangle"] = [[_round12(v.x), _round12(v.y)] for v in tri.vertices]
+        out["t"] = _round12(t) if t is not None else None
+        out["r"] = _round12(r) if r is not None else None
+        cert = verdict.rotation.certificate
+        if cert is not None and (cert.p, cert.q) == (2, 5):
+            orbits = detect_period5(triangle_map(tri))
+            out["orbits"] = [
+                [_round12(p.angle) for p in pent.points] for pent in orbits.orbits
+            ]
+            out["zero_count"] = orbits.zero_count
     print(json.dumps(out, sort_keys=True))
     return 0
 
@@ -228,21 +230,20 @@ class ReportRow:
 
 def _sweep_cell(cell: tuple[float, float, int, int]) -> ReportRow:
     t, r, iters, q_max = cell
-    p = DiskPoint(0.0, t)
-    q = DiskPoint(0.0, -t)
     apex = DiskPoint(r, 0.0)
-    tri = Triangle(p, q, apex)
+    tri = Triangle(DiskPoint(0.0, t), DiskPoint(0.0, -t), apex)
     verdict = conjecture_check(tri, n=iters, q_max=q_max)
-    d_pq = hyp_distance(p, q)
-    _, delta = foot_and_delta(p, q, apex)
+    # Triangle may swap q and r, so find the labeling by the apex's position
+    k = tri.vertices.index(apex)
+    base = next(l for l in verdict.report.labelings if l.apex == k)
     cert = verdict.rotation.certificate
     return ReportRow(
         t=t,
         r=r,
-        d_pq=d_pq,
-        delta=delta,
-        delta2=delta_n(d_pq, 2),
-        half_delta1=0.5 * delta_n(d_pq, 1),
+        d_pq=base.d_base,
+        delta=base.delta,
+        delta2=base.delta2,
+        half_delta1=base.half_delta1,
         cond48=verdict.report.two_fifths_sandwich,
         cond53=verdict.report.all_strictly_inside,
         rho_estimate=verdict.rotation.estimate,
@@ -378,25 +379,6 @@ def cmd_render(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    _check_budget(args.iters, args.qmax)
-    tri, t, r = _triangle_from_args(args)
-    verdict = conjecture_check(tri, n=args.iters, q_max=args.qmax)
-    print(
-        json.dumps(
-            {
-                "condition": verdict.condition,
-                "rho_verdict": verdict.rho_verdict,
-                "consistent": verdict.consistent,
-                "condition_report": _report_dict(verdict.report),
-                "rotation": _rotation_dict(verdict.rotation),
-            },
-            sort_keys=True,
-        )
-    )
-    return 0
-
-
 def _add_triangle_flags(sub) -> None:
     sub.add_argument("--t", type=float, default=None, help="base half-height in (0,1)")
     sub.add_argument("--r", type=float, default=None, help="apex abscissa (nonzero)")
@@ -410,12 +392,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bar-billiard circle maps: rotation numbers and pentagram analysis",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    verdict_flags = argparse.ArgumentParser(add_help=False)
+    _add_triangle_flags(verdict_flags)
+    verdict_flags.add_argument("--iters", type=int, default=100_000)
+    verdict_flags.add_argument("--qmax", type=int, default=64)
 
-    p_rho = subs.add_parser("rho", help="analyze one triangle (JSON report)")
-    _add_triangle_flags(p_rho)
-    p_rho.add_argument("--iters", type=int, default=100_000)
-    p_rho.add_argument("--qmax", type=int, default=64)
-    p_rho.set_defaults(func=cmd_rho)
+    p_rho = subs.add_parser("rho", help="analyze one triangle (JSON report)",
+                            parents=[verdict_flags])
+    p_rho.set_defaults(func=cmd_verdict)
 
     p_sweep = subs.add_parser("sweep", help="sweep the (t, r) family to CSV")
     p_sweep.add_argument("--t", dest="t_range", type=str, default=None,
@@ -446,11 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--out", type=str, required=True)
     p_render.set_defaults(func=cmd_render)
 
-    p_verify = subs.add_parser("verify", help="condition vs rotation number verdict")
-    _add_triangle_flags(p_verify)
-    p_verify.add_argument("--iters", type=int, default=100_000)
-    p_verify.add_argument("--qmax", type=int, default=64)
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify = subs.add_parser("verify", help="condition vs rotation number verdict",
+                               parents=[verdict_flags])
+    p_verify.set_defaults(func=cmd_verdict)
 
     return parser
 

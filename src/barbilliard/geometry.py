@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     CoincidentPoints,
@@ -26,6 +25,7 @@ from .errors import (
     NonpositiveDistance,
     OutOfRange,
 )
+from .search import brentq
 
 TWO_PI = 2.0 * math.pi
 

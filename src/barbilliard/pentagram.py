@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .search import golden_min
+from .search import brentq, golden_min
 from .circlemap import (
     ConvexBody,
     TangentMap,
@@ -167,6 +166,15 @@ def triangle_map(tri: Triangle) -> TangentMap:
     return build_tangent_map(ConvexBody.triangle(tri))
 
 
+def _standard_vertices(t: float) -> tuple[DiskPoint, DiskPoint, DiskPoint]:
+    """(0, t), (0, -t) and ((t-1)/(t+1), 0), in that order.
+
+    ``Triangle`` reorders this clockwise input, so callers that need the
+    apex or the base ends use these points, not the triangle's fields.
+    """
+    return DiskPoint(0.0, t), DiskPoint(0.0, -t), DiskPoint((t - 1.0) / (t + 1.0), 0.0)
+
+
 def standard_pentagram(t: float) -> tuple[Triangle, Pentagram]:
     """Canonical closing configuration at half the order-1 threshold.
 
@@ -176,10 +184,7 @@ def standard_pentagram(t: float) -> tuple[Triangle, Pentagram]:
     """
     if not 0.0 < t < 1.0:
         raise OutOfRange(f"parameter must satisfy 0 < t < 1, got {t}")
-    p = DiskPoint(0.0, t)
-    q = DiskPoint(0.0, -t)
-    r = DiskPoint((t - 1.0) / (t + 1.0), 0.0)
-    tri = Triangle(p, q, r)
+    tri = Triangle(*_standard_vertices(t))
     tmap = triangle_map(tri)
     den = t * t + 1.0
     pts = [
@@ -271,17 +276,9 @@ def detect_period5(tmap: TangentMap, grid: int = 8192) -> OrbitSet:
     if tmap.body.kind != "polygon" or len(tmap.body.vertices) != 3:
         raise PreconditionFailed("period-5 detection applies to triangle bodies")
     scan = scan_winding_zeros(tmap, 2, 5, grid=grid, keep_tangencies=True)
-    zeros = sorted(x for x, _, _ in scan.roots)
     # corner zeros of semi-stable orbits carry a float-noise window wider
     # than the scan's merge width; collapse again at the orbit tolerance
-    deduped: list[float] = []
-    for z in zeros:
-        if deduped and z - deduped[-1] <= 1e-7:
-            continue
-        deduped.append(z)
-    if len(deduped) > 1 and deduped[0] + 1.0 - deduped[-1] <= 1e-7:
-        deduped.pop()
-    zeros = deduped
+    zeros = _dedupe_cyclic([x for x, _, _ in scan.roots], 1e-7)
     remaining = list(zeros)
     orbits = []
     while remaining:
@@ -294,6 +291,19 @@ def detect_period5(tmap: TangentMap, grid: int = 8192) -> OrbitSet:
             remaining = [z for z in remaining if angular_distance(z, a) > 1e-7]
         orbits.append(Pentagram.from_seed(tmap, IdealPoint(x0)))
     return OrbitSet(orbits=tuple(orbits), zero_count=len(zeros))
+
+
+def _dedupe_cyclic(angles, tol: float) -> list[float]:
+    """Sorted angles (turns), dropping each within tol of the last kept
+    one, and the last kept one if it is within tol of the first across 1."""
+    kept: list[float] = []
+    for x in sorted(angles):
+        if kept and x - kept[-1] <= tol:
+            continue
+        kept.append(x)
+    if len(kept) > 1 and kept[0] + 1.0 - kept[-1] <= tol:
+        kept.pop()
+    return kept
 
 
 def _segment_chord_gap(p1: DiskPoint, p2: DiskPoint, pt: DiskPoint):
@@ -330,7 +340,7 @@ def tau_n(p1: DiskPoint, p2: DiskPoint, pt: DiskPoint, n: int, grid: int = 4096)
         ex, ey = bx - ax, by - ay
         return (ex * (pt.y - ay) - ey * (pt.x - ax)) / math.hypot(ex, ey)
 
-    roots: list[tuple[float, float]] = []  # (angle, |h|)
+    roots: list[float] = []
     for start, end in ((ch.a.angle, ch.b.angle), (ch.b.angle, ch.a.angle)):
         span = ccw_gap(start, end)
         # uniform samples plus geometric tails: roots can crowd the ideal
@@ -346,12 +356,11 @@ def tau_n(p1: DiskPoint, p2: DiskPoint, pt: DiskPoint, n: int, grid: int = 4096)
         hs = np.array([h(th) for th in thetas])
         for i in range(n_rel - 1):
             if hs[i] == 0.0:
-                roots.append((thetas[i], 0.0))
+                roots.append(thetas[i])
             elif hs[i] * hs[i + 1] < 0.0:
                 lo = start + rel[i] * span
                 hi = start + rel[i + 1] * span
-                x_root = brentq(lambda u: h(u % 1.0), lo, hi, xtol=1e-13)
-                roots.append((x_root % 1.0, abs(h(x_root % 1.0))))
+                roots.append(brentq(lambda u: h(u % 1.0), lo, hi, xtol=1e-13) % 1.0)
         # tangency scan on interior |h| minima
         absh = np.abs(hs)
         interior = (absh <= np.roll(absh, 1)) & (absh <= np.roll(absh, -1))
@@ -361,21 +370,10 @@ def tau_n(p1: DiskPoint, p2: DiskPoint, pt: DiskPoint, n: int, grid: int = 4096)
             hi = start + rel[min(n_rel - 1, i + 1)] * span
             x_e, f_e = golden_min(lambda u: abs(h(u % 1.0)), lo, hi, xtol=1e-13)
             if f_e <= 1e-9:
-                roots.append((x_e % 1.0, f_e))
+                roots.append(x_e % 1.0)
 
-    roots.sort(key=lambda r: r[0])
-    merged: list[tuple[float, float]] = []
-    for r in roots:
-        if merged and abs(r[0] - merged[-1][0]) <= MERGE_TOL:
-            continue
-        merged.append(r)
-    if len(merged) > 1 and (merged[0][0] + 1.0 - merged[-1][0]) <= MERGE_TOL:
-        merged.pop()
-    return TauResult(
-        n=n,
-        count=len(merged),
-        roots=tuple(IdealPoint(x) for x, _ in merged),
-    )
+    merged = _dedupe_cyclic(roots, MERGE_TOL)
+    return TauResult(n=n, count=len(merged), roots=tuple(IdealPoint(x) for x in merged))
 
 
 def condition_report(tri: Triangle) -> ConditionReport:
@@ -443,9 +441,7 @@ def ideal_chain(t: float) -> list[IdealPoint]:
     """
     if not 0.8 < t < 1.0:
         raise OutOfRange(f"chain requires 0.8 < t < 1, got {t}")
-    p = DiskPoint(0.0, t)
-    q = DiskPoint(0.0, -t)
-    r = DiskPoint((t - 1.0) / (t + 1.0), 0.0)
+    p, q, r = _standard_vertices(t)
     tmap = triangle_map(Triangle(p, q, r))
     ch = chord_through(q, r)
     u3, u2 = ch.a, ch.b  # nearer the bottom vertex; the upper-left one
@@ -465,9 +461,7 @@ def orbit_derivative_product(t: float) -> float:
     contraction off the closing orbit.
     """
     chain = ideal_chain(t)
-    p = DiskPoint(0.0, t)
-    q = DiskPoint(0.0, -t)
-    r = DiskPoint((t - 1.0) / (t + 1.0), 0.0)
+    p, q, r = _standard_vertices(t)
 
     def dist(dp: DiskPoint, ip: IdealPoint) -> float:
         x, y = ip.xy

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .circlemap import ITERATION_BUDGET, TangentMap
-from .search import golden_min
+from .search import brentq, golden_min
 from .errors import (
     InvalidRational,
     IterationBudgetExceeded,

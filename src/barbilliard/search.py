@@ -4,14 +4,20 @@ Library minimizers stop at a relative sqrt-epsilon floor, which is too
 coarse for corner-shaped extremes (the map's iterates are only
 one-sided differentiable at breakpoints).  Golden-section with an
 absolute interval tolerance localizes those to machine precision.
+Bracketed zeros (the perpendicular foot, zeros of F^q - id - p and of
+the tau_n chord function) go to Brent's method.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+#: smallest relative tolerance Brent's bracket test can honour (4 ulp at 1)
+_RTOL = 4.0 * sys.float_info.epsilon
 
 
 def golden_min(
@@ -39,3 +45,71 @@ def golden_min(
             fd = f(d)
     x = c if fc < fd else d
     return x, min(fc, fd)
+
+
+def brentq(
+    f: Callable[[float], float],
+    xa: float,
+    xb: float,
+    xtol: float,
+    rtol: float = _RTOL,
+    maxiter: int = 100,
+) -> float:
+    """Zero of f in [xa, xb], where f(xa) and f(xb) differ in sign.
+
+    Brent's method (Brent, 1973, ch. 4), step for step as the classic C
+    ``brentq`` routine, so it returns the same floats to the bit.  The
+    bracket shrinks to within ``xtol + rtol*|x|`` of the zero.  Raises
+    ``ValueError`` for a same-sign bracket or a NaN value and
+    ``RuntimeError`` when maxiter steps do not converge.
+    """
+
+    def fval(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"f({x}) is NaN")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = fval(xpre), fval(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    # f values are nonzero and not NaN from here on, so `< 0` is the sign bit
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = fval(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")

@@ -297,3 +297,23 @@ class TestSubprocessEntry:
         proc = run_cli(["tau", "--pair=0,0.9,0,-0.9", "--point=-0.003,0"])
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["count"] == 0
+
+
+def test_verify_json_is_rho_json_restricted(capsys):
+    flags = ["--t", "0.9", "--r=-0.0526315789473684", "--iters", "20000"]
+    assert main(["rho", *flags]) == 0
+    rho = json.loads(capsys.readouterr().out)
+    assert main(["verify", *flags]) == 0
+    verify = json.loads(capsys.readouterr().out)
+    assert set(verify) == {"condition", "rho_verdict", "consistent", "condition_report",
+                           "rotation"}
+    assert verify == {key: rho[key] for key in verify}
+    assert {"triangle", "t", "r", "orbits", "zero_count"} <= set(rho)
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, barbilliard.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -241,6 +241,16 @@ def brute_tau_signs(p1, p2, pt, n, grid=20001):
     return count, min_abs
 
 
+def test_dedupe_cyclic_keeps_run_heads_and_drops_the_wrap():
+    from barbilliard.pentagram import _dedupe_cyclic
+
+    # within tol of the last kept value is dropped; 0.3 + 1.5e-7 is kept
+    assert _dedupe_cyclic([0.3 + 1.5e-7, 0.3 + 5e-8, 0.3, 0.6], 1e-7) == [0.3, 0.3 + 1.5e-7, 0.6]
+    # the last value lies within tol of the first across 1 and is dropped
+    assert _dedupe_cyclic([0.99999995, 0.5, 2e-8], 1e-7) == [2e-8, 0.5]
+    assert _dedupe_cyclic([0.99999995], 1e-7) == [0.99999995]
+
+
 class TestTau:
     def test_trichotomy_counts(self):
         p1, p2 = DiskPoint(0.0, 0.9), DiskPoint(0.0, -0.9)

@@ -1,0 +1,70 @@
+import math
+import random
+
+import numpy as np
+import pytest
+
+from barbilliard.search import brentq
+
+scipy_optimize = pytest.importorskip("scipy.optimize")
+
+#: (xtol, rtol) as passed by the callers: the perpendicular foot, the
+#: F^q - id - p bracket, and the dip and tau_n brackets (default rtol)
+CALLER_TOLS = [(1e-15, 8.9e-16), (1e-13, 8.9e-16), (1e-13, None)]
+
+
+def _functions(a, b, c):
+    return [
+        lambda x: (x - a) * (x - b) * (x + c),
+        lambda x: math.sin(5.0 * x + a) - b / 3.0,
+        lambda x: math.tanh(20.0 * (x - a)) + 1e-12 * b,
+        lambda x: (x - a) ** 3,
+        lambda x: math.floor(7.0 * (x - a)) + 0.5,
+        lambda x: (x - a) if x < b else (x - a) + 0.1 * c,
+    ]
+
+
+def _solve(solver, f, lo, hi, xtol, rtol, maxiter=100):
+    kwargs = {"xtol": xtol, "maxiter": maxiter}
+    if rtol is not None:
+        kwargs["rtol"] = rtol
+    try:
+        return ("root", solver(f, lo, hi, **kwargs))
+    except (ValueError, RuntimeError) as exc:
+        return (type(exc).__name__,)
+
+
+@pytest.mark.parametrize("seed,xtol,rtol", [(i, *tols) for i, tols in enumerate(CALLER_TOLS)])
+def test_matches_scipy_bit_for_bit(seed, xtol, rtol):
+    rng = random.Random(seed)
+    outcomes = set()
+    for _ in range(600):
+        a, b, c = (rng.uniform(-1.0, 1.0) for _ in range(3))
+        f = rng.choice(_functions(a, b, c))
+        lo, hi = rng.uniform(-2.0, 1.0), rng.uniform(-1.0, 2.0)
+        maxiter = rng.choice([100, 100, 100, 3])
+        want = _solve(scipy_optimize.brentq, f, lo, hi, xtol, rtol, maxiter)
+        got = _solve(brentq, f, lo, hi, xtol, rtol, maxiter)
+        assert got == want, (a, b, c, lo, hi, maxiter)
+        outcomes.add(got[0])
+    assert outcomes == {"root", "ValueError", "RuntimeError"}
+
+
+@pytest.mark.parametrize("xtol,rtol", CALLER_TOLS)
+def test_zero_at_an_endpoint(xtol, rtol):
+    for lo, hi in ((0.25, 1.0), (-1.0, 0.25)):
+        f = lambda x: x - 0.25  # noqa: E731
+        want = _solve(scipy_optimize.brentq, f, lo, hi, xtol, rtol)
+        assert _solve(brentq, f, lo, hi, xtol, rtol) == want == ("root", 0.25)
+
+
+def test_same_sign_bracket_raises():
+    with pytest.raises(ValueError):
+        scipy_optimize.brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-13)
+    with pytest.raises(ValueError):
+        brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-13)
+
+
+def test_returns_plain_float_for_numpy_bounds():
+    x = brentq(lambda u: np.float64(u) - 0.3, np.float64(0.0), np.float64(1.0), xtol=1e-13)
+    assert type(x) is float
