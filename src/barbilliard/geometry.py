@@ -88,7 +88,7 @@ class IdealPoint:
     def __post_init__(self):
         if not math.isfinite(self.angle):
             raise OutOfRange(f"non-finite angle {self.angle}")
-        object.__setattr__(self, "angle", wrap_turns(self.angle))
+        object.__setattr__(self, "angle", float(wrap_turns(self.angle)))
 
     @classmethod
     def from_xy(cls, x: float, y: float) -> "IdealPoint":

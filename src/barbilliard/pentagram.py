@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .search import brentq, golden_min
+from .search import golden_min
 from .circlemap import (
     ConvexBody,
     TangentMap,
@@ -49,6 +49,8 @@ from .geometry import (
 from .rotation import (
     MERGE_TOL,
     RotationResult,
+    _dedupe_cyclic,
+    _find_zeros,
     classify_rho,
     scan_winding_zeros,
 )
@@ -91,15 +93,6 @@ class Pentagram:
                 raise PreconditionFailed("orbit does not advance by 2 mod 5")
         edges = tuple(Chord(pts[i], pts[(i + 1) % 5]) for i in range(5))
         return cls(pts, edges)
-
-    @classmethod
-    def from_seed(cls, tmap: TangentMap, seed: IdealPoint) -> "Pentagram":
-        a = seed.angle
-        pts = [seed]
-        for _ in range(4):
-            a = tmap.eval_angle(a)
-            pts.append(IdealPoint(a))
-        return cls.build(tmap, pts)
 
 
 @dataclass(frozen=True)
@@ -278,32 +271,18 @@ def detect_period5(tmap: TangentMap, grid: int = 8192) -> OrbitSet:
     scan = scan_winding_zeros(tmap, 2, 5, grid=grid, keep_tangencies=True)
     # corner zeros of semi-stable orbits carry a float-noise window wider
     # than the scan's merge width; collapse again at the orbit tolerance
-    zeros = _dedupe_cyclic([x for x, _, _ in scan.roots], 1e-7)
+    zeros = [x for x, _, _ in _dedupe_cyclic(scan.roots, 1e-7)]
     remaining = list(zeros)
     orbits = []
     while remaining:
-        x0 = remaining.pop(0)
-        angles = [x0]
-        a = x0
+        a = remaining.pop(0)
+        pts = [IdealPoint(a)]
         for _ in range(4):
             a = tmap.eval_angle(a)
-            angles.append(a)
+            pts.append(IdealPoint(a))
             remaining = [z for z in remaining if angular_distance(z, a) > 1e-7]
-        orbits.append(Pentagram.from_seed(tmap, IdealPoint(x0)))
+        orbits.append(Pentagram.build(tmap, pts))
     return OrbitSet(orbits=tuple(orbits), zero_count=len(zeros))
-
-
-def _dedupe_cyclic(angles, tol: float) -> list[float]:
-    """Sorted angles (turns), dropping each within tol of the last kept
-    one, and the last kept one if it is within tol of the first across 1."""
-    kept: list[float] = []
-    for x in sorted(angles):
-        if kept and x - kept[-1] <= tol:
-            continue
-        kept.append(x)
-    if len(kept) > 1 and kept[0] + 1.0 - kept[-1] <= tol:
-        kept.pop()
-    return kept
 
 
 def _segment_chord_gap(p1: DiskPoint, p2: DiskPoint, pt: DiskPoint):
@@ -317,10 +296,10 @@ def _segment_chord_gap(p1: DiskPoint, p2: DiskPoint, pt: DiskPoint):
 def tau_n(p1: DiskPoint, p2: DiskPoint, pt: DiskPoint, n: int, grid: int = 4096) -> TauResult:
     """Count boundary points w whose chord to the 2n-fold image covers pt.
 
-    The count is 0, 1 or 2 according to whether the distance from pt to
-    the base line is below, at, or above the order-2n... order-n
-    threshold of the pair; the tangent case is detected within a 1e-9
-    band on the chord distance.
+    The count is 0, 1 or 2 as pt's hyperbolic distance to the base line
+    is below, at or above ``delta_n(d, n)``, d the length of the base;
+    the tangent case is detected within a 1e-9 band on the chord
+    distance.
     """
     if n < 1:
         raise OutOfRange(f"fold order must be a positive integer, got {n}")
@@ -329,48 +308,34 @@ def tau_n(p1: DiskPoint, p2: DiskPoint, pt: DiskPoint, n: int, grid: int = 4096)
         raise PointOnLine("query point lies on the base line")
     tmap = build_tangent_map(ConvexBody.segment(p1, p2))
 
-    def h(w_angle: float) -> float:
-        ta = TWO_PI * w_angle
-        ax, ay = math.cos(ta), math.sin(ta)
-        b_angle = w_angle
-        for _ in range(2 * n):
-            b_angle = tmap.eval_angle(b_angle)
-        tb = TWO_PI * b_angle
-        bx, by = math.cos(tb), math.sin(tb)
+    def side(w, b, xp):
+        """Signed distance from pt to the chord from angle w to angle b,
+        with xp's cos/sin/hypot: math for scalars, numpy for arrays."""
+        ax, ay = xp.cos(TWO_PI * w), xp.sin(TWO_PI * w)
+        bx, by = xp.cos(TWO_PI * b), xp.sin(TWO_PI * b)
         ex, ey = bx - ax, by - ay
-        return (ex * (pt.y - ay) - ey * (pt.x - ax)) / math.hypot(ex, ey)
+        return (ex * (pt.y - ay) - ey * (pt.x - ax)) / xp.hypot(ex, ey)
 
+    def h(u: float) -> float:
+        w = b = u % 1.0
+        for _ in range(2 * n):
+            b = tmap.eval_angle(b)
+        return side(w, b, math)
+
+    # uniform samples plus geometric tails: roots can crowd the ideal
+    # endpoints when the query point sits far from the base line
+    tails = np.array([10.0 ** -j for j in range(4, 12)])
+    rel = np.unique(
+        np.concatenate([(np.arange(grid, dtype=float) + 0.5) / grid, tails, 1.0 - tails])
+    )
     roots: list[float] = []
     for start, end in ((ch.a.angle, ch.b.angle), (ch.b.angle, ch.a.angle)):
-        span = ccw_gap(start, end)
-        # uniform samples plus geometric tails: roots can crowd the ideal
-        # endpoints when the query point sits far from the base line
-        tails = np.array([10.0 ** -j for j in range(4, 12)])
-        rel = np.unique(
-            np.concatenate(
-                [(np.arange(grid, dtype=float) + 0.5) / grid, tails, 1.0 - tails]
-            )
-        )
-        n_rel = len(rel)
-        thetas = (start + rel * span) % 1.0
-        hs = np.array([h(th) for th in thetas])
-        for i in range(n_rel - 1):
-            if hs[i] == 0.0:
-                roots.append(thetas[i])
-            elif hs[i] * hs[i + 1] < 0.0:
-                lo = start + rel[i] * span
-                hi = start + rel[i + 1] * span
-                roots.append(brentq(lambda u: h(u % 1.0), lo, hi, xtol=1e-13) % 1.0)
-        # tangency scan on interior |h| minima
-        absh = np.abs(hs)
-        interior = (absh <= np.roll(absh, 1)) & (absh <= np.roll(absh, -1))
-        interior[0] = interior[-1] = False
-        for i in np.nonzero(interior)[0]:
-            lo = start + rel[max(0, i - 1)] * span
-            hi = start + rel[min(n_rel - 1, i + 1)] * span
-            x_e, f_e = golden_min(lambda u: abs(h(u % 1.0)), lo, hi, xtol=1e-13)
-            if f_e <= 1e-9:
-                roots.append(x_e % 1.0)
+        xs = start + rel * ccw_gap(start, end)
+        ws = bs = xs % 1.0
+        for _ in range(2 * n):
+            bs = tmap.eval_angles(bs)
+        scan = _find_zeros(h, xs, side(ws, bs, np), False, True)
+        roots.extend(x for x, _, _ in scan.roots)
 
     merged = _dedupe_cyclic(roots, MERGE_TOL)
     return TauResult(n=n, count=len(merged), roots=tuple(IdealPoint(x) for x in merged))

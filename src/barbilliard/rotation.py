@@ -17,6 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .circlemap import ITERATION_BUDGET, TangentMap
+from .geometry import wrap_turns
 from .search import brentq, golden_min
 from .errors import (
     InvalidRational,
@@ -76,16 +77,16 @@ def estimate_rho(tmap: TangentMap, n: int = 100_000, x0: float = 0.0) -> Rotatio
 
 @dataclass(frozen=True)
 class ZeroScan:
-    """Zeros and extremes of g(x) = F^q(x) - x - p over one period.
+    """Zeros of a function sampled on a grid, and what decides without one.
 
-    ``g_min``/``g_max`` are polished extremes, except when the scan found
-    a sign change and was not asked for tangencies: then no certificate
-    reads them and they are the plain grid extremes.
+    ``margin`` is the polished point nearest zero, ``(x, f(x))``, or None
+    when nothing was polished.  ``sign`` is +1 or -1 when every grid
+    sample has that sign, and 0 otherwise.
     """
 
-    roots: tuple[tuple[float, float, str], ...]  # (x, residual, kind)
-    g_min: tuple[float, float]
-    g_max: tuple[float, float]
+    roots: tuple[tuple[float, float, str], ...]  # (x mod 1, residual, kind)
+    margin: Optional[tuple[float, float]]
+    sign: int
 
 
 def _g_vector(tmap: TangentMap, p: int, q: int, xs: np.ndarray) -> np.ndarray:
@@ -105,21 +106,99 @@ def _g_scalar(tmap: TangentMap, p: int, q: int) -> Callable[[float], float]:
     return g
 
 
-def _local_extreme_cells(ys: np.ndarray, find_min: bool, keep: int = 12) -> list[int]:
-    """Grid indices that are one-sided local minima (or maxima) of ys."""
-    sign = 1.0 if find_min else -1.0
-    v = sign * ys
-    left = np.roll(v, 1)
-    right = np.roll(v, -1)
-    idx = np.nonzero((v <= left) & (v <= right))[0]
-    order = np.argsort(v[idx], kind="stable")
-    return [int(i) for i in idx[order][:keep]]
-
-
 def _sign_change_cells(ys: np.ndarray) -> np.ndarray:
     """Grid indices i with ys[i] == 0 or a sign change from ys[i] to ys[i+1]
     (cyclically), in increasing order."""
     return np.nonzero((ys == 0.0) | (ys * np.roll(ys, -1) < 0.0))[0]
+
+
+def _dedupe_cyclic(items, tol: float) -> list:
+    """Sorted items, dropping each within tol of the last kept one, and the
+    last kept one if it is within tol of the first across 1.  Items are
+    angles in turns, or tuples that lead with one."""
+
+    def angle(item) -> float:
+        return item[0] if isinstance(item, tuple) else item
+
+    kept: list = []
+    for item in sorted(items):
+        if kept and angle(item) - angle(kept[-1]) <= tol:
+            continue
+        kept.append(item)
+    if len(kept) > 1 and angle(kept[0]) + 1.0 - angle(kept[-1]) <= tol:
+        kept.pop()
+    return kept
+
+
+def _find_zeros(
+    f: Callable[[float], float],
+    xs: np.ndarray,
+    ys: np.ndarray,
+    cyclic: bool,
+    polish_always: bool,
+    tol: float = TANGENCY_TOL,
+) -> ZeroScan:
+    """Zeros of f from its samples ys on the sorted nodes xs.
+
+    On a cyclic grid the last cell runs to the first node one turn on;
+    otherwise the last node closes the span.  Each grid sign change is
+    re-checked through scalar f and bracketed with brentq.  Then the 12
+    smallest local minima of |ys| that touch no bracketed cell are
+    polished with golden_min on s*f, s the sign of f at the node, and
+    give at most one zero each: a tangency when the polished value lies
+    within tol of zero, a sign change bracketed from the node when it
+    crossed zero by more.  Polishing is skipped when there are sign
+    changes, unless ``polish_always``.  Roots are reported mod 1 and
+    merged within MERGE_TOL.
+    """
+    n = len(xs)
+    nxt, prv = np.roll(xs, -1), np.roll(xs, 1)
+    cells = _sign_change_cells(ys)
+    if cyclic:
+        nxt[-1] += 1.0
+        prv[0] -= 1.0
+    else:
+        cells = cells[cells < n - 1]
+
+    def bracket(lo: float, hi: float) -> tuple[float, float, str]:
+        x = brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16)
+        return wrap_turns(x), float(f(x)), "sign_change"
+
+    roots: list[tuple[float, float, str]] = []
+    touched = np.zeros(n, dtype=bool)
+    for i in cells:
+        lo, hi = xs[i], nxt[i]
+        # a node zero, else re-check through scalar f so brentq sees
+        # consistent signs; a last-ulp disagreement is left to polishing
+        f_lo = 0.0 if ys[i] == 0.0 else f(lo)
+        if f_lo == 0.0:
+            roots.append((float(wrap_turns(lo)), 0.0, "sign_change"))
+        elif f_lo * f(hi) < 0.0:
+            roots.append(bracket(lo, hi))
+        else:
+            continue
+        touched[i] = touched[(i + 1) % n] = True
+
+    margin = None
+    if polish_always or not roots:
+        a = np.abs(ys)
+        dips = (a <= np.roll(a, 1)) & (a <= np.roll(a, -1)) & ~touched
+        if not cyclic:
+            dips[0] = dips[-1] = False
+        idx = np.nonzero(dips)[0]
+        for i in idx[np.argsort(a[idx], kind="stable")][:12]:
+            s = -1.0 if f(xs[i]) < 0.0 else 1.0
+            x_e, v = golden_min(lambda u: s * f(u), prv[i], nxt[i], xtol=1e-12)
+            x, y = float(wrap_turns(x_e)), float(s * v)
+            if margin is None or abs(y) < abs(margin[1]):
+                margin = (x, y)
+            if abs(y) <= tol:
+                roots.append((x, y, "tangency"))
+            elif v < 0.0:
+                roots.append(bracket(*sorted((xs[i], x_e))))
+
+    sign = 1 if (ys > 0.0).all() else -1 if (ys < 0.0).all() else 0
+    return ZeroScan(tuple(_dedupe_cyclic(roots, MERGE_TOL)), margin, sign)
 
 
 def scan_winding_zeros(
@@ -132,108 +211,14 @@ def scan_winding_zeros(
 ) -> ZeroScan:
     """Locate every zero of F^q - id - p on [0, 1).
 
-    Sign changes on the grid are bisected to machine precision.  When
-    there are none, local extremes are polished so that tangential
-    (double) zeros within the tolerance band are picked up as well.  With
-    ``keep_tangencies`` the tangency scan also runs alongside transverse
-    roots (they are kept only when reasonably separated from every
-    crossing).
+    Sign changes on the grid are bracketed to machine precision.  Dips
+    toward zero are polished when there are none, or always with
+    ``keep_tangencies``, so that tangential (double) zeros within the
+    tolerance band and dips the grid missed are picked up as well.
     """
-    g = _g_scalar(tmap, p, q)
     xs = np.arange(grid, dtype=float) / grid
     ys = _g_vector(tmap, p, q, xs)
-
-    roots: list[tuple[float, float, str]] = []
-
-    for i in _sign_change_cells(ys):
-        xi = xs[i]
-        xj = xs[i] + 1.0 / grid
-        if ys[i] == 0.0:
-            roots.append((float(xi), 0.0, "sign_change"))
-            continue
-        # re-evaluate through the scalar path so brentq sees consistent signs
-        gi, gj = g(xi), g(xj)
-        if gi == 0.0:
-            roots.append((float(xi % 1.0), 0.0, "sign_change"))
-            continue
-        if gi * gj >= 0.0:
-            continue  # last-ulp disagreement; the extreme scan covers it
-        x_root = brentq(g, xi, xj, xtol=1e-13, rtol=8.9e-16)
-        roots.append((x_root % 1.0, g(x_root), "sign_change"))
-
-    if roots and not keep_tangencies:
-        # only the tangency and dip scans below read polished extremes
-        return ZeroScan(
-            roots=tuple(_merge_roots(roots)),
-            g_min=_grid_extreme(xs, ys, find_min=True),
-            g_max=_grid_extreme(xs, ys, find_min=False),
-        )
-
-    # polish extremes: catches tangencies and dips the grid missed
-    refined_min = _refine_extremes(g, xs, ys, grid, find_min=True)
-    refined_max = _refine_extremes(g, xs, ys, grid, find_min=False)
-    g_min = min(refined_min, key=lambda t: t[1])
-    g_max = max(refined_max, key=lambda t: t[1])
-
-    sign_xs = [x for x, _, _ in roots]
-    for x_e, y_e in refined_min + refined_max:
-        if abs(y_e) > tangency_tol:
-            continue
-        if sign_xs and min(
-            min(abs(x_e - x), 1.0 - abs(x_e - x)) for x in sign_xs
-        ) <= 1e-6:
-            continue
-        roots.append((x_e % 1.0, y_e, "tangency"))
-    if g_min[1] < 0.0 < g_max[1] and not roots:
-        # a dip below zero invisible on the grid: bracket it explicitly
-        x_e = g_min[0]
-        for width in (0.5 / grid, 1.0 / grid, 2.0 / grid):
-            lo, hi = x_e - width, x_e + width
-            if g(lo) > 0.0 > g(x_e):
-                roots.append((brentq(g, lo, x_e, xtol=1e-13) % 1.0, 0.0, "sign_change"))
-                break
-            if g(x_e) < 0.0 < g(hi):
-                roots.append((brentq(g, x_e, hi, xtol=1e-13) % 1.0, 0.0, "sign_change"))
-                break
-
-    return ZeroScan(roots=tuple(_merge_roots(roots)), g_min=g_min, g_max=g_max)
-
-
-def _refine_extremes(g, xs, ys, grid, find_min: bool) -> list[tuple[float, float]]:
-    out = []
-    sign = 1.0 if find_min else -1.0
-    for i in _local_extreme_cells(ys, find_min):
-        lo = xs[i] - 1.0 / grid
-        hi = xs[i] + 1.0 / grid
-        x_e, f_e = golden_min(lambda x: sign * g(x), lo, hi, xtol=1e-12)
-        out.append((float(x_e % 1.0), float(sign * f_e)))
-    if not out:
-        out.append(_grid_extreme(xs, ys, find_min))
-    return out
-
-
-def _grid_extreme(xs, ys, find_min: bool) -> tuple[float, float]:
-    i = int(np.argmin(ys) if find_min else np.argmax(ys))
-    return float(xs[i]), float(ys[i])
-
-
-def _merge_roots(roots):
-    """Collapse root clusters closer than MERGE_TOL, keeping best residuals."""
-    if not roots:
-        return []
-    ordered = sorted(roots, key=lambda r: r[0])
-    merged = [ordered[0]]
-    for r in ordered[1:]:
-        if r[0] - merged[-1][0] <= MERGE_TOL:
-            if abs(r[1]) < abs(merged[-1][1]):
-                merged[-1] = (merged[-1][0], r[1], merged[-1][2])
-        else:
-            merged.append(r)
-    # wraparound cluster
-    if len(merged) > 1 and (merged[0][0] + 1.0 - merged[-1][0]) <= MERGE_TOL:
-        keep = merged[0] if abs(merged[0][1]) <= abs(merged[-1][1]) else merged[-1]
-        merged = [keep] + merged[1:-1]
-    return merged
+    return _find_zeros(_g_scalar(tmap, p, q), xs, ys, True, keep_tangencies, tangency_tol)
 
 
 def certify_rational(
@@ -271,14 +256,9 @@ def _certify(
     if tangent_roots:
         best = min(tangent_roots, key=lambda r: r[0])
         return RationalCertificate(p, q, best[0], best[1], "tangency"), None
-    if scan.g_min[1] > 0.0:
-        return None, RationalComparison(p, q, "greater")
-    if scan.g_max[1] < 0.0:
-        return None, RationalComparison(p, q, "less")
-    # extremes straddle zero but every crossing eluded refinement;
-    # treat the deeper extreme as a tangency witness
-    x_e, y_e = min((scan.g_min, scan.g_max), key=lambda t: abs(t[1]))
-    return RationalCertificate(p, q, x_e, y_e, "tangency"), None
+    if scan.sign:
+        return None, RationalComparison(p, q, "greater" if scan.sign > 0 else "less")
+    return None, None  # a mixed-sign grid with no zero found decides nothing
 
 
 def _candidate_rationals(estimate: float, n: int, q_max: int) -> list[tuple[int, int]]:

@@ -4,8 +4,12 @@ Library minimizers stop at a relative sqrt-epsilon floor, which is too
 coarse for corner-shaped extremes (the map's iterates are only
 one-sided differentiable at breakpoints).  Golden-section with an
 absolute interval tolerance localizes those to machine precision.
-Bracketed zeros (the perpendicular foot, zeros of F^q - id - p and of
-the tau_n chord function) go to Brent's method.
+
+Both helpers serve one grid zero finder, ``rotation._find_zeros``, which
+finds the zeros of F^q - id - p and of the tau_n chord function alike:
+Brent's method brackets each grid sign change, and golden-section
+polishes the dips toward zero that the grid misses.  Brent's method
+also drops the perpendicular foot in ``geometry.foot_and_delta``.
 """
 
 from __future__ import annotations

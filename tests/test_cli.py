@@ -206,6 +206,22 @@ def test_sweep_reproduces_pinned_band_csv(tmp_path, capsys):
         assert out.read_bytes() == fh.read()
 
 
+with open(os.path.join(DATA, "cli_pinned.json")) as _fh:
+    PINNED = json.load(_fh)
+
+
+@pytest.mark.parametrize("case", PINNED, ids=lambda c: " ".join(c["argv"]))
+def test_cli_reproduces_pinned_output(case, capsys):
+    """rho/verify/tau output byte for byte as first recorded; a tangent
+    (count 1) tau root sits in float noise, so only its count is pinned."""
+    assert main(case["argv"]) == 0
+    out = capsys.readouterr().out
+    if "stdout" in case:
+        assert out == case["stdout"]
+    else:
+        assert json.loads(out)["count"] == case["count"]
+
+
 class TestTauCmd:
     def test_counts(self, capsys):
         code = main(["tau", "--pair=0,0.9,0,-0.9", "--point=-0.02,0", "--n", "2"])

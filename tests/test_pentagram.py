@@ -211,6 +211,12 @@ class TestDetectPeriod5:
             assert len(found.orbits) == 1
             assert found.zero_count == 5
 
+    def test_orbit_points_are_plain_floats(self):
+        found = detect_period5(triangle_map(canonical_triangle(0.9, -0.02)))
+        for pent in found.orbits:
+            assert all(type(p.angle) is float for p in pent.points)
+        assert type(IdealPoint(np.float64(0.25)).angle) is float
+
 
 def brute_tau_signs(p1, p2, pt, n, grid=20001):
     """Dense-grid sign-change count of the chord side function."""
@@ -265,6 +271,11 @@ class TestTau:
             res = tau_n(p1, p2, pt, 2)
             brute, _ = brute_tau_signs(p1, p2, pt, 2, grid=8001)
             assert res.count == brute == want
+
+    @pytest.mark.parametrize("x", [-0.02, -0.00554013])
+    def test_roots_are_plain_floats(self, x):
+        res = tau_n(DiskPoint(0.0, 0.9), DiskPoint(0.0, -0.9), DiskPoint(x, 0.0), 2)
+        assert res.roots and all(type(w.angle) is float for w in res.roots)
 
     def test_roots_lie_on_claimed_chords(self):
         p1, p2 = DiskPoint(0.0, 0.9), DiskPoint(0.0, -0.9)

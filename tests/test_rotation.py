@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,16 @@ from barbilliard import (
     standard_pentagram,
 )
 from barbilliard.pentagram import triangle_map
-from barbilliard.rotation import _sign_change_cells, scan_winding_zeros
+from barbilliard import rotation
+from barbilliard.geometry import TWO_PI
+from barbilliard.rotation import (
+    MERGE_TOL,
+    TANGENCY_TOL,
+    _dedupe_cyclic,
+    _find_zeros,
+    _sign_change_cells,
+    scan_winding_zeros,
+)
 from conftest import random_convex_polygon
 
 
@@ -199,8 +210,10 @@ class TestClassifyMatchesCertify:
         full = scan_winding_zeros(tmap, 2, 5, keep_tangencies=True)
         assert fast.roots
         assert fast.roots == tuple(r for r in full.roots if r[2] == "sign_change")
-        # grid extremes can only be shallower than the polished ones
-        assert full.g_min[1] <= fast.g_min[1] < 0.0 < fast.g_max[1] <= full.g_max[1]
+        # the fast scan polishes nothing; every |g| dip of the full scan's
+        # grid touches a crossing, so it has nothing to polish either
+        assert fast.margin is None and full.margin is None
+        assert fast.sign == full.sign == 0
 
 
 def _sign_change_cells_loop(ys):
@@ -222,3 +235,76 @@ class TestSignChangeCells:
     def test_wraparound_and_zero_nodes(self):
         ys = np.array([-1.0, -2.0, 0.0, 3.0, 1.0])
         assert _sign_change_cells(ys).tolist() == [2, 4]
+
+
+def _scan(f, xs, cyclic=False):
+    xs = np.asarray(xs, dtype=float)
+    return _find_zeros(f, xs, np.array([f(x) for x in xs]), cyclic, True)
+
+
+class TestFindZeros:
+    """The one zero finder, on synthetic samples."""
+
+    nodes = np.arange(9) / 8.0  # a span [0, 1] in eighths
+
+    def test_zero_on_a_node(self):
+        scan = _scan(lambda x: x - 0.375, self.nodes)
+        assert scan.roots == ((0.375, 0.0, "sign_change"),)
+        assert scan.sign == 0
+
+    def test_crossing_inside_a_cell(self):
+        (root,) = _scan(lambda x: x - 0.3, self.nodes).roots
+        assert root[2] == "sign_change"
+        assert abs(root[0] - 0.3) <= 1e-13 and abs(root[1]) <= 1e-15
+
+    def test_tangency_in_the_band(self):
+        scan = _scan(lambda x: (x - 0.3) ** 2, self.nodes)
+        ((x, y, kind),) = scan.roots
+        assert kind == "tangency" and 0.0 <= y <= TANGENCY_TOL
+        assert abs(x - 0.3) <= 1e-5
+        assert scan.sign == 1 and scan.margin == (x, y)
+
+    def test_dip_below_the_band_is_one_sign_change(self):
+        # both crossings lie in one cell: the grid sees no sign change
+        def f(x):
+            return (x - 0.3) ** 2 - 1e-6
+
+        scan = _scan(f, self.nodes)
+        ((x, y, kind),) = scan.roots
+        assert kind == "sign_change"
+        assert abs(x - (0.3 - 1e-3)) <= 1e-12 and abs(y) <= 1e-15
+        assert scan.sign == 1 and scan.margin[1] < -TANGENCY_TOL
+
+    def test_duplicates_wrap_across_zero(self):
+        # zeros at -2e-9 and 1e-9 (and near 1/2): one each after merging
+        def f(x):
+            return math.sin(TWO_PI * (x + 2e-9)) * math.sin(TWO_PI * (x - 1e-9))
+
+        scan = _scan(f, np.arange(8) / 8.0, cyclic=True)
+        assert [kind for _, _, kind in scan.roots] == ["sign_change"] * 2
+        assert abs(scan.roots[0][0] - 1e-9) <= 1e-12
+        assert abs(scan.roots[1][0] - (0.5 - 2e-9)) <= 1e-12
+
+    def test_mixed_sign_grid_yields_no_comparison(self, monkeypatch):
+        # a grid sign the scalar function does not confirm is polished,
+        # finds nothing, and leaves the grid mixed
+        xs = np.arange(8) / 8.0
+        ys = 1.0 + xs
+        ys[3] = -1e-17
+        scan = _find_zeros(lambda x: 1.0 + x % 1.0, xs, ys, True, False)
+        assert scan.roots == () and scan.sign == 0 and scan.margin[1] > 0.0
+        monkeypatch.setattr(rotation, "scan_winding_zeros", lambda *a, **k: scan)
+        assert rotation._certify(None, 2, 5, 8) == (None, None)
+
+    def test_one_signed_grid_gives_the_comparison(self, monkeypatch):
+        for sign, relation in ((1, "greater"), (-1, "less")):
+            scan = rotation.ZeroScan((), (0.5, sign * 1e-3), sign)
+            monkeypatch.setattr(rotation, "scan_winding_zeros", lambda *a, **k: scan)
+            assert rotation._certify(None, 2, 5, 8) == (
+                None, rotation.RationalComparison(2, 5, relation))
+
+    def test_dedupe_keeps_whole_tuples(self):
+        roots = [(0.99999999999, 1e-15, "sign_change"), (0.5, 0.0, "tangency"),
+                 (2e-9, 3e-16, "sign_change"), (0.5 + 5e-9, -1e-16, "sign_change")]
+        assert _dedupe_cyclic(roots, MERGE_TOL) == [
+            (2e-9, 3e-16, "sign_change"), (0.5, 0.0, "tangency")]

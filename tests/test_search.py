@@ -8,8 +8,8 @@ from barbilliard.search import brentq
 
 scipy_optimize = pytest.importorskip("scipy.optimize")
 
-#: (xtol, rtol) as passed by the callers: the perpendicular foot, the
-#: F^q - id - p bracket, and the dip and tau_n brackets (default rtol)
+#: (xtol, rtol): the perpendicular foot's, the zero finder's brackets',
+#: and the finder's xtol with the default rtol
 CALLER_TOLS = [(1e-15, 8.9e-16), (1e-13, 8.9e-16), (1e-13, None)]
 
 
