@@ -25,6 +25,7 @@ from .geometry import (
     IdealPoint,
     Triangle,
     ccw_gap,
+    chord_through,
     wrap_turns,
 )
 
@@ -189,19 +190,12 @@ class TangentMap:
     def derivative(self, v: IdealPoint) -> OneSidedDerivative:
         """One-sided derivatives |A w|/|v A| for the active vertices at v."""
         a = v.angle
-        if not self._bp_angles:
-            i_right = i_left = 0
-        else:
-            k = bisect_right(self._bp_angles, (a + SNAP) % 1.0) - 1
-            i_right = self._active[k]
-            at_break = (
-                min(
-                    abs(a - self._bp_angles[k]) % 1.0,
-                    1.0 - abs(a - self._bp_angles[k]) % 1.0,
-                )
-                <= SNAP
-            )
-            i_left = self._active[k - 1] if at_break else i_right
+        i_right = i_left = self.active_vertex_index(a)
+        if self._bp_angles:
+            k = self._active.index(i_right)  # each vertex serves exactly one arc
+            gap = abs(a - self._bp_angles[k]) % 1.0
+            if min(gap, 1.0 - gap) <= SNAP:  # at the breakpoint opening the arc
+                i_left = self._active[k - 1]
         return OneSidedDerivative(
             left=self._vertex_derivative(a, i_left),
             right=self._vertex_derivative(a, i_right),
@@ -242,19 +236,6 @@ class TangentMap:
         return pts
 
 
-def _edge_breakpoint(a: DiskPoint, b: DiskPoint) -> IdealPoint:
-    """Ideal endpoint of the line ab nearer to a (behind a, away from b)."""
-    dx, dy = b.x - a.x, b.y - a.y
-    dd = dx * dx + dy * dy
-    bb = a.x * dx + a.y * dy
-    cc = a.x * a.x + a.y * a.y - 1.0
-    disc = math.sqrt(bb * bb - dd * cc)
-    qq = -(bb + math.copysign(disc, bb)) if bb != 0.0 else disc
-    s1, s2 = qq / dd, cc / qq
-    s_neg = min(s1, s2)
-    return IdealPoint.from_xy(a.x + s_neg * dx, a.y + s_neg * dy)
-
-
 def build_tangent_map(body: ConvexBody) -> TangentMap:
     """Breakpoint table of the map: one breakpoint per supporting edge.
 
@@ -266,16 +247,11 @@ def build_tangent_map(body: ConvexBody) -> TangentMap:
     if body.kind == "point":
         return TangentMap(body, (), (), verts, ())
 
-    if body.kind == "segment":
-        cyc = [0, 1]
-    else:
-        cyc = list(range(len(body.vertices)))
-
     entries = []
-    n = len(cyc)
-    for j in range(n):
-        i, k = cyc[j], cyc[(j + 1) % n]
-        u = _edge_breakpoint(body.vertices[i], body.vertices[k])
+    n = len(verts)
+    for i in range(n):
+        k = (i + 1) % n
+        u = chord_through(body.vertices[i], body.vertices[k]).a
         entries.append((u.angle, u, k))
     entries.sort(key=lambda e: e[0])
     for (a1, _, _), (a2, _, _) in zip(entries, entries[1:]):

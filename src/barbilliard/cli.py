@@ -158,33 +158,6 @@ def cmd_verdict(args) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Grid description for a (t, r) family sweep."""
-
-    t_lo: float
-    t_hi: float
-    t_steps: int
-    r_lo: float
-    r_hi: float
-    r_steps: int
-    r_mode: str  # "absolute" | "relative_interval"
-    iters: int
-    q_max: int
-    seed: Optional[int]
-
-    def __post_init__(self):
-        if not 0.0 < self.t_lo <= self.t_hi < 1.0:
-            raise CliError("InvalidArgument", "t range must satisfy 0 < lo <= hi < 1")
-        if self.t_steps < 1 or self.r_steps < 1:
-            raise CliError("InvalidArgument", "grid steps must be >= 1")
-        if self.iters < 1000:
-            raise CliError("InvalidArgument", "sweep needs --iters >= 1000")
-        _check_budget(self.iters, self.q_max)
-        if self.r_mode not in ("absolute", "relative_interval"):
-            raise CliError("InvalidArgument", f"unknown r mode {self.r_mode!r}")
-
-
 #: CSV schema, fixed: downstream tooling parses this exact header
 CSV_HEADER = (
     "t,r,d_pq,delta,delta2,half_delta1,cond48,cond53,"
@@ -280,29 +253,28 @@ def cmd_sweep(args) -> int:
             t_steps, r_steps = int(a), int(b)
         except ValueError as exc:
             raise CliError("InvalidArgument", "--grid must look like 20x20") from exc
-    spec = SweepSpec(
-        t_lo=t_lo, t_hi=t_hi, t_steps=t_steps,
-        r_lo=r_lo, r_hi=r_hi, r_steps=r_steps,
-        r_mode=args.r_mode, iters=args.iters, q_max=args.qmax, seed=args.seed,
-    )
+    if not 0.0 < t_lo <= t_hi < 1.0:
+        raise CliError("InvalidArgument", "t range must satisfy 0 < lo <= hi < 1")
+    if t_steps < 1 or r_steps < 1:
+        raise CliError("InvalidArgument", "grid steps must be >= 1")
+    if args.iters < 1000:
+        raise CliError("InvalidArgument", "sweep needs --iters >= 1000")
+    _check_budget(args.iters, args.qmax)
 
-    if spec.seed is not None:
-        rng = np.random.default_rng(spec.seed)
-        t_jit = rng.random(spec.t_steps)
-        r_jit = rng.random(spec.r_steps)
+    if args.seed is not None:
+        rng = np.random.default_rng(args.seed)
+        t_jit = rng.random(t_steps)
+        r_jit = rng.random(r_steps)
     else:
         t_jit = r_jit = None
-    ts = _grid_values(spec.t_lo, spec.t_hi, spec.t_steps, t_jit)
-    rs = _grid_values(spec.r_lo, spec.r_hi, spec.r_steps, r_jit)
+    ts = _grid_values(t_lo, t_hi, t_steps, t_jit)
+    rs = _grid_values(r_lo, r_hi, r_steps, r_jit)
 
     cells = []
     for t in ts:
         for rv in rs:
-            if spec.r_mode == "relative_interval":
-                r = -_relative_radius(t, rv)
-            else:
-                r = rv
-            cells.append((t, r, spec.iters, spec.q_max))
+            r = -_relative_radius(t, rv) if args.r_mode == "relative_interval" else rv
+            cells.append((t, r, args.iters, args.qmax))
 
     workers = min(args.jobs, os.cpu_count() or 1, len(cells))
     if workers > 1:

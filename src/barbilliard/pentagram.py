@@ -264,11 +264,12 @@ def ellipse_pentagram(t: float, v: float, side: str = "left") -> tuple[Triangle,
     return tri, Pentagram.build(tmap, seq)
 
 
-def detect_period5(tmap: TangentMap, grid: int = 8192) -> OrbitSet:
-    """Find every period-5, winding-2 boundary orbit of a triangle map."""
+def detect_period5(tmap: TangentMap) -> OrbitSet:
+    """Find every period-5, winding-2 boundary orbit of a triangle map
+    from an 8192-cell scan that keeps tangencies."""
     if tmap.body.kind != "polygon" or len(tmap.body.vertices) != 3:
         raise PreconditionFailed("period-5 detection applies to triangle bodies")
-    scan = scan_winding_zeros(tmap, 2, 5, grid=grid, keep_tangencies=True)
+    scan = scan_winding_zeros(tmap, 2, 5, grid=8192, keep_tangencies=True)
     # corner zeros of semi-stable orbits carry a float-noise window wider
     # than the scan's merge width; collapse again at the orbit tolerance
     zeros = [x for x, _, _ in _dedupe_cyclic(scan.roots, 1e-7)]
@@ -293,7 +294,16 @@ def _segment_chord_gap(p1: DiskPoint, p2: DiskPoint, pt: DiskPoint):
     return ch, dist
 
 
-def tau_n(p1: DiskPoint, p2: DiskPoint, pt: DiskPoint, n: int, grid: int = 4096) -> TauResult:
+def _chord_side(pt: DiskPoint, w, b, xp):
+    """Signed distance from pt to the chord from angle w to angle b (turns),
+    with xp's cos/sin/hypot: math for scalars, numpy for arrays."""
+    ax, ay = xp.cos(TWO_PI * w), xp.sin(TWO_PI * w)
+    bx, by = xp.cos(TWO_PI * b), xp.sin(TWO_PI * b)
+    ex, ey = bx - ax, by - ay
+    return (ex * (pt.y - ay) - ey * (pt.x - ax)) / xp.hypot(ex, ey)
+
+
+def tau_n(p1: DiskPoint, p2: DiskPoint, pt: DiskPoint, n: int) -> TauResult:
     """Count boundary points w whose chord to the 2n-fold image covers pt.
 
     The count is 0, 1 or 2 as pt's hyperbolic distance to the base line
@@ -308,25 +318,17 @@ def tau_n(p1: DiskPoint, p2: DiskPoint, pt: DiskPoint, n: int, grid: int = 4096)
         raise PointOnLine("query point lies on the base line")
     tmap = build_tangent_map(ConvexBody.segment(p1, p2))
 
-    def side(w, b, xp):
-        """Signed distance from pt to the chord from angle w to angle b,
-        with xp's cos/sin/hypot: math for scalars, numpy for arrays."""
-        ax, ay = xp.cos(TWO_PI * w), xp.sin(TWO_PI * w)
-        bx, by = xp.cos(TWO_PI * b), xp.sin(TWO_PI * b)
-        ex, ey = bx - ax, by - ay
-        return (ex * (pt.y - ay) - ey * (pt.x - ax)) / xp.hypot(ex, ey)
-
     def h(u: float) -> float:
         w = b = u % 1.0
         for _ in range(2 * n):
             b = tmap.eval_angle(b)
-        return side(w, b, math)
+        return _chord_side(pt, w, b, math)
 
     # uniform samples plus geometric tails: roots can crowd the ideal
     # endpoints when the query point sits far from the base line
     tails = np.array([10.0 ** -j for j in range(4, 12)])
     rel = np.unique(
-        np.concatenate([(np.arange(grid, dtype=float) + 0.5) / grid, tails, 1.0 - tails])
+        np.concatenate([(np.arange(4096, dtype=float) + 0.5) / 4096, tails, 1.0 - tails])
     )
     roots: list[float] = []
     for start, end in ((ch.a.angle, ch.b.angle), (ch.b.angle, ch.a.angle)):
@@ -334,7 +336,7 @@ def tau_n(p1: DiskPoint, p2: DiskPoint, pt: DiskPoint, n: int, grid: int = 4096)
         ws = bs = xs % 1.0
         for _ in range(2 * n):
             bs = tmap.eval_angles(bs)
-        scan = _find_zeros(h, xs, side(ws, bs, np), False, True)
+        scan = _find_zeros(h, xs, _chord_side(pt, ws, bs, np), False, True)
         roots.extend(x for x, _, _ in scan.roots)
 
     merged = _dedupe_cyclic(roots, MERGE_TOL)
@@ -386,15 +388,9 @@ def condition_report(tri: Triangle) -> ConditionReport:
 
 def edge_incidence(pent: Pentagram, c: DiskPoint) -> int:
     """Number of pentagram edges whose supporting line passes through c."""
-    count = 0
-    for edge in pent.edges:
-        ax, ay = edge.a.xy
-        bx, by = edge.b.xy
-        ex, ey = bx - ax, by - ay
-        dist = abs(ex * (c.y - ay) - ey * (c.x - ax)) / math.hypot(ex, ey)
-        if dist <= CLOSURE_TOL:
-            count += 1
-    return count
+    return sum(
+        abs(_chord_side(c, e.a.angle, e.b.angle, math)) <= CLOSURE_TOL for e in pent.edges
+    )
 
 
 def ideal_chain(t: float) -> list[IdealPoint]:
@@ -519,23 +515,19 @@ def pentagram_witness(p: DiskPoint, q: DiskPoint, r: DiskPoint) -> IdealPoint:
     return IdealPoint(wrap_turns(best[0]))
 
 
-def conjecture_check(
-    tri: Triangle,
-    n: int = 100_000,
-    q_max: int = 64,
-    grid: int = 4096,
-) -> ConjectureVerdict:
-    """Compare the sandwich condition with the certified rotation number."""
+def conjecture_check(tri: Triangle, n: int = 100_000, q_max: int = 64) -> ConjectureVerdict:
+    """Compare the sandwich condition with the certified rotation number.
+
+    ``classify_rho`` carries the relation to 2/5 unless it certified 2/5
+    itself, so the verdict reads from its certificate or its comparison.
+    """
     report = condition_report(tri)
-    rotation = classify_rho(triangle_map(tri), n=n, q_max=q_max, grid=grid)
-    cert = rotation.certificate
-    if cert is not None:
-        if (cert.p, cert.q) == (2, 5):
-            verdict = "equals"
-        else:
-            verdict = "below" if cert.p * 5 < cert.q * 2 else "above"
-    elif rotation.comparison is not None and (rotation.comparison.p, rotation.comparison.q) == (2, 5):
-        verdict = "below" if rotation.comparison.relation == "less" else "above"
+    rotation = classify_rho(triangle_map(tri), n=n, q_max=q_max)
+    cert, comp = rotation.certificate, rotation.comparison
+    if cert is not None and (cert.p, cert.q) == (2, 5):
+        verdict = "equals"
+    elif comp is not None:
+        verdict = "below" if comp.relation == "less" else "above"
     else:
         verdict = "uncertified"
     condition = report.two_fifths_sandwich

@@ -136,7 +136,6 @@ def _find_zeros(
     ys: np.ndarray,
     cyclic: bool,
     polish_always: bool,
-    tol: float = TANGENCY_TOL,
 ) -> ZeroScan:
     """Zeros of f from its samples ys on the sorted nodes xs.
 
@@ -146,10 +145,10 @@ def _find_zeros(
     smallest local minima of |ys| that touch no bracketed cell are
     polished with golden_min on s*f, s the sign of f at the node, and
     give at most one zero each: a tangency when the polished value lies
-    within tol of zero, a sign change bracketed from the node when it
-    crossed zero by more.  Polishing is skipped when there are sign
-    changes, unless ``polish_always``.  Roots are reported mod 1 and
-    merged within MERGE_TOL.
+    within TANGENCY_TOL of zero, a sign change bracketed from the node
+    when it crossed zero by more.  Polishing is skipped when there are
+    sign changes, unless ``polish_always``.  Roots are reported mod 1
+    and merged within MERGE_TOL.
     """
     n = len(xs)
     nxt, prv = np.roll(xs, -1), np.roll(xs, 1)
@@ -192,7 +191,7 @@ def _find_zeros(
             x, y = float(wrap_turns(x_e)), float(s * v)
             if margin is None or abs(y) < abs(margin[1]):
                 margin = (x, y)
-            if abs(y) <= tol:
+            if abs(y) <= TANGENCY_TOL:
                 roots.append((x, y, "tangency"))
             elif v < 0.0:
                 roots.append(bracket(*sorted((xs[i], x_e))))
@@ -206,7 +205,6 @@ def scan_winding_zeros(
     p: int,
     q: int,
     grid: int = 4096,
-    tangency_tol: float = TANGENCY_TOL,
     keep_tangencies: bool = False,
 ) -> ZeroScan:
     """Locate every zero of F^q - id - p on [0, 1).
@@ -218,19 +216,14 @@ def scan_winding_zeros(
     """
     xs = np.arange(grid, dtype=float) / grid
     ys = _g_vector(tmap, p, q, xs)
-    return _find_zeros(_g_scalar(tmap, p, q), xs, ys, True, keep_tangencies, tangency_tol)
+    return _find_zeros(_g_scalar(tmap, p, q), xs, ys, True, keep_tangencies)
 
 
-def certify_rational(
-    tmap: TangentMap,
-    p: int,
-    q: int,
-    grid: int = 4096,
-    n_estimate: int = 10_000,
-) -> RotationResult:
-    """Certify rho = p/q, or report which side of p/q rho falls on."""
-    certificate, comparison = _certify(tmap, p, q, grid)
-    est = estimate_rho(tmap, n_estimate)
+def certify_rational(tmap: TangentMap, p: int, q: int) -> RotationResult:
+    """Certify rho = p/q, or report which side of p/q rho falls on, with
+    a 10k-step estimate alongside."""
+    certificate, comparison = _certify(tmap, p, q)
+    est = estimate_rho(tmap, 10_000)
     return RotationResult(
         estimate=est.estimate,
         n_iters=est.n_iters,
@@ -241,12 +234,12 @@ def certify_rational(
 
 
 def _certify(
-    tmap: TangentMap, p: int, q: int, grid: int
+    tmap: TangentMap, p: int, q: int
 ) -> tuple[Optional[RationalCertificate], Optional[RationalComparison]]:
     """The certificate of rho = p/q, or else the strict side of p/q."""
     if not (1 <= p < q <= MAX_Q) or math.gcd(p, q) != 1:
         raise InvalidRational(f"{p}/{q} is not a reduced rational with 1<=p<q<={MAX_Q}")
-    scan = scan_winding_zeros(tmap, p, q, grid=grid)
+    scan = scan_winding_zeros(tmap, p, q)
 
     sign_roots = [r for r in scan.roots if r[2] == "sign_change"]
     tangent_roots = [r for r in scan.roots if r[2] == "tangency"]
@@ -272,12 +265,7 @@ def _candidate_rationals(estimate: float, n: int, q_max: int) -> list[tuple[int,
     return cands
 
 
-def classify_rho(
-    tmap: TangentMap,
-    n: int = 100_000,
-    q_max: int = 64,
-    grid: int = 4096,
-) -> RotationResult:
+def classify_rho(tmap: TangentMap, n: int = 100_000, q_max: int = 64) -> RotationResult:
     """Estimate rho for a triangle and try to pin it to a rational.
 
     Candidate rationals consistent with the estimate are certified in
@@ -296,14 +284,14 @@ def classify_rho(
 
     certificate = None
     for p, q in _candidate_rationals(est.estimate, n, q_max):
-        certificate, _ = _certify(tmap, p, q, grid)
+        certificate, _ = _certify(tmap, p, q)
         if certificate is not None:
             break
 
     comparison = None
     if certificate is None:
         # the certificate is set only if the shortlist missed 2/5
-        certificate, comparison = _certify(tmap, 2, 5, grid)
+        certificate, comparison = _certify(tmap, 2, 5)
     elif (certificate.p, certificate.q) != (2, 5):
         rel = "less" if certificate.p * 5 < certificate.q * 2 else "greater"
         comparison = RationalComparison(2, 5, rel)

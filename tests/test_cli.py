@@ -257,6 +257,15 @@ class TestRender:
         assert 'stroke-width="0.005"' in svg
         assert "<polygon" in svg and "<path" in svg
 
+    def test_reproduces_pinned_svg(self, tmp_path):
+        """Trajectory, breakpoint markers and pentagram overlay of the
+        README figure, byte for byte as first recorded."""
+        out = tmp_path / "fig.svg"
+        assert main(["render", "--t", "0.9", "--r=-0.052631578947", "--steps", "5",
+                     "--out", str(out)]) == 0
+        with open(os.path.join(DATA, "render_t09_steps5.svg"), "rb") as fh:
+            assert out.read_bytes() == fh.read()
+
     def test_byte_determinism(self, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
         args = ["render", "--t", "0.7", "--r=-0.05", "--steps", "7"]

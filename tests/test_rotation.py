@@ -294,13 +294,13 @@ class TestFindZeros:
         scan = _find_zeros(lambda x: 1.0 + x % 1.0, xs, ys, True, False)
         assert scan.roots == () and scan.sign == 0 and scan.margin[1] > 0.0
         monkeypatch.setattr(rotation, "scan_winding_zeros", lambda *a, **k: scan)
-        assert rotation._certify(None, 2, 5, 8) == (None, None)
+        assert rotation._certify(None, 2, 5) == (None, None)
 
     def test_one_signed_grid_gives_the_comparison(self, monkeypatch):
         for sign, relation in ((1, "greater"), (-1, "less")):
             scan = rotation.ZeroScan((), (0.5, sign * 1e-3), sign)
             monkeypatch.setattr(rotation, "scan_winding_zeros", lambda *a, **k: scan)
-            assert rotation._certify(None, 2, 5, 8) == (
+            assert rotation._certify(None, 2, 5) == (
                 None, rotation.RationalComparison(2, 5, relation))
 
     def test_dedupe_keeps_whole_tuples(self):
