@@ -241,14 +241,13 @@ def _certify(
         raise InvalidRational(f"{p}/{q} is not a reduced rational with 1<=p<q<={MAX_Q}")
     scan = scan_winding_zeros(tmap, p, q)
 
-    sign_roots = [r for r in scan.roots if r[2] == "sign_change"]
-    tangent_roots = [r for r in scan.roots if r[2] == "tangency"]
-    if sign_roots:
-        best = min(sign_roots, key=lambda r: (abs(r[1]), r[0]))
-        return RationalCertificate(p, q, best[0], best[1], "sign_change"), None
-    if tangent_roots:
-        best = min(tangent_roots, key=lambda r: r[0])
-        return RationalCertificate(p, q, best[0], best[1], "tangency"), None
+    # the witness is the lowest-angle zero of the first kind found: the
+    # residuals are float noise and would pick among zeros at random
+    for kind in ("sign_change", "tangency"):
+        roots = [r for r in scan.roots if r[2] == kind]
+        if roots:
+            x, residual, _ = min(roots)
+            return RationalCertificate(p, q, x, residual, kind), None
     if scan.sign:
         return None, RationalComparison(p, q, "greater" if scan.sign > 0 else "less")
     return None, None  # a mixed-sign grid with no zero found decides nothing
