@@ -8,12 +8,22 @@ namely the ideal endpoints of the edge lines.  Between breakpoints the
 map coincides with the chord map of the active vertex, which makes the
 breakpoint table the whole story: evaluation, one-sided derivatives and
 the lift all read from it.
+
+The chord map of a vertex P is the boundary action of the hyperbolic
+half-turn about P.  With P's Klein coordinate and the boundary point z
+written as complex numbers it is the Mobius map
+
+    w = (P - z) / (1 - conj(P) z),
+
+the matrix [[-1, P], [-conj(P), 1]], an involution whose interior fixed
+point P / (1 + sqrt(1 - |P|^2)) is P's Poincare coordinate.  The table
+stores P per arc, and every evaluation is this one step.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
+from cmath import phase, rect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +36,6 @@ from .geometry import (
     Triangle,
     ccw_gap,
     chord_through,
-    wrap_turns,
 )
 
 #: angles this close to a breakpoint (in turns) snap onto it (left-closed arcs)
@@ -103,25 +112,11 @@ class OneSidedDerivative:
     right: float
 
 
-def _second_intersection_xy(vx: float, vy: float, px: float, py: float):
-    """Other intersection of the circle with the line through v and p.
-
-    v is on the circle and already a root of the chord quadratic, so the
-    second root comes out of the factored form without cancellation.
-    """
-    dx, dy = px - vx, py - vy
-    dd = dx * dx + dy * dy
-    s = -2.0 * (vx * dx + vy * dy) / dd
-    wx, wy = vx + s * dx, vy + s * dy
-    norm = math.hypot(wx, wy)
-    return wx / norm, wy / norm
-
-
 def second_intersection(v: IdealPoint, p: DiskPoint) -> IdealPoint:
-    """Chord map of a single interior point: v across p to the boundary."""
-    vx, vy = v.xy
-    wx, wy = _second_intersection_xy(vx, vy, p.x, p.y)
-    return IdealPoint.from_xy(wx, wy)
+    """Chord map of a single interior point: v across p to the boundary,
+    the half-turn about p (the step of :meth:`TangentMap.eval_angle`)."""
+    P, z = complex(p.x, p.y), rect(1.0, TWO_PI * v.angle)
+    return IdealPoint(phase((P - z) / (1.0 - P.conjugate() * z)) / TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -130,30 +125,31 @@ class TangentMap:
 
     ``breakpoints`` lists (ideal point, active vertex index) sorted by
     angle; the vertex is the tangency on the left-closed arc starting at
-    that breakpoint.  A point body has an empty table.
+    that breakpoint.  A point body has an empty table and a single arc.
     """
 
     body: ConvexBody
     breakpoints: tuple[tuple[IdealPoint, int], ...]
     _bp_angles: tuple[float, ...] = field(repr=False)
-    _verts: tuple[tuple[float, float], ...] = field(repr=False)
-    _active: tuple[int, ...] = field(repr=False)
+    # each arc's active vertex P as x + iy; arc -1 wraps past angle 1 and
+    # is the only arc of a point body
+    _arc_verts: tuple[complex, ...] = field(repr=False)
+    _arc_verts_np: np.ndarray = field(repr=False, compare=False)  # the same, for grids
 
     # --- scalar fast path -------------------------------------------------
 
     def active_vertex_index(self, angle: float) -> int:
         """Index of the tangency vertex for the arc containing the angle."""
-        if not self._bp_angles:
+        if not self.breakpoints:
             return 0
-        i = bisect_right(self._bp_angles, (angle + SNAP) % 1.0) - 1
-        return self._active[i]  # i == -1 wraps to the last arc
+        return self.breakpoints[bisect_right(self._bp_angles, (angle + SNAP) % 1.0) - 1][1]
 
     def eval_angle(self, a: float) -> float:
         """Image angle (turns in [0,1)) of the boundary point at angle a."""
-        px, py = self._verts[self.active_vertex_index(a)]
-        t = TWO_PI * a
-        wx, wy = _second_intersection_xy(math.cos(t), math.sin(t), px, py)
-        return wrap_turns(math.atan2(wy, wx) / TWO_PI)
+        P = self._arc_verts[bisect_right(self._bp_angles, (a + SNAP) % 1.0) - 1]
+        z = rect(1.0, TWO_PI * a)
+        b = phase((P - z) / (1.0 - P.conjugate() * z)) / TWO_PI % 1.0
+        return b if b < 1.0 else 0.0
 
     def gap_angle(self, a: float) -> float:
         """CCW winding gap from a to its image, in (0, 1) turns."""
@@ -164,19 +160,10 @@ class TangentMap:
     def eval_angles(self, angles: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`eval_angle` over an array of angles."""
         a = np.asarray(angles, dtype=float) % 1.0
-        if self._bp_angles:
-            idx = np.searchsorted(self._bp_angles, (a + SNAP) % 1.0, side="right") - 1
-            active = np.take(self._active, idx)  # -1 wraps to the last arc
-        else:
-            active = np.zeros(a.shape, dtype=int)
-        verts = np.asarray(self._verts)
-        px = verts[active, 0]
-        py = verts[active, 1]
-        t = TWO_PI * a
-        vx, vy = np.cos(t), np.sin(t)
-        dx, dy = px - vx, py - vy
-        s = -2.0 * (vx * dx + vy * dy) / (dx * dx + dy * dy)
-        return np.arctan2(vy + s * dy, vx + s * dx) / TWO_PI % 1.0
+        arc = np.searchsorted(self._bp_angles, (a + SNAP) % 1.0, side="right") - 1
+        P = self._arc_verts_np[arc]
+        z = np.exp(1j * (TWO_PI * a))
+        return np.angle((P - z) / (1.0 - P.conj() * z)) / TWO_PI % 1.0
 
     def gap_angles(self, angles: np.ndarray) -> np.ndarray:
         g = (self.eval_angles(angles) - np.asarray(angles) % 1.0) % 1.0
@@ -188,25 +175,21 @@ class TangentMap:
         return IdealPoint(self.eval_angle(v.angle))
 
     def derivative(self, v: IdealPoint) -> OneSidedDerivative:
-        """One-sided derivatives |A w|/|v A| for the active vertices at v."""
+        """One-sided derivatives |M'(z)| = (1 - |P|^2)/|z - P|^2 of the
+        half-turns about the active vertices P at z = v; by the power of
+        the point this is the chord ratio |P w|/|v P|."""
         a = v.angle
-        i_right = i_left = self.active_vertex_index(a)
+        k = bisect_right(self._bp_angles, (a + SNAP) % 1.0) - 1
+        left = right = self._arc_verts[k]
         if self._bp_angles:
-            k = self._active.index(i_right)  # each vertex serves exactly one arc
             gap = abs(a - self._bp_angles[k]) % 1.0
             if min(gap, 1.0 - gap) <= SNAP:  # at the breakpoint opening the arc
-                i_left = self._active[k - 1]
+                left = self._arc_verts[k - 1]
+        z = rect(1.0, TWO_PI * a)
         return OneSidedDerivative(
-            left=self._vertex_derivative(a, i_left),
-            right=self._vertex_derivative(a, i_right),
+            left=(1.0 - abs(left) ** 2) / abs(z - left) ** 2,
+            right=(1.0 - abs(right) ** 2) / abs(z - right) ** 2,
         )
-
-    def _vertex_derivative(self, a: float, vert_index: int) -> float:
-        px, py = self._verts[vert_index]
-        t = TWO_PI * a
-        vx, vy = math.cos(t), math.sin(t)
-        wx, wy = _second_intersection_xy(vx, vy, px, py)
-        return math.hypot(wx - px, wy - py) / math.hypot(vx - px, vy - py)
 
     def lift(self, x: float) -> float:
         """Lift F with F(x+1) = F(x)+1 and F(x)-x in (0, 1)."""
@@ -216,10 +199,13 @@ class TangentMap:
         """n-fold lift F^n(x), accumulating the winding gap per step."""
         if n < 0 or n > ITERATION_BUDGET:
             raise IterationBudgetExceeded(f"lift iteration count {n} out of budget")
+        eval_angle = self.eval_angle
         a = x % 1.0
         total = 0.0
         for _ in range(n):
-            g = self.gap_angle(a)
+            g = (eval_angle(a) - a) % 1.0
+            if g == 0.0:
+                g = 1.0
             total += g
             a = (a + g) % 1.0
         return x + total
@@ -243,12 +229,9 @@ def build_tangent_map(body: ConvexBody) -> TangentMap:
     endpoint nearer vertex i, and the arc it opens is served by vertex
     i+1.  A segment is handled as a 2-gon with both edge orientations.
     """
-    verts = tuple(p.xy for p in body.vertices)
-    if body.kind == "point":
-        return TangentMap(body, (), (), verts, ())
-
+    verts = [complex(p.x, p.y) for p in body.vertices]
     entries = []
-    n = len(verts)
+    n = len(verts) if body.kind != "point" else 0
     for i in range(n):
         k = (i + 1) % n
         u = chord_through(body.vertices[i], body.vertices[k]).a
@@ -257,10 +240,11 @@ def build_tangent_map(body: ConvexBody) -> TangentMap:
     for (a1, _, _), (a2, _, _) in zip(entries, entries[1:]):
         if a2 - a1 <= SNAP:
             raise InvalidBody("breakpoints collide; body is numerically degenerate")
+    arc_verts = tuple(verts[k] for _, _, k in entries) or (verts[0],)
     return TangentMap(
         body,
         tuple((u, k) for _, u, k in entries),
         tuple(a for a, _, _ in entries),
-        verts,
-        tuple(k for _, _, k in entries),
+        arc_verts,
+        np.array(arc_verts),
     )

@@ -14,8 +14,9 @@ from barbilliard import (
     second_intersection,
     standard_pentagram,
 )
-from barbilliard.geometry import angular_distance
-from conftest import random_convex_polygon
+from barbilliard.circlemap import TangentMap
+from barbilliard.geometry import angular_distance, ccw_gap
+from conftest import random_convex_polygon, random_disk_points
 
 SQRT7 = math.sqrt(7.0)
 
@@ -146,6 +147,79 @@ class TestEvaluate:
             vec = tmap.eval_angles(angles)
             for a, b in zip(angles, vec):
                 assert abs(tmap.eval_angle(float(a)) - float(b)) < 1e-13
+
+
+def chord_construction(tmap, a):
+    """Reference step in the Klein model: the second intersection w of the
+    circle with the line from v (at angle a) through the active vertex P,
+    as an angle in turns, and the chord ratio |P w| / |v P|."""
+    p = tmap.body.vertices[tmap.active_vertex_index(a)]
+    t = 2.0 * math.pi * a
+    vx, vy = math.cos(t), math.sin(t)
+    dx, dy = p.x - vx, p.y - vy
+    s = -2.0 * (vx * dx + vy * dy) / (dx * dx + dy * dy)
+    wx, wy = vx + s * dx, vy + s * dy
+    image = math.atan2(wy, wx) / (2.0 * math.pi) % 1.0
+    return image, math.hypot(wx - p.x, wy - p.y) / math.hypot(dx, dy)
+
+
+def assorted_maps(rng):
+    """Random point, segment and polygon maps (vertices within radius
+    0.92), then the figure and canonical triangles."""
+    maps = []
+    for k in range(30):
+        if k % 3 == 0:
+            body = ConvexBody.point(random_disk_points(rng, 1)[0])
+        elif k % 3 == 1:
+            body = ConvexBody.segment(*random_disk_points(rng, 2))
+        else:
+            body = random_convex_polygon(rng, n=3 + k % 5, radius=0.3 + 0.02 * k)
+        maps.append(build_tangent_map(body))
+    return maps + [fig_triangle_map(), canonical_map(0.9)]
+
+
+class TestHalfTurn:
+    """The map step w = (P - z)/(1 - conj(P) z) against the chord it stands for."""
+
+    def test_matches_chord_construction(self, rng):
+        for tmap in assorted_maps(rng):
+            angles = [float(a) for a in rng.uniform(0, 1, 300)]
+            for u, _ in tmap.breakpoints:
+                angles += [u.angle, (u.angle + 2e-12) % 1.0, (u.angle - 2e-12) % 1.0]
+            for a in angles:
+                image, _ = chord_construction(tmap, a)
+                assert angular_distance(tmap.eval_angle(a), image) <= 1e-15
+
+    def test_derivative_is_chord_ratio(self, rng):
+        for tmap in assorted_maps(rng):
+            angles = [float(a) for a in rng.uniform(0, 1, 100)]
+            angles += [u.angle for u, _ in tmap.breakpoints]
+            for a in angles:
+                _, ratio = chord_construction(tmap, a)
+                d = tmap.derivative(IdealPoint(a))
+                assert d.right == pytest.approx(ratio, rel=1e-12)
+
+    def test_lift_iter_sums_one_eval_per_step(self, rng, monkeypatch):
+        eval_angle = TangentMap.eval_angle
+        calls = [0]
+
+        def counted(self, a):
+            calls[0] += 1
+            return eval_angle(self, a)
+
+        monkeypatch.setattr(TangentMap, "eval_angle", counted)
+        for tmap in assorted_maps(rng)[::4]:
+            for x in [0.0, -1.7, 2.25] + [float(v) for v in rng.uniform(-3, 3, 3)]:
+                for n in (0, 1, 7, 400):
+                    calls[0] = 0
+                    lifted = tmap.lift_iter(x, n)
+                    assert calls[0] == n
+                    a, total = x % 1.0, 0.0
+                    for _ in range(n):
+                        g = ccw_gap(a, eval_angle(tmap, a))
+                        total += g
+                        a = (a + g) % 1.0
+                    assert lifted == x + total
 
 
 class TestDerivative:
