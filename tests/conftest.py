@@ -1,9 +1,21 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 from barbilliard import ConvexBody, DiskPoint, Triangle, build_tangent_map
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def src_env():
+    """Environment for a child Python process that imports the package
+    from this checkout's src/, whether or not it is installed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def random_disk_points(rng, count, rmax=0.92):

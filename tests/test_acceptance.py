@@ -34,7 +34,7 @@ from barbilliard import (
 )
 from barbilliard.geometry import angular_distance
 from barbilliard.pentagram import ellipse_contact_xs, triangle_map
-from conftest import random_convex_polygon, random_triangle
+from conftest import random_convex_polygon, random_triangle, src_env
 from test_pentagram import brute_tau_signs
 
 SQRT5 = math.sqrt(5.0)
@@ -403,8 +403,10 @@ def test_criterion_9_sweep_determinism(tmp_path):
     ]
     out1 = tmp_path / "jobs1.csv"
     out8 = tmp_path / "jobs8.csv"
-    r1 = subprocess.run(args + ["--jobs", "1", "--out", str(out1)], capture_output=True)
-    r8 = subprocess.run(args + ["--jobs", "8", "--out", str(out8)], capture_output=True)
+    r1 = subprocess.run(args + ["--jobs", "1", "--out", str(out1)], capture_output=True,
+                        env=src_env())
+    r8 = subprocess.run(args + ["--jobs", "8", "--out", str(out8)], capture_output=True,
+                        env=src_env())
     same = out1.read_bytes() == out8.read_bytes()
     ok = r1.returncode == 0 and r8.returncode == 0 and same
     report(9, ok, f"20x20 sweep byte-identical across --jobs 1/8: {same}")

@@ -7,6 +7,7 @@ import pytest
 
 from barbilliard import cli
 from barbilliard.cli import CSV_HEADER, main
+from conftest import src_env
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -16,6 +17,7 @@ def run_cli(args):
         [sys.executable, "-m", "barbilliard", *args],
         capture_output=True,
         text=True,
+        env=src_env(),
     )
     return proc
 
@@ -339,6 +341,7 @@ def test_verify_json_is_rho_json_restricted(capsys):
 def test_cli_import_loads_no_scipy():
     code = ("import sys, barbilliard.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
