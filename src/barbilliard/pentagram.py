@@ -286,14 +286,6 @@ def detect_period5(tmap: TangentMap) -> OrbitSet:
     return OrbitSet(orbits=tuple(orbits), zero_count=len(zeros))
 
 
-def _segment_chord_gap(p1: DiskPoint, p2: DiskPoint, pt: DiskPoint):
-    ch = chord_through(p1, p2)
-    dx, dy = p2.x - p1.x, p2.y - p1.y
-    cross = dx * (pt.y - p1.y) - dy * (pt.x - p1.x)
-    dist = abs(cross) / math.hypot(dx, dy)
-    return ch, dist
-
-
 def _chord_side(pt: DiskPoint, w, b, xp):
     """Signed distance from pt to the chord from angle w to angle b (turns),
     with xp's cos/sin/hypot: math for scalars, numpy for arrays."""
@@ -313,8 +305,8 @@ def tau_n(p1: DiskPoint, p2: DiskPoint, pt: DiskPoint, n: int) -> TauResult:
     """
     if n < 1:
         raise OutOfRange(f"fold order must be a positive integer, got {n}")
-    ch, line_dist = _segment_chord_gap(p1, p2, pt)
-    if line_dist <= 1e-12:
+    ch = chord_through(p1, p2)
+    if abs(_chord_side(pt, ch.a.angle, ch.b.angle, math)) <= 1e-12:
         raise PointOnLine("query point lies on the base line")
     tmap = build_tangent_map(ConvexBody.segment(p1, p2))
 
