@@ -241,8 +241,8 @@ def _certify(
         raise InvalidRational(f"{p}/{q} is not a reduced rational with 1<=p<q<={MAX_Q}")
     scan = scan_winding_zeros(tmap, p, q)
 
-    # the witness is the lowest-angle zero of the first kind found: the
-    # residuals are float noise and would pick among zeros at random
+    # sign changes before tangencies, and the lowest-angle zero of that
+    # kind: the residuals are float noise and cannot rank the zeros
     for kind in ("sign_change", "tangency"):
         roots = [r for r in scan.roots if r[2] == kind]
         if roots:
