@@ -16,7 +16,6 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -165,43 +164,9 @@ CSV_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    t: float
-    r: float
-    d_pq: float
-    delta: float
-    delta2: float
-    half_delta1: float
-    cond48: bool
-    cond53: bool
-    rho_estimate: float
-    rho_p: Optional[int]
-    rho_q: Optional[int]
-    certificate_kind: str
-    consistent: bool
-
-    def to_csv(self) -> str:
-        return ",".join(
-            [
-                fmt(self.t),
-                fmt(self.r),
-                fmt(self.d_pq),
-                fmt(self.delta),
-                fmt(self.delta2),
-                fmt(self.half_delta1),
-                "true" if self.cond48 else "false",
-                "true" if self.cond53 else "false",
-                fmt(self.rho_estimate),
-                "" if self.rho_p is None else str(self.rho_p),
-                "" if self.rho_q is None else str(self.rho_q),
-                self.certificate_kind,
-                "true" if self.consistent else "false",
-            ]
-        )
-
-
-def _sweep_cell(cell: tuple[float, float, int, int]) -> ReportRow:
+def _sweep_cell(cell: tuple[float, float, int, int]) -> tuple[str, bool, bool]:
+    """One CSV row, then whether the cell is consistent and whether it is
+    uncertified: the two values the sweep summary counts."""
     t, r, iters, q_max = cell
     apex = DiskPoint(r, 0.0)
     tri = Triangle(DiskPoint(0.0, t), DiskPoint(0.0, -t), apex)
@@ -210,21 +175,20 @@ def _sweep_cell(cell: tuple[float, float, int, int]) -> ReportRow:
     k = tri.vertices.index(apex)
     base = next(l for l in verdict.report.labelings if l.apex == k)
     cert = verdict.rotation.certificate
-    return ReportRow(
-        t=t,
-        r=r,
-        d_pq=base.d_base,
-        delta=base.delta,
-        delta2=base.delta2,
-        half_delta1=base.half_delta1,
-        cond48=verdict.report.two_fifths_sandwich,
-        cond53=verdict.report.all_strictly_inside,
-        rho_estimate=verdict.rotation.estimate,
-        rho_p=cert.p if cert else None,
-        rho_q=cert.q if cert else None,
-        certificate_kind=cert.kind if cert else "uncertified",
-        consistent=verdict.consistent,
+    kind = cert.kind if cert else "uncertified"
+    row = ",".join(
+        [
+            *(fmt(v) for v in (t, r, base.d_base, base.delta, base.delta2, base.half_delta1)),
+            "true" if verdict.report.two_fifths_sandwich else "false",
+            "true" if verdict.report.all_strictly_inside else "false",
+            fmt(verdict.rotation.estimate),
+            str(cert.p) if cert else "",
+            str(cert.q) if cert else "",
+            kind,
+            "true" if verdict.consistent else "false",
+        ]
     )
+    return row, verdict.consistent, kind == "uncertified"
 
 
 def _grid_values(lo: float, hi: float, steps: int, jitter: Optional[np.ndarray]) -> list[float]:
@@ -283,7 +247,7 @@ def cmd_sweep(args) -> int:
     else:
         rows = [_sweep_cell(c) for c in cells]
 
-    lines = [CSV_HEADER] + [row.to_csv() for row in rows]
+    lines = [CSV_HEADER] + [row for row, _, _ in rows]
     payload = "\n".join(lines) + "\n"
     try:
         with open(args.out, "w", newline="") as fh:
@@ -291,8 +255,8 @@ def cmd_sweep(args) -> int:
     except OSError as exc:
         raise CliError("IOFailure", f"cannot write {args.out}: {exc}", exit_code=3) from exc
 
-    n_cons = sum(1 for r in rows if r.consistent)
-    n_uncert = sum(1 for r in rows if r.certificate_kind == "uncertified" and not r.consistent)
+    n_cons = sum(1 for _, consistent, _ in rows if consistent)
+    n_uncert = sum(1 for _, consistent, uncert in rows if uncert and not consistent)
     n_incons = len(rows) - n_cons - n_uncert
     print(f"rows={len(rows)} consistent={n_cons} inconsistent={n_incons} uncertified={n_uncert}")
     return 0
