@@ -25,7 +25,6 @@ from .errors import (
     NonpositiveDistance,
     OutOfRange,
 )
-from .search import brentq
 
 TWO_PI = 2.0 * math.pi
 
@@ -213,39 +212,51 @@ def delta_from_sides(alpha: float, beta: float, gamma: float) -> float:
     return math.asinh(math.sqrt(rad) / math.sinh(gamma))
 
 
+def _split(a: float) -> tuple[float, float]:
+    """Veltkamp split a = hi + lo into halves of at most 26 significant bits."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _exact_sum_of_products(*pairs: tuple[float, float]) -> float:
+    """Correctly rounded sum of a*b over the pairs.
+
+    The products of split halves are exact, so ``fsum`` rounds once.  A
+    plain float sum keeps only ~1e-16/|sum| relative accuracy, which
+    loses the drop of an apex close to its base line.
+    """
+    terms = []
+    for a, b in pairs:
+        ah, al = _split(a)
+        bh, bl = _split(b)
+        terms += (ah * bh, ah * bl, al * bh, al * bl)
+    return math.fsum(terms)
+
+
 def foot_and_delta(p: DiskPoint, q: DiskPoint, r: DiskPoint) -> tuple[DiskPoint, float]:
     """Perpendicular foot of r on the line pq, and the drop's length.
 
-    The foot minimizes the distance from ``r`` along the chord.  The
-    distance is strictly convex there, so the minimum is the single
-    transversal zero of its derivative, found by bracketed root solving.
-    The length cross-validates against :func:`delta_from_sides`.
+    In homogeneous coordinates the line pq is the plane X . m = 0 with
+    m = (p, 1) x (q, 1); its Lorentz normal J m is spacelike, with
+    <m, m> = m1^2 + m2^2 - m3^2.  For X = (r, 1) the drop delta is
+
+        sinh(delta) = |X . m| / sqrt((1 - |r|^2) <m, m>),
+
+    and the foot is the Lorentz projection X - (X . m / <m, m>) J m,
+    dehomogenised.  X . m is rounded once, because it cancels for an
+    apex near the line.  The length cross-validates against
+    :func:`delta_from_sides`.
     """
-    chord = chord_through(p, q)
-    ax, ay = chord.a.xy
-    bx, by = chord.b.xy
-    dx, dy = bx - ax, by - ay
-    rr = 1.0 - r.x * r.x - r.y * r.y
-
-    def slope(s: float) -> float:
-        # sign-equivalent derivative of cosh(dist) along the chord
-        px, py = ax + s * dx, ay + s * dy
-        n = 1.0 - (r.x * px + r.y * py)
-        return (-(r.x * dx + r.y * dy)) * (1.0 - px * px - py * py) + n * (
-            px * dx + py * dy
-        )
-
-    lo, hi = 1e-9, 1.0 - 1e-9
-    if slope(lo) >= 0.0:
-        s_star = lo
-    elif slope(hi) <= 0.0:
-        s_star = hi
-    else:
-        s_star = brentq(slope, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    foot = DiskPoint(ax + s_star * dx, ay + s_star * dy)
-    num = 1.0 - (r.x * foot.x + r.y * foot.y)
-    den = math.sqrt(rr * (1.0 - foot.x * foot.x - foot.y * foot.y))
-    return foot, math.acosh(max(1.0, num / den))
+    m1, m2, m3 = p.y - q.y, q.x - p.x, p.x * q.y - p.y * q.x
+    mm = m1 * m1 + m2 * m2 - m3 * m3
+    xm = _exact_sum_of_products(
+        (r.x, p.y), (-r.x, q.y), (r.y, q.x), (-r.y, p.x), (p.x, q.y), (-p.y, q.x)
+    )
+    k = xm / mm
+    w = 1.0 + k * m3
+    foot = DiskPoint((r.x - k * m1) / w, (r.y - k * m2) / w)
+    return foot, math.asinh(abs(xm) / math.sqrt((1.0 - r.x * r.x - r.y * r.y) * mm))
 
 
 def equidistant_x(k: float, y: float) -> float:

@@ -17,7 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from .search import golden_min
 from .circlemap import (
     ConvexBody,
     TangentMap,
@@ -467,7 +466,10 @@ def pentagram_witness(p: DiskPoint, q: DiskPoint, r: DiskPoint) -> IdealPoint:
 
     Only defined when the apex distance equals half the order-1
     threshold of the base; the witness generates the closing pentagram.
-    Found by a bounded 1-D search over the witness angle.
+    With v1, v2 the ends of the line pq, v1 nearer p, the line from v1
+    through r meets the circle again at w2, and the witness is w2's
+    chord image across q.  The construction must close: the line from
+    v2 through w's image across p meets the line v1 w2 at r.
     """
     base = hyp_distance(p, q)
     _, delta = foot_and_delta(p, q, r)
@@ -476,35 +478,12 @@ def pentagram_witness(p: DiskPoint, q: DiskPoint, r: DiskPoint) -> IdealPoint:
             "apex distance must equal half the order-1 threshold of the base"
         )
     ch = chord_through(p, q)
-    v1, v2 = ch.a.xy, ch.b.xy
-    excluded = (ch.a.angle, ch.b.angle)
-
-    def objective(w_angle: float) -> float:
-        wa = wrap_turns(w_angle)
-        if min(angular_distance(wa, e) for e in excluded) < 1e-7:
-            return 10.0
-        w = IdealPoint(wa)
-        w1 = second_intersection(w, p)
-        w2 = second_intersection(w, q)
-        x = _line_intersection(v1, w2.xy, v2, w1.xy)
-        if x is None:
-            return 10.0
-        return math.hypot(x[0] - r.x, x[1] - r.y)
-
-    coarse = 720
-    grid = np.arange(coarse) / coarse
-    vals = np.array([objective(a) for a in grid])
-    order = np.argsort(vals, kind="stable")[:3]
-    best: Optional[tuple[float, float]] = None
-    for i in order:
-        lo = grid[i] - 1.0 / coarse
-        hi = grid[i] + 1.0 / coarse
-        x_w, f_w = golden_min(objective, lo, hi, xtol=1e-12)
-        if best is None or f_w < best[1]:
-            best = (x_w, f_w)
-    if best is None or best[1] > 1e-8:
+    w2 = second_intersection(ch.a, r)
+    w = second_intersection(w2, q)
+    x = _line_intersection(ch.a.xy, w2.xy, ch.b.xy, second_intersection(w, p).xy)
+    if x is None or math.hypot(x[0] - r.x, x[1] - r.y) > 1e-8:
         raise NoWitness("no boundary witness reproduces the apex within tolerance")
-    return IdealPoint(wrap_turns(best[0]))
+    return w
 
 
 def conjecture_check(tri: Triangle, n: int = 100_000, q_max: int = 64) -> ConjectureVerdict:
