@@ -8,8 +8,7 @@ absolute interval tolerance localizes those to machine precision.
 Both helpers serve one grid zero finder, ``rotation._find_zeros``, which
 finds the zeros of F^q - id - p and of the tau_n chord function alike:
 Brent's method brackets each grid sign change, and golden-section
-polishes the dips toward zero that the grid misses.  Brent's method
-also drops the perpendicular foot in ``geometry.foot_and_delta``.
+polishes the dips toward zero that the grid misses.
 """
 
 from __future__ import annotations

@@ -150,6 +150,19 @@ class TestDeltaN:
             delta_n(-1.0, 2)
 
 
+def near_line_apex(rng, gap):
+    """(p, q, r) with r a Euclidean distance gap off the line pq."""
+    while True:
+        p, q = random_disk_points(rng, 2, rmax=0.9)
+        d = np.array([q.x - p.x, q.y - p.y])
+        if np.hypot(*d) < 0.05:
+            continue
+        off = gap * rng.choice((-1.0, 1.0)) * np.array([-d[1], d[0]]) / np.hypot(*d)
+        x, y = np.array(p.xy) + rng.uniform(-0.5, 1.5) * d + off
+        if x * x + y * y < 0.85:
+            return p, q, DiskPoint(float(x), float(y))
+
+
 class TestFootAndDelta:
     def test_equilateral_drop(self, ex31_triangle):
         p, q, r = (
@@ -180,6 +193,29 @@ class TestFootAndDelta:
                 hyp_distance(q, r), hyp_distance(r, p), hyp_distance(p, q)
             )
             assert delta == pytest.approx(expected, abs=1e-10)
+
+    def test_matches_50_digit_reference(self, rng):
+        # generic triangles, then apexes 1e-3 to 1e-6 off the base line,
+        # where X . m cancels to those digits
+        import mpmath
+
+        cases = [random_triangle(rng).vertices for _ in range(300)]
+        for gap in (1e-3, 1e-4, 1e-5, 1e-6):
+            cases += [near_line_apex(rng, gap) for _ in range(100)]
+        for p, q, r in cases:
+            foot, delta = foot_and_delta(p, q, r)
+            with mpmath.workdps(50):
+                px, py, qx, qy, rx, ry, fx, fy = map(
+                    mpmath.mpf, (p.x, p.y, q.x, q.y, r.x, r.y, foot.x, foot.y)
+                )
+                m1, m2, m3 = py - qy, qx - px, px * qy - py * qx
+                ref = mpmath.asinh(
+                    abs(rx * m1 + ry * m2 + m3)
+                    / mpmath.sqrt((1 - rx * rx - ry * ry) * (m1 * m1 + m2 * m2 - m3 * m3))
+                )
+                assert abs(delta - ref) <= 1e-12 * ref
+                # the foot lies on the line pq
+                assert abs(fx * m1 + fy * m2 + m3) <= 1e-15 * mpmath.sqrt(m1 * m1 + m2 * m2)
 
 
 class TestDeltaFromSides:

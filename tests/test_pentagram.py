@@ -471,19 +471,24 @@ class TestPentagramWitness:
         )
         assert angular_distance(w.angle, 0.0) < 1e-6
 
-    def test_rotated_configuration_closes_through_witness(self):
+    def test_rotated_configuration_closes_through_witness(self, rng):
         # same configuration pushed through an isometry still has a witness,
         # and the witness generates a closing five-chord path
         from barbilliard import normalize_pair
 
-        iso, _ = normalize_pair(DiskPoint(0.3, 0.2), DiskPoint(-0.1, -0.4))
-        inv = iso.inverse()
-        p = inv.apply_point(DiskPoint(0.0, 0.9))
-        q = inv.apply_point(DiskPoint(0.0, -0.9))
-        r = inv.apply_point(DiskPoint(-1.0 / 19.0, 0.0))
-        w = pentagram_witness(p, q, r)
-        tmap = triangle_map(Triangle(p, q, r))
-        assert abs(tmap.lift_iter(w.angle, 5) - w.angle - 2.0) <= 1e-6
+        cases = [((0.3, 0.2), (-0.1, -0.4), 0.9)]
+        for _ in range(20):
+            a, b = rng.uniform(-0.6, 0.6, (2, 2))
+            cases.append((a, b, rng.uniform(0.3, 0.95)))
+        for a, b, t in cases:
+            iso, _ = normalize_pair(DiskPoint(*a), DiskPoint(*b))
+            inv = iso.inverse()
+            p = inv.apply_point(DiskPoint(0.0, t))
+            q = inv.apply_point(DiskPoint(0.0, -t))
+            r = inv.apply_point(DiskPoint((t - 1.0) / (t + 1.0), 0.0))
+            w = pentagram_witness(p, q, r)
+            tmap = triangle_map(Triangle(p, q, r))
+            assert abs(tmap.lift_iter(w.angle, 5) - w.angle - 2.0) <= 1e-12
 
     def test_precondition_guard(self):
         with pytest.raises(PreconditionFailed):
