@@ -18,10 +18,17 @@ written as complex numbers it is the Mobius map
 the matrix [[-1, P], [-conj(P), 1]], an involution whose interior fixed
 point P / (1 + sqrt(1 - |P|^2)) is P's Poincare coordinate.  The table
 stores P per arc, and every evaluation is this one step.
+
+Scaled by its known 1/sqrt(1 - |P|^2) and by i, the matrix lies in
+SU(1,1): [[a, b], [conj(b), conj(a)]] with |a|^2 - |b|^2 = 1, kept as the
+pair (a, b).  Products of such pairs stay in that form, so the n-fold map
+is one Mobius map on each arc between the cuts F^{-j}(breakpoint), j < n
+(:meth:`TangentMap.pieces`).
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from cmath import phase, rect
 from dataclasses import dataclass, field
@@ -115,8 +122,79 @@ class OneSidedDerivative:
 def second_intersection(v: IdealPoint, p: DiskPoint) -> IdealPoint:
     """Chord map of a single interior point: v across p to the boundary,
     the half-turn about p (the step of :meth:`TangentMap.eval_angle`)."""
-    P, z = complex(p.x, p.y), rect(1.0, TWO_PI * v.angle)
-    return IdealPoint(phase((P - z) / (1.0 - P.conjugate() * z)) / TWO_PI)
+    return IdealPoint(_turn(complex(p.x, p.y), v.angle))
+
+
+def _turn(P: complex, a: float) -> float:
+    """The half-turn about P of the boundary point at angle a, in turns."""
+    z = rect(1.0, TWO_PI * a)
+    return phase((P - z) / (1.0 - P.conjugate() * z)) / TWO_PI
+
+
+def _half_turn(P: complex) -> tuple[complex, complex]:
+    """The half-turn about P as an SU(1,1) pair (a, b)."""
+    s = math.sqrt(1.0 - (P.real * P.real + P.imag * P.imag))
+    return -1j / s, 1j * P / s
+
+
+def _compose(m: tuple[complex, complex], n: tuple[complex, complex]) -> tuple[complex, complex]:
+    """The SU(1,1) pair of m after n."""
+    return m[0] * n[0] + m[1] * n[1].conjugate(), m[0] * n[1] + m[1] * n[0].conjugate()
+
+
+def _dedupe_cyclic(items, tol: float) -> list:
+    """Sorted items, dropping each within tol of the last kept one, and the
+    last kept one if it is within tol of the first across 1.  Items are
+    angles in turns, or tuples that lead with one."""
+
+    def angle(item) -> float:
+        return item[0] if isinstance(item, tuple) else item
+
+    kept: list = []
+    for item in sorted(items):
+        if not kept or angle(item) - angle(kept[-1]) > tol:
+            kept.append(item)
+    if len(kept) > 1 and angle(kept[0]) + 1.0 - angle(kept[-1]) <= tol:
+        kept.pop()
+    return kept
+
+
+@dataclass(frozen=True)
+class Piece:
+    """An arc [lo, hi) of angles (turns; hi may pass 1) on which a circle
+    map is one Mobius map z -> (a z + b)/(conj(b) z + conj(a))."""
+
+    lo: float
+    hi: float
+    a: complex
+    b: complex
+
+    def slope(self, x: float) -> float:
+        """Derivative of the boundary action at angle x; inf at a pole that
+        float cancellation put on the circle."""
+        d = abs(self.b.conjugate() * rect(1.0, TWO_PI * x) + self.a.conjugate())
+        return 1.0 / (d * d) if d else math.inf
+
+    def fixed_points(self) -> tuple[float, ...]:
+        """Angles the map fixes: two, one double, or none when elliptic."""
+        disc = self.a.real * self.a.real - 1.0
+        if disc < 0.0 or self.b == 0.0:
+            return ()
+        r = math.sqrt(disc)
+        return tuple(phase((1j * self.a.imag + s) / self.b.conjugate()) / TWO_PI for s in (r, -r))
+
+    def critical_points(self) -> tuple[float, ...]:
+        """Where the slope is 1: R's minimum, then its maximum, either side
+        of the slope's peak, at acos(|b|/|a|) = atan2(1, |b|) from it."""
+        if self.b == 0.0:
+            return ()
+        peak = phase(-self.a.conjugate() * self.b) / TWO_PI
+        w = math.atan2(1.0, abs(self.b)) / TWO_PI
+        return peak - w, peak + w
+
+    def then_half_turn(self, P: complex) -> "Piece":
+        """This piece followed by the half-turn about P."""
+        return Piece(self.lo, self.hi, *_compose(_half_turn(P), (self.a, self.b)))
 
 
 @dataclass(frozen=True)
@@ -134,9 +212,6 @@ class TangentMap:
     # each arc's active vertex P as x + iy; arc -1 wraps past angle 1 and
     # is the only arc of a point body
     _arc_verts: tuple[complex, ...] = field(repr=False)
-    _arc_verts_np: np.ndarray = field(repr=False, compare=False)  # the same, for grids
-
-    # --- scalar fast path -------------------------------------------------
 
     def active_vertex_index(self, angle: float) -> int:
         """Index of the tangency vertex for the arc containing the angle."""
@@ -155,19 +230,12 @@ class TangentMap:
         """CCW winding gap from a to its image, in (0, 1) turns."""
         return ccw_gap(a, self.eval_angle(a))
 
-    # --- vectorized grid path ---------------------------------------------
-
     def eval_angles(self, angles: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`eval_angle` over an array of angles."""
-        a = np.asarray(angles, dtype=float) % 1.0
-        arc = np.searchsorted(self._bp_angles, (a + SNAP) % 1.0, side="right") - 1
-        P = self._arc_verts_np[arc]
-        z = np.exp(1j * (TWO_PI * a))
-        return np.angle((P - z) / (1.0 - P.conj() * z)) / TWO_PI % 1.0
+        """:meth:`eval_angle` over an array of angles."""
+        return np.array([self.eval_angle(float(a)) for a in np.ravel(angles)])
 
     def gap_angles(self, angles: np.ndarray) -> np.ndarray:
-        g = (self.eval_angles(angles) - np.asarray(angles) % 1.0) % 1.0
-        return np.where(g == 0.0, 1.0, g)
+        return np.array([self.gap_angle(float(a) % 1.0) for a in np.ravel(angles)])
 
     # --- public operations --------------------------------------------------
 
@@ -210,6 +278,40 @@ class TangentMap:
             a = (a + g) % 1.0
         return x + total
 
+    def pieces(self, n: int) -> list[Piece]:
+        """The n-fold map as Mobius pieces, in angle order from the first cut.
+
+        The cuts, F^{-j}(breakpoint) for j < n merged within SNAP, are
+        stepped back a half-turn at a time: F^{-1} on the image arc
+        [F(bp_k), F(bp_k+1)) is arc k's half-turn, its own inverse.  A
+        piece's map is the product of the half-turns along its midpoint's
+        itinerary.
+        """
+        if n < 1 or n > ITERATION_BUDGET:
+            raise IterationBudgetExceeded(f"piece order {n} out of budget")
+        bps, verts = self._bp_angles, self._arc_verts
+        images = sorted((self.eval_angle(a), k) for k, a in enumerate(bps))
+        image_angles = [a for a, _ in images]
+        level, cuts = list(bps), list(bps)
+        for _ in range(n - 1):
+            level = [_turn(verts[images[bisect_right(image_angles, y) - 1][1]], y) % 1.0
+                     for y in level]
+            cuts.extend(level)
+        # a cut within SNAP of the wrap point is put on it, so a zero there
+        # reads 0 rather than 1 - ulp
+        cuts = _dedupe_cyclic([0.0 if min(c, 1.0 - c) <= SNAP else c for c in cuts], SNAP)
+        ends = cuts + [cuts[0] + 1.0] if cuts else [0.0, 1.0]
+        turns = [_half_turn(P) for P in verts]
+        pieces = []
+        for lo, hi in zip(ends, ends[1:]):
+            m, a = (1.0 + 0j, 0j), (0.5 * (lo + hi)) % 1.0
+            for _ in range(n):
+                k = bisect_right(bps, a) - 1  # no SNAP: the midpoint is inside its piece
+                a = _turn(verts[k], a) % 1.0
+                m = _compose(turns[k], m)
+            pieces.append(Piece(lo, hi, *m))
+        return pieces
+
     def orbit(self, v: IdealPoint, n: int) -> list[IdealPoint]:
         """Iterates [v, map(v), ..., map^n(v)]."""
         if n < 0 or n > ITERATION_BUDGET:
@@ -246,5 +348,4 @@ def build_tangent_map(body: ConvexBody) -> TangentMap:
         tuple((u, k) for _, u, k in entries),
         tuple(a for a, _, _ in entries),
         arc_verts,
-        np.array(arc_verts),
     )

@@ -150,7 +150,8 @@ def cmd_verdict(args) -> int:
         if cert is not None and (cert.p, cert.q) == (2, 5):
             orbits = detect_period5(triangle_map(tri))
             out["orbits"] = [
-                [_round12(p.angle) for p in pent.points] for pent in orbits.orbits
+                # an angle a last bit below 1 prints as 0, not as 1
+                [_round12(p.angle) % 1.0 for p in pent.points] for pent in orbits.orbits
             ]
             out["zero_count"] = orbits.zero_count
     print(json.dumps(out, sort_keys=True))

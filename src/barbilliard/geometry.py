@@ -188,8 +188,8 @@ def delta_n(d: float, n: int) -> float:
         raise NonpositiveDistance(f"threshold needs a positive distance, got {d}")
     if n < 1:
         raise OutOfRange(f"threshold order must be a positive integer, got {n}")
-    # (e^x + 1)/(e^x - 1) = coth(x/2)
-    return -math.log(math.tanh(0.5 * n * d))
+    # (e^x + 1)/(e^x - 1) = 1 + 2/(e^x - 1): no log of a number near 1
+    return math.log1p(2.0 / math.expm1(n * d))
 
 
 def delta_from_sides(alpha: float, beta: float, gamma: float) -> float:

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .circlemap import (
     ConvexBody,
     TangentMap,
@@ -32,7 +30,6 @@ from .errors import (
     PreconditionFailed,
 )
 from .geometry import (
-    TWO_PI,
     Chord,
     DiskPoint,
     IdealPoint,
@@ -45,14 +42,7 @@ from .geometry import (
     hyp_distance,
     wrap_turns,
 )
-from .rotation import (
-    MERGE_TOL,
-    RotationResult,
-    _dedupe_cyclic,
-    _find_zeros,
-    classify_rho,
-    scan_winding_zeros,
-)
+from .rotation import RotationResult, _circle_zeros, classify_rho, scan_winding_zeros
 
 LOG3 = math.log(3.0)
 LOG9 = math.log(9.0)
@@ -264,14 +254,11 @@ def ellipse_pentagram(t: float, v: float, side: str = "left") -> tuple[Triangle,
 
 
 def detect_period5(tmap: TangentMap) -> OrbitSet:
-    """Find every period-5, winding-2 boundary orbit of a triangle map
-    from an 8192-cell scan that keeps tangencies."""
+    """Find every period-5, winding-2 boundary orbit of a triangle map:
+    the zeros of F^5 - id - 2 from its Mobius pieces, grouped by orbit."""
     if tmap.body.kind != "polygon" or len(tmap.body.vertices) != 3:
         raise PreconditionFailed("period-5 detection applies to triangle bodies")
-    scan = scan_winding_zeros(tmap, 2, 5, grid=8192, keep_tangencies=True)
-    # corner zeros of semi-stable orbits carry a float-noise window wider
-    # than the scan's merge width; collapse again at the orbit tolerance
-    zeros = [x for x, _, _ in _dedupe_cyclic(scan.roots, 1e-7)]
+    zeros = [x for x, _, _ in scan_winding_zeros(tmap, 2, 5).roots]
     remaining = list(zeros)
     orbits = []
     while remaining:
@@ -285,53 +272,46 @@ def detect_period5(tmap: TangentMap) -> OrbitSet:
     return OrbitSet(orbits=tuple(orbits), zero_count=len(zeros))
 
 
-def _chord_side(pt: DiskPoint, w, b, xp):
-    """Signed distance from pt to the chord from angle w to angle b (turns),
-    with xp's cos/sin/hypot: math for scalars, numpy for arrays."""
-    ax, ay = xp.cos(TWO_PI * w), xp.sin(TWO_PI * w)
-    bx, by = xp.cos(TWO_PI * b), xp.sin(TWO_PI * b)
-    ex, ey = bx - ax, by - ay
-    return (ex * (pt.y - ay) - ey * (pt.x - ax)) / xp.hypot(ex, ey)
+def _chord_distance(pt: DiskPoint, w: float, b: float) -> float:
+    """Distance from pt to the chord between angles w and b (turns): the
+    chord is the line x . u = cos(pi (b - w)), u at angle (w + b) / 2."""
+    m = math.pi * (w + b)
+    return abs(math.cos(math.pi * (b - w)) - pt.x * math.cos(m) - pt.y * math.sin(m))
 
 
 def tau_n(p1: DiskPoint, p2: DiskPoint, pt: DiskPoint, n: int) -> TauResult:
     """Count boundary points w whose chord to the 2n-fold image covers pt.
 
     The count is 0, 1 or 2 as pt's hyperbolic distance to the base line
-    is below, at or above ``delta_n(d, n)``, d the length of the base;
-    the tangent case is detected within a 1e-9 band on the chord
-    distance.
+    is below, at or above ``delta_n(d, n)``, d the length of the base.
+    pt lies on the chord from w to F^{2n}(w) exactly when F^{2n}(w) is
+    w's half-turn about pt: the roots are the fixed points of that
+    half-turn after each piece of F^{2n}, tangent within a 1e-9 band on
+    the chord distance.
     """
     if n < 1:
         raise OutOfRange(f"fold order must be a positive integer, got {n}")
     ch = chord_through(p1, p2)
-    if abs(_chord_side(pt, ch.a.angle, ch.b.angle, math)) <= 1e-12:
+    if _chord_distance(pt, ch.a.angle, ch.b.angle) <= 1e-12:
         raise PointOnLine("query point lies on the base line")
     tmap = build_tangent_map(ConvexBody.segment(p1, p2))
 
+    def image(u: float) -> tuple[float, float]:
+        """F^{2n}(u) lifted, and its half-turn about pt lifted after it."""
+        b = tmap.lift_iter(u, 2 * n)
+        gap = (second_intersection(IdealPoint(b), pt).angle - b) % 1.0 or 1.0
+        return b, b + gap
+
     def h(u: float) -> float:
-        w = b = u % 1.0
-        for _ in range(2 * n):
-            b = tmap.eval_angle(b)
-        return _chord_side(pt, w, b, math)
+        # the chord distance, signed by the way the half-turn misses u: the
+        # chord's direction flips where F^{2n}(u) passes u, at the base's ends
+        b, w = image(u)
+        return math.copysign(_chord_distance(pt, u, b), w - u - round(w - u))
 
-    # uniform samples plus geometric tails: roots can crowd the ideal
-    # endpoints when the query point sits far from the base line
-    tails = np.array([10.0 ** -j for j in range(4, 12)])
-    rel = np.unique(
-        np.concatenate([(np.arange(4096, dtype=float) + 0.5) / 4096, tails, 1.0 - tails])
-    )
-    roots: list[float] = []
-    for start, end in ((ch.a.angle, ch.b.angle), (ch.b.angle, ch.a.angle)):
-        xs = start + rel * ccw_gap(start, end)
-        ws = bs = xs % 1.0
-        for _ in range(2 * n):
-            bs = tmap.eval_angles(bs)
-        scan = _find_zeros(h, xs, _chord_side(pt, ws, bs, np), False, True)
-        roots.extend(x for x, _, _ in scan.roots)
-
-    merged = _dedupe_cyclic(roots, MERGE_TOL)
-    return TauResult(n=n, count=len(merged), roots=tuple(IdealPoint(x) for x in merged))
+    P = complex(pt.x, pt.y)
+    scan = _circle_zeros([pc.then_half_turn(P) for pc in tmap.pieces(2 * n)],
+                         range(1, 2 * n + 1), lambda u: image(u)[1] - u, h)
+    return TauResult(n=n, count=len(scan.roots), roots=tuple(IdealPoint(x) for x, _, _ in scan.roots))
 
 
 def condition_report(tri: Triangle) -> ConditionReport:
@@ -380,7 +360,7 @@ def condition_report(tri: Triangle) -> ConditionReport:
 def edge_incidence(pent: Pentagram, c: DiskPoint) -> int:
     """Number of pentagram edges whose supporting line passes through c."""
     return sum(
-        abs(_chord_side(c, e.a.angle, e.b.angle, math)) <= CLOSURE_TOL for e in pent.edges
+        _chord_distance(c, e.a.angle, e.b.angle) <= CLOSURE_TOL for e in pent.edges
     )
 
 

@@ -2,9 +2,9 @@
 
 The estimate is the classical lift average (F^n(x) - x)/n, whose distance
 to the true rotation number is at most 1/n.  A rational p/q is certified
-by locating a zero of g(x) = F^q(x) - x - p on [0, 1): a sign change
-yields a transverse periodic orbit, a tangency a semi-stable one.  When
-g keeps a strict sign the same scan proves the strict inequality
+by a zero of g(x) = F^q(x) - x - p: a sign change yields a transverse
+periodic orbit, a tangency a semi-stable one.  The zeros are the fixed
+points of the Mobius pieces of F^q.  When g keeps a strict sign it proves
 rho > p/q or rho < p/q instead.
 """
 
@@ -12,12 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
-import numpy as np
-
-from .circlemap import ITERATION_BUDGET, TangentMap
-from .geometry import wrap_turns
+from .circlemap import ITERATION_BUDGET, SNAP, Piece, TangentMap, _dedupe_cyclic
 from .search import brentq, golden_min
 from .errors import (
     InvalidRational,
@@ -77,146 +74,119 @@ def estimate_rho(tmap: TangentMap, n: int = 100_000, x0: float = 0.0) -> Rotatio
 
 @dataclass(frozen=True)
 class ZeroScan:
-    """Zeros of a function sampled on a grid, and what decides without one.
+    """Zeros of a function on the circle, and its sign when there are none.
 
-    ``margin`` is the polished point nearest zero, ``(x, f(x))``, or None
-    when nothing was polished.  ``sign`` is +1 or -1 when every grid
-    sample has that sign, and 0 otherwise.
+    ``sign`` is +1 or -1 when there is no zero, and 0 otherwise.
     """
 
-    roots: tuple[tuple[float, float, str], ...]  # (x mod 1, residual, kind)
-    margin: Optional[tuple[float, float]]
+    roots: tuple[tuple[float, float, str], ...]  # (x, residual, kind)
     sign: int
 
 
-def _g_vector(tmap: TangentMap, p: int, q: int, xs: np.ndarray) -> np.ndarray:
-    a = xs % 1.0
-    total = np.zeros_like(a)
-    for _ in range(q):
-        g = tmap.gap_angles(a)
-        total += g
-        a = (a + g) % 1.0
-    return total - p
+#: width in turns of the cell a zero is polished on
+_CELL = 2.0 ** -12
+
+#: an extremum of the Mobius residual this close to a level is checked
+#: against the band with the scalar function; a screen, not a tolerance
+_SCREEN = 1e-6
 
 
-def _g_scalar(tmap: TangentMap, p: int, q: int) -> Callable[[float], float]:
-    def g(x: float) -> float:
-        return tmap.lift_iter(x, q) - x - p
+def _circle_zeros(pieces: list[Piece], levels: Sequence[int],
+                  residual: Callable[[float], float], f: Callable[[float], float]) -> ZeroScan:
+    """Zeros of f from the Mobius pieces of a circle map.
 
-    return g
-
-
-def _sign_change_cells(ys: np.ndarray) -> np.ndarray:
-    """Grid indices i with ys[i] == 0 or a sign change from ys[i] to ys[i+1]
-    (cyclically), in increasing order."""
-    return np.nonzero((ys == 0.0) | (ys * np.roll(ys, -1) < 0.0))[0]
-
-
-def _dedupe_cyclic(items, tol: float) -> list:
-    """Sorted items, dropping each within tol of the last kept one, and the
-    last kept one if it is within tol of the first across 1.  Items are
-    angles in turns, or tuples that lead with one."""
-
-    def angle(item) -> float:
-        return item[0] if isinstance(item, tuple) else item
-
-    kept: list = []
-    for item in sorted(items):
-        if kept and angle(item) - angle(kept[-1]) <= tol:
-            continue
-        kept.append(item)
-    if len(kept) > 1 and angle(kept[0]) + 1.0 - angle(kept[-1]) <= tol:
-        kept.pop()
-    return kept
-
-
-def _find_zeros(
-    f: Callable[[float], float],
-    xs: np.ndarray,
-    ys: np.ndarray,
-    cyclic: bool,
-    polish_always: bool,
-) -> ZeroScan:
-    """Zeros of f from its samples ys on the sorted nodes xs.
-
-    On a cyclic grid the last cell runs to the first node one turn on;
-    otherwise the last node closes the span.  Each grid sign change is
-    re-checked through scalar f and bracketed with brentq.  Then the 12
-    smallest local minima of |ys| that touch no bracketed cell are
-    polished with golden_min on s*f, s the sign of f at the node, and
-    give at most one zero each: a tangency when the polished value lies
-    within TANGENCY_TOL of zero, a sign change bracketed from the node
-    when it crossed zero by more.  Polishing is skipped when there are
-    sign changes, unless ``polish_always``.  Roots are reported mod 1
-    and merged within MERGE_TOL.
+    f vanishes where the residual R = lifted image - id meets an integer of
+    ``levels``, and has the sign of R less that level nearby.  R is
+    monotone between its extrema: the corners (cuts where the pieces'
+    one-sided slopes differ in sign) and the pieces' critical points.  An
+    extremum within the screen of a level (a double root, a close pair or
+    a near-circle complex pair) is one tangency when f there,
+    golden-polished unless at a corner, is within TANGENCY_TOL.  Each
+    other level crossed between two extrema is one zero, at the fixed
+    point in that span, polished with brentq.  Zeros are reported in
+    [-MERGE_TOL, 1 - MERGE_TOL) and merged within MERGE_TOL.
     """
-    n = len(xs)
-    nxt, prv = np.roll(xs, -1), np.roll(xs, 1)
-    cells = _sign_change_cells(ys)
-    if cyclic:
-        nxt[-1] += 1.0
-        prv[0] -= 1.0
-    else:
-        cells = cells[cells < n - 1]
+    ext, fixed = [], []  # extrema (x, +1 at a minimum of R, -1 at a maximum, 0 at a corner)
+    for i, pc in enumerate(pieces):
+        if (pieces[i - 1].slope(pc.lo) - 1.0) * (pc.slope(pc.lo) - 1.0) <= 0.0:
+            ext.append((pc.lo, 0))
+        for c, s in zip(pc.critical_points(), (1, -1)):
+            x = pc.lo + (c - pc.lo) % 1.0
+            if x < pc.hi:
+                ext.append((x, s))
+        for c in pc.fixed_points():
+            x = pc.lo - SNAP + (c - pc.lo + SNAP) % 1.0
+            if x <= pc.hi + SNAP:
+                fixed += [x, x + 1.0]
+    # R from the scalar map: the pieces place the extrema, not R's values
+    ext = [(x, residual(x), s) for x, s in sorted(ext) or [(pieces[0].lo, 0)]]
 
-    def bracket(lo: float, hi: float) -> tuple[float, float, str]:
-        x = brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16)
-        return wrap_turns(x), float(f(x)), "sign_change"
-
-    roots: list[tuple[float, float, str]] = []
-    touched = np.zeros(n, dtype=bool)
-    for i in cells:
-        lo, hi = xs[i], nxt[i]
-        # a node zero, else re-check through scalar f so brentq sees
-        # consistent signs; a last-ulp disagreement is left to polishing
-        f_lo = 0.0 if ys[i] == 0.0 else f(lo)
-        if f_lo == 0.0:
-            roots.append((float(wrap_turns(lo)), 0.0, "sign_change"))
-        elif f_lo * f(hi) < 0.0:
-            roots.append(bracket(lo, hi))
+    n = len(ext)
+    xs = [ext[-1][0] - 1.0] + [x for x, _, _ in ext] + [ext[0][0] + 1.0]
+    roots, touched = [], set()
+    for j, (x, r, s) in enumerate(ext):
+        if round(r) not in levels or abs(r - round(r)) > _SCREEN:
+            continue
+        if s:  # golden section on the two cells around the nearest multiple
+            # of _CELL, inside the neighbouring extrema
+            shift = x - x % 1.0
+            c = round((x - shift) / _CELL) * _CELL
+            lo, hi = max(c - _CELL, xs[j] - shift), min(c + _CELL, xs[j + 2] - shift)
+            x, v = golden_min(lambda u: s * f(u), lo, hi, xtol=1e-12)
+            v *= s
         else:
+            v = f(x)
+        if abs(v) <= TANGENCY_TOL:
+            roots.append((x, float(v), "tangency"))
+            touched.add(j)
+
+    for j in range(n):
+        if touched & {j, (j + 1) % n}:
             continue
-        touched[i] = touched[(i + 1) % n] = True
+        (xa, ra, _), (xb, rb) = ext[j], (xs[j + 2], ext[(j + 1) % n][1])
+        for k in levels:
+            if min(ra, rb) < k < max(ra, rb):
+                # R crosses one integer at most between extrema: a fixed
+                # point in the span is this crossing
+                guess = [y for y in fixed if xa <= y <= xb]
+                x = _polish(f, guess[0] if guess else 0.5 * (xa + xb), xa, xb)
+                roots.append((x, float(f(x)), "sign_change"))
 
-    margin = None
-    if polish_always or not roots:
-        a = np.abs(ys)
-        dips = (a <= np.roll(a, 1)) & (a <= np.roll(a, -1)) & ~touched
-        if not cyclic:
-            dips[0] = dips[-1] = False
-        idx = np.nonzero(dips)[0]
-        for i in idx[np.argsort(a[idx], kind="stable")][:12]:
-            s = -1.0 if f(xs[i]) < 0.0 else 1.0
-            x_e, v = golden_min(lambda u: s * f(u), prv[i], nxt[i], xtol=1e-12)
-            x, y = float(wrap_turns(x_e)), float(s * v)
-            if margin is None or abs(y) < abs(margin[1]):
-                margin = (x, y)
-            if abs(y) <= TANGENCY_TOL:
-                roots.append((x, y, "tangency"))
-            elif v < 0.0:
-                roots.append(bracket(*sorted((xs[i], x_e))))
-
-    sign = 1 if (ys > 0.0).all() else -1 if (ys < 0.0).all() else 0
-    return ZeroScan(tuple(_dedupe_cyclic(roots, MERGE_TOL)), margin, sign)
+    for i, (x, v, kind) in enumerate(roots):
+        x %= 1.0
+        roots[i] = (x - 1.0 if x > 1.0 - MERGE_TOL else x, v, kind)
+    if roots:
+        return ZeroScan(tuple(_dedupe_cyclic(roots, MERGE_TOL)), 0)
+    return ZeroScan((), 1 if f(pieces[0].lo) > 0.0 else -1)
 
 
-def scan_winding_zeros(
-    tmap: TangentMap,
-    p: int,
-    q: int,
-    grid: int = 4096,
-    keep_tangencies: bool = False,
-) -> ZeroScan:
-    """Locate every zero of F^q - id - p on [0, 1).
+def _polish(f: Callable[[float], float], x: float, lo: float, hi: float) -> float:
+    """The zero of f near x by brentq: on the cell of _CELL turns holding x,
+    within the span [lo, hi] where f changes sign once, or else on the span.
+    A fixed cell keeps the zero's bits free of the closed form's last bits."""
+    base = math.floor(x)
+    c, lo, hi = math.floor((x - base) / _CELL) * _CELL, lo - base, hi - base
+    for a, b in ((max(c, lo), min(c + _CELL, hi)), (lo, hi)):
+        fa, fb = f(a), f(b)
+        if fa == 0.0 or fb == 0.0:
+            return a if fa == 0.0 else b
+        if (fa < 0.0) != (fb < 0.0):
+            return brentq(f, a, b, xtol=1e-13, rtol=8.9e-16)
+    return x  # f does not confirm the crossing: keep the closed form
 
-    Sign changes on the grid are bracketed to machine precision.  Dips
-    toward zero are polished when there are none, or always with
-    ``keep_tangencies``, so that tangential (double) zeros within the
-    tolerance band and dips the grid missed are picked up as well.
+
+def scan_winding_zeros(tmap: TangentMap, p: int, q: int) -> ZeroScan:
+    """Every zero of g = F^q - id - p on the circle, from the pieces of F^q.
+
+    A zero is a fixed point of a piece's Mobius map whose lift winds p
+    times; by Katok & Hasselblatt (1995), 11.1, g > 0 everywhere exactly
+    when rho > p/q, so with no zero the sign of g is the comparison.
     """
-    xs = np.arange(grid, dtype=float) / grid
-    ys = _g_vector(tmap, p, q, xs)
-    return _find_zeros(_g_scalar(tmap, p, q), xs, ys, True, keep_tangencies)
+
+    def residual(x: float) -> float:
+        return tmap.lift_iter(x, q) - x
+
+    return _circle_zeros(tmap.pieces(q), (p,), residual, lambda x: residual(x) - p)
 
 
 def certify_rational(tmap: TangentMap, p: int, q: int) -> RotationResult:
@@ -248,9 +218,7 @@ def _certify(
         if roots:
             x, residual, _ = min(roots)
             return RationalCertificate(p, q, x, residual, kind), None
-    if scan.sign:
-        return None, RationalComparison(p, q, "greater" if scan.sign > 0 else "less")
-    return None, None  # a mixed-sign grid with no zero found decides nothing
+    return None, RationalComparison(p, q, "greater" if scan.sign > 0 else "less")
 
 
 def _candidate_rationals(estimate: float, n: int, q_max: int) -> list[tuple[int, int]]:

@@ -5,10 +5,8 @@ coarse for corner-shaped extremes (the map's iterates are only
 one-sided differentiable at breakpoints).  Golden-section with an
 absolute interval tolerance localizes those to machine precision.
 
-Both helpers serve one grid zero finder, ``rotation._find_zeros``, which
-finds the zeros of F^q - id - p and of the tau_n chord function alike:
-Brent's method brackets each grid sign change, and golden-section
-polishes the dips toward zero that the grid misses.
+Both serve the zero engine, ``rotation._circle_zeros``: Brent's method
+polishes each transverse zero, and golden section each tangency.
 """
 
 from __future__ import annotations

@@ -232,14 +232,29 @@ def test_criterion_5_directional_comparisons():
 
 def test_criterion_6_tau_trichotomy():
     p1, p2 = DiskPoint(0.0, 0.9), DiskPoint(0.0, -0.9)
+    x_star = math.tanh(delta_n(math.log(19.0), 2))
     cases = {
         -0.003: 0,
-        -0.00554013: 1,
+        -x_star: 1,
+        # 6.3e-9 above the threshold: two roots 2.66e-6 turns apart, too
+        # close for the brute grid, so each is checked on its own
+        -0.00554013: 2,
         -0.02: 2,
     }
     ok = True
     details = []
     tmap = build_tangent_map(ConvexBody.segment(p1, p2))
+
+    def h(w, pt):
+        """Signed distance from pt to the chord from w to its fourth image."""
+        b = w
+        for _ in range(4):
+            b = tmap.evaluate(b)
+        ax, ay = w.xy
+        bx, by = b.xy
+        ex, ey = bx - ax, by - ay
+        return (ex * (pt.y - ay) - ey * (pt.x - ax)) / math.hypot(ex, ey)
+
     for x, want in cases.items():
         pt = DiskPoint(x, 0.0)
         res = tau_n(p1, p2, pt, 2)
@@ -248,16 +263,16 @@ def test_criterion_6_tau_trichotomy():
         if want == 1:
             # tangency: no transverse crossing, and the root really sits
             # on a chord through the query point within the band
-            w = res.roots[0]
-            b = w
-            for _ in range(4):
-                b = tmap.evaluate(b)
-            ax, ay = w.xy
-            bx, by = b.xy
-            ex, ey = bx - ax, by - ay
-            h_root = abs(ex * (pt.y - ay) - ey * (pt.x - ax)) / math.hypot(ex, ey)
+            h_root = abs(h(res.roots[0], pt))
             agree = agree and signs == 0 and h_root <= 1e-9 and min_abs <= 1e-6
             details.append(f"x={x}: count=1 |h(root)|={h_root:.1e}")
+        elif x == -0.00554013:
+            crossing = [
+                h(IdealPoint(w.angle - 1e-7), pt) * h(IdealPoint(w.angle + 1e-7), pt) < 0.0
+                for w in res.roots
+            ]
+            agree = agree and all(crossing)
+            details.append(f"x={x}: count={res.count}, each root crosses within 1e-7")
         else:
             agree = agree and signs == want
             details.append(f"x={x}: count={res.count} brute={signs}")

@@ -143,6 +143,18 @@ class TestDeltaN:
         vals = [delta_n(float(d), 1) for d in grid]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    def test_matches_50_digit_reference(self, rng):
+        # long bases put coth(n d / 2) near 1, where -log(tanh) lost 1e-9
+        mpmath = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mpmath.workdps(50):
+            for _ in range(500):
+                d, n = float(rng.uniform(0.5, 6.0)), int(rng.integers(1, 4))
+                x = n * mpmath.mpf(d)
+                ref = mpmath.log((mpmath.exp(x) + 1) / (mpmath.exp(x) - 1))
+                worst = max(worst, float(abs(delta_n(d, n) - ref) / ref))
+        assert worst <= 1e-14
+
     def test_nonpositive_distance_rejected(self):
         with pytest.raises(NonpositiveDistance):
             delta_n(0.0, 1)

@@ -248,7 +248,7 @@ def brute_tau_signs(p1, p2, pt, n, grid=20001):
 
 
 def test_dedupe_cyclic_keeps_run_heads_and_drops_the_wrap():
-    from barbilliard.pentagram import _dedupe_cyclic
+    from barbilliard.rotation import _dedupe_cyclic
 
     # within tol of the last kept value is dropped; 0.3 + 1.5e-7 is kept
     assert _dedupe_cyclic([0.3 + 1.5e-7, 0.3 + 5e-8, 0.3, 0.6], 1e-7) == [0.3, 0.3 + 1.5e-7, 0.6]
@@ -260,8 +260,11 @@ def test_dedupe_cyclic_keeps_run_heads_and_drops_the_wrap():
 class TestTau:
     def test_trichotomy_counts(self):
         p1, p2 = DiskPoint(0.0, 0.9), DiskPoint(0.0, -0.9)
+        x_star = math.tanh(delta_n(math.log(19.0), 2))
         assert tau_n(p1, p2, DiskPoint(-0.003, 0.0), 2).count == 0
-        assert tau_n(p1, p2, DiskPoint(-0.00554013, 0.0), 2).count == 1
+        assert tau_n(p1, p2, DiskPoint(-x_star, 0.0), 2).count == 1
+        # 6.3e-9 above the threshold: two roots 2.66e-6 turns apart
+        assert tau_n(p1, p2, DiskPoint(-0.00554013, 0.0), 2).count == 2
         assert tau_n(p1, p2, DiskPoint(-0.02, 0.0), 2).count == 2
 
     def test_counts_match_brute_force(self):

@@ -1,4 +1,7 @@
+import cmath
+import importlib.util
 import math
+import os
 
 import numpy as np
 import pytest
@@ -19,13 +22,15 @@ from barbilliard import (
 )
 from barbilliard.pentagram import triangle_map
 from barbilliard import rotation
-from barbilliard.geometry import TWO_PI
+from barbilliard.geometry import TWO_PI, angular_distance
+from barbilliard.circlemap import Piece, _compose, _half_turn
 from barbilliard.rotation import (
+    MAX_Q,
     MERGE_TOL,
     TANGENCY_TOL,
+    _certify,
+    _circle_zeros,
     _dedupe_cyclic,
-    _find_zeros,
-    _sign_change_cells,
     scan_winding_zeros,
 )
 from conftest import random_convex_polygon
@@ -158,11 +163,31 @@ class TestCertificateSemiStable:
         assert abs(res.certificate.residual) <= 1e-9
 
 
+def _benchmark_inputs():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "benchmark", "inputs.py")
+    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [23, 28, 30])
+def test_witness_at_the_wrap_is_the_zero_at_0(seed):
+    """A standard_pentagram orbit runs through angle 0, a corner, and float
+    noise can put that zero a last bit below 1: it is still the witness."""
+    ts = [item["threshold"]["t"] for item in _benchmark_inputs().certify_inputs(seed)
+          if item.get("cls") == "threshold" and item["threshold"]["family"] == "standard"]
+    assert ts
+    for t in ts:
+        cert = certify_rational(triangle_map(standard_pentagram(t)[0]), 2, 5).certificate
+        assert cert.kind == "tangency" and abs(cert.witness_x) <= MERGE_TOL
+
+
 class TestPlainFloatCertificates:
     @pytest.mark.parametrize(
         "tri, kind",
         [
-            (standard_pentagram(0.9)[0], "sign_change"),  # a zero on a grid node
+            (standard_pentagram(0.9)[0], "tangency"),  # corner zeros on cuts
             (canonical_triangle(0.9, -0.02), "sign_change"),  # a bracketed zero
             (ellipse_pentagram(0.9, 0.1)[0], "tangency"),
         ],
@@ -204,107 +229,174 @@ class TestClassifyMatchesCertify:
             assert (probe.certificate, probe.comparison) == (cert, res.comparison)
         assert cert is not None or res.comparison is not None
 
-    def test_sign_change_scan_skips_refinement_but_keeps_roots(self):
-        tmap = triangle_map(canonical_triangle(0.9, -0.02))
-        fast = scan_winding_zeros(tmap, 2, 5)
-        full = scan_winding_zeros(tmap, 2, 5, keep_tangencies=True)
-        assert fast.roots
-        assert fast.roots == tuple(r for r in full.roots if r[2] == "sign_change")
-        # the fast scan polishes nothing; every |g| dip of the full scan's
-        # grid touches a crossing, so it has nothing to polish either
-        assert fast.margin is None and full.margin is None
-        assert fast.sign == full.sign == 0
+
+def _translation(angle, p, q, lo=0.0, hi=1.0):
+    """A piece on [lo, hi) whose map is the hyperbolic translation H_p H_q
+    along the diameter at ``angle`` (turns), p and q signed distances from
+    the centre along it; it fixes ``angle`` and ``angle + 1/2``."""
+    u = complex(math.cos(TWO_PI * angle), math.sin(TWO_PI * angle))
+    return Piece(lo, hi, *_compose(_half_turn(p * u), _half_turn(q * u)))
 
 
-def _sign_change_cells_loop(ys):
-    out = []
-    for i in range(len(ys)):
-        yi, yj = ys[i], ys[(i + 1) % len(ys)]
-        if yi == 0.0 or yi * yj < 0.0:
-            out.append(i)
-    return out
+def _step(pc, x):
+    """The signed step, in turns, from x to its image under pc's map."""
+    z = cmath.rect(1.0, TWO_PI * x)
+    w = (pc.a * z + pc.b) / (pc.b.conjugate() * z + pc.a.conjugate())
+    return (cmath.phase(w) / TWO_PI - x + 0.5) % 1.0 - 0.5
 
 
-class TestSignChangeCells:
-    def test_matches_the_cell_by_cell_loop(self, rng):
-        for _ in range(50):
-            ys = rng.normal(size=int(rng.integers(1, 40)))
-            ys[rng.random(len(ys)) < 0.2] = 0.0
-            assert _sign_change_cells(ys).tolist() == _sign_change_cells_loop(ys)
+def _zeros(pieces, level):
+    """The engine on maps that move every point less than half a turn,
+    with R = level + the step and f = R - level."""
 
-    def test_wraparound_and_zero_nodes(self):
-        ys = np.array([-1.0, -2.0, 0.0, 3.0, 1.0])
-        assert _sign_change_cells(ys).tolist() == [2, 4]
+    def step(x):
+        x = pieces[0].lo + (x - pieces[0].lo) % 1.0
+        return _step(next(pc for pc in pieces if pc.lo <= x < pc.hi), x)
 
-
-def _scan(f, xs, cyclic=False):
-    xs = np.asarray(xs, dtype=float)
-    return _find_zeros(f, xs, np.array([f(x) for x in xs]), cyclic, True)
+    return _circle_zeros(pieces, (level,), lambda x: level + step(x), step)
 
 
 class TestFindZeros:
-    """The one zero finder, on synthetic samples."""
-
-    nodes = np.arange(9) / 8.0  # a span [0, 1] in eighths
+    """The zero engine on synthetic pieces: translations along a diameter,
+    whose fixed points are its two ends."""
 
     def test_zero_on_a_node(self):
-        scan = _scan(lambda x: x - 0.375, self.nodes)
-        assert scan.roots == ((0.375, 0.0, "sign_change"),)
+        # two pieces cut at 0 and 1/2, both pushing the same way: each cut
+        # is one crossing, found from either side
+        pieces = [_translation(0.0, 0.3, 0.0, 0.0, 0.5), _translation(0.0, 0.5, 0.0, 0.5, 1.0)]
+        scan = _zeros(pieces, 2)
+        assert [(round(x, 12), kind) for x, _, kind in scan.roots] == [
+            (0.0, "sign_change"), (0.5, "sign_change")]
         assert scan.sign == 0
 
+    def test_corner_zero_is_a_tangency(self):
+        # the second piece pushes the other way: each cut is a corner of
+        # R at the level, one semi-stable zero
+        pieces = [_translation(0.0, 0.3, 0.0, 0.0, 0.5), _translation(0.0, 0.0, 0.5, 0.5, 1.0)]
+        scan = _zeros(pieces, 2)
+        assert [(round(x, 12), kind) for x, _, kind in scan.roots] == [
+            (0.0, "tangency"), (0.5, "tangency")]
+        assert all(abs(v) <= TANGENCY_TOL for _, v, _ in scan.roots)
+
     def test_crossing_inside_a_cell(self):
-        (root,) = _scan(lambda x: x - 0.3, self.nodes).roots
-        assert root[2] == "sign_change"
-        assert abs(root[0] - 0.3) <= 1e-13 and abs(root[1]) <= 1e-15
+        # one piece, no cuts: the two ends of the diameter at 0.3
+        scan = _zeros([_translation(0.3, 0.4, -0.2)], 1)
+        assert [kind for _, _, kind in scan.roots] == ["sign_change"] * 2
+        for (x, v, _), want in zip(scan.roots, (0.3, 0.8)):
+            assert abs(x - want) <= 1e-13 and abs(v) <= 1e-15
+
+    @staticmethod
+    def _dip(offset):
+        """One piece whose residual has its minimum offset above level 1."""
+        pc = _translation(0.1, 0.3, -0.3)
+        x_min = pc.critical_points()[0] % 1.0
+        # a rotation by phi after the map adds phi to its step
+        phi = offset - _step(pc, x_min)
+        r = cmath.exp(1j * math.pi * phi)
+        return x_min, _zeros([Piece(pc.lo, pc.hi, r * pc.a, r * pc.b)], 1)
 
     def test_tangency_in_the_band(self):
-        scan = _scan(lambda x: (x - 0.3) ** 2, self.nodes)
-        ((x, y, kind),) = scan.roots
-        assert kind == "tangency" and 0.0 <= y <= TANGENCY_TOL
-        assert abs(x - 0.3) <= 1e-5
-        assert scan.sign == 1 and scan.margin == (x, y)
+        # a dip into the band, and a close pair whose hump stays inside it
+        for offset in (0.5 * TANGENCY_TOL, -0.5 * TANGENCY_TOL):
+            x_min, scan = self._dip(offset)
+            ((x, v, kind),) = scan.roots
+            assert kind == "tangency" and abs(v) <= TANGENCY_TOL
+            assert angular_distance(x, x_min) <= 1e-6
 
-    def test_dip_below_the_band_is_one_sign_change(self):
-        # both crossings lie in one cell: the grid sees no sign change
-        def f(x):
-            return (x - 0.3) ** 2 - 1e-6
-
-        scan = _scan(f, self.nodes)
-        ((x, y, kind),) = scan.roots
-        assert kind == "sign_change"
-        assert abs(x - (0.3 - 1e-3)) <= 1e-12 and abs(y) <= 1e-15
-        assert scan.sign == 1 and scan.margin[1] < -TANGENCY_TOL
+    def test_band_edges(self):
+        # a close pair whose hump leaves the band is two crossings; a dip
+        # that stays outside it is no zero, and g keeps its sign
+        x_min, scan = self._dip(-5.0 * TANGENCY_TOL)
+        assert [kind for _, _, kind in scan.roots] == ["sign_change"] * 2
+        for x, v, _ in scan.roots:
+            assert abs(v) <= 1e-15 and 1e-6 < angular_distance(x, x_min) <= 1e-3
+        _, scan = self._dip(5.0 * TANGENCY_TOL)
+        assert scan == rotation.ZeroScan((), 1)
 
     def test_duplicates_wrap_across_zero(self):
-        # zeros at -2e-9 and 1e-9 (and near 1/2): one each after merging
-        def f(x):
-            return math.sin(TWO_PI * (x + 2e-9)) * math.sin(TWO_PI * (x - 1e-9))
-
-        scan = _scan(f, np.arange(8) / 8.0, cyclic=True)
+        # a zero just below 1 is reported at its wrapped value, first; the
+        # cut at 1 - 2e-9 sees it from both sides and reports it once
+        lo = 0.5 - 2e-9
+        pieces = [_translation(-2e-9, 0.3, 0.0, lo, lo + 0.5),
+                  _translation(-2e-9, 0.5, 0.0, lo + 0.5, lo + 1.0)]
+        scan = _zeros(pieces, 2)
         assert [kind for _, _, kind in scan.roots] == ["sign_change"] * 2
-        assert abs(scan.roots[0][0] - 1e-9) <= 1e-12
-        assert abs(scan.roots[1][0] - (0.5 - 2e-9)) <= 1e-12
-
-    def test_mixed_sign_grid_yields_no_comparison(self, monkeypatch):
-        # a grid sign the scalar function does not confirm is polished,
-        # finds nothing, and leaves the grid mixed
-        xs = np.arange(8) / 8.0
-        ys = 1.0 + xs
-        ys[3] = -1e-17
-        scan = _find_zeros(lambda x: 1.0 + x % 1.0, xs, ys, True, False)
-        assert scan.roots == () and scan.sign == 0 and scan.margin[1] > 0.0
-        monkeypatch.setattr(rotation, "scan_winding_zeros", lambda *a, **k: scan)
-        assert rotation._certify(None, 2, 5) == (None, None)
+        assert abs(scan.roots[0][0] + 2e-9) <= 1e-13
+        assert abs(scan.roots[1][0] - (0.5 - 2e-9)) <= 1e-13
 
     def test_one_signed_grid_gives_the_comparison(self, monkeypatch):
-        for sign, relation in ((1, "greater"), (-1, "less")):
-            scan = rotation.ZeroScan((), (0.5, sign * 1e-3), sign)
+        for tri, sign, relation in ((canonical_triangle(0.9, -0.001), 1, "greater"),
+                                    (canonical_triangle(0.9, -0.3), -1, "less")):
+            scan = scan_winding_zeros(triangle_map(tri), 2, 5)
+            assert scan == rotation.ZeroScan((), sign)
             monkeypatch.setattr(rotation, "scan_winding_zeros", lambda *a, **k: scan)
             assert rotation._certify(None, 2, 5) == (
                 None, rotation.RationalComparison(2, 5, relation))
+            monkeypatch.undo()
 
     def test_dedupe_keeps_whole_tuples(self):
         roots = [(0.99999999999, 1e-15, "sign_change"), (0.5, 0.0, "tangency"),
                  (2e-9, 3e-16, "sign_change"), (0.5 + 5e-9, -1e-16, "sign_change")]
         assert _dedupe_cyclic(roots, MERGE_TOL) == [
             (2e-9, 3e-16, "sign_change"), (0.5, 0.0, "tangency")]
+
+
+def _random_triangle(rng):
+    while True:
+        pts = []
+        while len(pts) < 3:
+            x, y = rng.uniform(-0.9, 0.9, 2)
+            if x * x + y * y < 0.81:
+                pts.append(DiskPoint(float(x), float(y)))
+        try:
+            tri = Triangle(*pts)
+            return tri, triangle_map(tri)
+        except Exception:
+            continue
+
+
+class TestPiecesOnRandomTriangles:
+    """The pieces of F^q against the scalar lift on seeded random triangles."""
+
+    @pytest.mark.parametrize("q", [3, 5, 8, 37, 46, 64])
+    def test_pieces_zeros_and_sign_against_dense_sampling(self, q):
+        rng = np.random.default_rng(1000 + q)
+        samples = 200 if q > 8 else 2000
+        xs = (np.arange(samples) + 0.5) / samples
+        checked = 0
+        while checked < 3:
+            tri, tmap = _random_triangle(rng)
+            p = round(q * estimate_rho(tmap, 4000).estimate)
+            if not 1 <= p < q or math.gcd(p, q) != 1:
+                continue
+            checked += 1
+            pieces = tmap.pieces(q)
+            assert len(pieces) <= 3 * q
+            assert all(a.hi == b.lo for a, b in zip(pieces, pieces[1:]))
+            assert pieces[-1].hi == pieces[0].lo + 1.0
+            scan = scan_winding_zeros(tmap, p, q)
+            for x, v, _ in scan.roots:
+                assert abs(tmap.lift_iter(x, q) - x - p) <= TANGENCY_TOL
+            g = np.array([tmap.lift_iter(float(x), q) - x - p for x in xs])
+            if not scan.roots:
+                assert (np.sign(g) == scan.sign).all()
+                continue
+            # every sampled sign change holds a zero of the scan
+            zeros = [x % 1.0 for x, _, _ in scan.roots]
+            for i in np.nonzero(g * np.roll(g, -1) < 0.0)[0]:
+                lo, hi = xs[i], xs[i] + 1.0 / samples
+                assert any(lo <= z <= hi or lo <= z + 1.0 <= hi for z in zeros)
+            # and every isolated crossing lies in a sampled sign change
+            for z in (x % 1.0 for x, _, k in scan.roots if k == "sign_change"):
+                if min(angular_distance(z, w) for w in zeros if w != z) > 2.0 / samples:
+                    i = int((z - 0.5 / samples) * samples) % samples
+                    assert g[i] * g[(i + 1) % samples] < 0.0
+
+    def test_certify_runs_for_every_denominator(self):
+        tri, tmap = _random_triangle(np.random.default_rng(7))
+        for q in range(2, MAX_Q + 1):
+            assert len(tmap.pieces(q)) <= 3 * q
+            for p in range(1, q):
+                if math.gcd(p, q) == 1 and abs(p / q - 0.4) < 0.1:
+                    cert, comp = _certify(tmap, p, q)
+                    assert (cert is None) != (comp is None)
