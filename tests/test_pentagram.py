@@ -444,6 +444,20 @@ class TestOrbitDerivativeProduct:
         for t in np.linspace(0.805, 0.995, 20):
             assert orbit_derivative_product(float(t)) < 1.0
 
+    def test_is_the_chain_ratio_product(self):
+        # the slope of the F^5 piece against the five chord ratios
+        for t in np.linspace(0.805, 0.995, 20):
+            t = float(t)
+            u1, u2, u3, u4, u5, u6 = ideal_chain(t)
+            p, q, r = DiskPoint(0.0, t), DiskPoint(0.0, -t), DiskPoint((t - 1.0) / (t + 1.0), 0.0)
+
+            def ratio(dp, a, b):
+                return math.dist((dp.x, dp.y), b.xy) / math.dist((dp.x, dp.y), a.xy)
+
+            want = (ratio(p, u1, u2) * ratio(r, u2, u3) * ratio(p, u3, u4)
+                    * ratio(r, u4, u5) * ratio(q, u5, u6))
+            assert orbit_derivative_product(t) == pytest.approx(want, rel=1e-12)
+
 
 class TestContractionCheck:
     @pytest.mark.parametrize(
