@@ -355,21 +355,35 @@ def _random_triangle(rng):
             continue
 
 
+#: canonical triangles locked at p/q, by q: F^q - id - p has 2q zeros,
+#: some of them closer together than 2^-12 turns
+LOCKED = {
+    8: (0.928494553926, -0.0392496293517, 3),
+    37: (0.8, -0.023033898305084732, 15),
+    46: (0.9123728813559322, -0.003, 19),
+    64: (0.9, -0.05270540618896484, 25),
+}
+
+
 class TestPiecesOnRandomTriangles:
-    """The pieces of F^q against the scalar lift on seeded random triangles."""
+    """The pieces of F^q against the scalar lift on seeded random triangles,
+    and on one locked triangle where there is one."""
 
     @pytest.mark.parametrize("q", [3, 5, 8, 37, 46, 64])
     def test_pieces_zeros_and_sign_against_dense_sampling(self, q):
         rng = np.random.default_rng(1000 + q)
-        samples = 200 if q > 8 else 2000
-        xs = (np.arange(samples) + 0.5) / samples
-        checked = 0
-        while checked < 3:
-            tri, tmap = _random_triangle(rng)
+        cases = []
+        while len(cases) < 3:
+            _, tmap = _random_triangle(rng)
             p = round(q * estimate_rho(tmap, 4000).estimate)
-            if not 1 <= p < q or math.gcd(p, q) != 1:
-                continue
-            checked += 1
+            if 1 <= p < q and math.gcd(p, q) == 1:
+                cases.append((tmap, p, False))
+        if q in LOCKED:
+            t, r, p = LOCKED[q]
+            cases.append((triangle_map(canonical_triangle(t, r)), p, True))
+        samples = 2000
+        xs = (np.arange(samples) + 0.5) / samples
+        for tmap, p, locked in cases:
             pieces = tmap.pieces(q)
             assert len(pieces) <= 3 * q
             assert all(a.hi == b.lo for a, b in zip(pieces, pieces[1:]))
@@ -377,6 +391,9 @@ class TestPiecesOnRandomTriangles:
             scan = scan_winding_zeros(tmap, p, q)
             for x, v, _ in scan.roots:
                 assert abs(tmap.lift_iter(x, q) - x - p) <= TANGENCY_TOL
+            assert len(scan.roots) % q == 0  # whole periodic orbits
+            if locked:
+                assert len(scan.roots) == 2 * q
             g = np.array([tmap.lift_iter(float(x), q) - x - p for x in xs])
             if not scan.roots:
                 assert (np.sign(g) == scan.sign).all()
@@ -388,7 +405,8 @@ class TestPiecesOnRandomTriangles:
                 assert any(lo <= z <= hi or lo <= z + 1.0 <= hi for z in zeros)
             # and every isolated crossing lies in a sampled sign change
             for z in (x % 1.0 for x, _, k in scan.roots if k == "sign_change"):
-                if min(angular_distance(z, w) for w in zeros if w != z) > 2.0 / samples:
+                others = [angular_distance(z, w) for w in zeros if w != z]
+                if min(others, default=1.0) > 2.0 / samples:
                     i = int((z - 0.5 / samples) * samples) % samples
                     assert g[i] * g[(i + 1) % samples] < 0.0
 
