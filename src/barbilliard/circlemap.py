@@ -32,6 +32,7 @@ import math
 from bisect import bisect_right
 from cmath import phase, rect
 from dataclasses import dataclass, field
+from itertools import cycle, islice
 
 import numpy as np
 
@@ -264,18 +265,43 @@ class TangentMap:
         return x + self.gap_angle(x % 1.0)
 
     def lift_iter(self, x: float, n: int) -> float:
-        """n-fold lift F^n(x), accumulating the winding gap per step."""
+        """n-fold lift F^n(x), accumulating the winding gap per step.
+
+        The gap depends on the angle alone, so once the float orbit repeats
+        an angle exactly (on a locked rotation number every orbit is drawn
+        to a periodic one) its gaps repeat too.  Brent's cycle detection
+        (Brent, BIT 20, 1980) compares each angle with the one saved at the
+        last power-of-two step.  At a repeat lam steps after the saved
+        angle, one more lap collects the cycle's lam gaps, and the remaining
+        steps add them one at a time in orbit order: the sum is
+        bit-identical to stepping all n.  Orbits that never repeat exactly
+        (unlocked, or semi-stable and converging too slowly) cost one map
+        evaluation per step as before.
+        """
         if n < 0 or n > ITERATION_BUDGET:
             raise IterationBudgetExceeded(f"lift iteration count {n} out of budget")
         eval_angle = self.eval_angle
         a = x % 1.0
         total = 0.0
-        for _ in range(n):
+        saved_a, saved_k, next_save = a, 0, 1
+        for k in range(1, n + 1):
             g = (eval_angle(a) - a) % 1.0
             if g == 0.0:
                 g = 1.0
             total += g
             a = (a + g) % 1.0
+            if a == saved_a:
+                break
+            if k == next_save:
+                saved_a, saved_k, next_save = a, k, 2 * k
+        else:
+            return x + total
+        gaps = []
+        for _ in range(min(k - saved_k, n - k)):
+            gaps.append(self.gap_angle(a))
+            a = (a + gaps[-1]) % 1.0
+        for g in islice(cycle(gaps), n - k):
+            total += g
         return x + total
 
     def pieces(self, n: int) -> list[Piece]:

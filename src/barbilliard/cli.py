@@ -68,9 +68,17 @@ def _check_budget(iters: int, q_max: int) -> None:
         raise CliError("InvalidArgument", f"--qmax must be in [2, {MAX_Q}], got {q_max}")
 
 
+def _number(text: str, flag: str, kind=float):
+    """One number of a flag's value; a malformed one is an InvalidArgument."""
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise CliError("InvalidArgument", f"{flag}: not a number: {text!r}") from exc
+
+
 def _triangle_from_args(args) -> tuple[Triangle, Optional[float], Optional[float]]:
     if args.vertices is not None:
-        vals = [float(v) for v in args.vertices.split(",")]
+        vals = [_number(v, "--vertices") for v in args.vertices.split(",")]
         if len(vals) != 6:
             raise CliError("InvalidArgument", "--vertices needs x1,y1,x2,y2,x3,y3")
         pts = [DiskPoint(vals[0], vals[1]), DiskPoint(vals[2], vals[3]),
@@ -224,6 +232,8 @@ def cmd_sweep(args) -> int:
         raise CliError("InvalidArgument", "grid steps must be >= 1")
     if args.iters < 1000:
         raise CliError("InvalidArgument", "sweep needs --iters >= 1000")
+    if args.seed is not None and args.seed < 0:
+        raise CliError("InvalidArgument", f"--seed must be >= 0, got {args.seed}")
     _check_budget(args.iters, args.qmax)
 
     if args.seed is not None:
@@ -268,18 +278,17 @@ def _parse_range(text: Optional[str], flag: str) -> tuple[float, float, int]:
         raise CliError("InvalidArgument", f"{flag} range is required (lo:hi[:steps])")
     parts = text.split(":")
     if len(parts) == 2:
-        lo, hi = float(parts[0]), float(parts[1])
-        return lo, hi, 10
+        return _number(parts[0], flag), _number(parts[1], flag), 10
     if len(parts) == 3:
-        return float(parts[0]), float(parts[1]), int(parts[2])
+        return _number(parts[0], flag), _number(parts[1], flag), _number(parts[2], flag, int)
     raise CliError("InvalidArgument", f"{flag} must look like lo:hi or lo:hi:steps")
 
 
 def cmd_tau(args) -> int:
-    vals = [float(v) for v in args.pair.split(",")]
+    vals = [_number(v, "--pair") for v in args.pair.split(",")]
     if len(vals) != 4:
         raise CliError("InvalidArgument", "--pair needs x1,y1,x2,y2")
-    pv = [float(v) for v in args.point.split(",")]
+    pv = [_number(v, "--point") for v in args.point.split(",")]
     if len(pv) != 2:
         raise CliError("InvalidArgument", "--point needs x,y")
     result = tau_n(

@@ -63,7 +63,12 @@ class RotationResult:
 
 
 def estimate_rho(tmap: TangentMap, n: int = 100_000, x0: float = 0.0) -> RotationResult:
-    """Lift-average estimate with the standard 1/n error bound."""
+    """Lift-average estimate with the standard 1/n error bound.
+
+    The n-step lift replays an exactly repeating float cycle (a locked
+    orbit) with the step-by-step loop's bits; unlocked and semi-stable
+    orbits are stepped and cost one map evaluation per step.
+    """
     if n < 1:
         raise IterationBudgetExceeded(f"estimate needs n >= 1, got {n}")
     if n > ITERATION_BUDGET:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from barbilliard import (
     ConvexBody,
@@ -11,6 +13,7 @@ from barbilliard import (
     IterationBudgetExceeded,
     Triangle,
     build_tangent_map,
+    ellipse_pentagram,
     second_intersection,
     standard_pentagram,
 )
@@ -199,27 +202,93 @@ class TestHalfTurn:
                 d = tmap.derivative(IdealPoint(a))
                 assert d.right == pytest.approx(ratio, rel=1e-12)
 
-    def test_lift_iter_sums_one_eval_per_step(self, rng, monkeypatch):
-        eval_angle = TangentMap.eval_angle
-        calls = [0]
-
-        def counted(self, a):
-            calls[0] += 1
-            return eval_angle(self, a)
-
-        monkeypatch.setattr(TangentMap, "eval_angle", counted)
+    def test_lift_iter_sums_one_eval_per_step(self, rng, eval_calls):
         for tmap in assorted_maps(rng)[::4]:
             for x in [0.0, -1.7, 2.25] + [float(v) for v in rng.uniform(-3, 3, 3)]:
-                for n in (0, 1, 7, 400):
-                    calls[0] = 0
+                for n in (0, 1, 2, 7, 400, 10_000):
+                    plain = plain_lift(tmap, x, n)
+                    eval_calls[0] = 0
                     lifted = tmap.lift_iter(x, n)
-                    assert calls[0] == n
-                    a, total = x % 1.0, 0.0
-                    for _ in range(n):
-                        g = ccw_gap(a, eval_angle(tmap, a))
-                        total += g
-                        a = (a + g) % 1.0
-                    assert lifted == x + total
+                    # at most one evaluation per step: a repeating orbit is replayed
+                    assert eval_calls[0] <= n
+                    assert lifted == plain
+
+    def test_locked_orbit_is_replayed(self, eval_calls):
+        """The canonical sandwich locks at 2/5: its float orbit repeats
+        exactly, and the replayed sum equals the stepped one around the lock."""
+        tmap = build_tangent_map(ConvexBody.triangle(Triangle(
+            DiskPoint(0.0, 0.9), DiskPoint(0.0, -0.9), DiskPoint(-0.02, 0.0))))
+        lock, lam = first_repeat(tmap, 0.0, 10_000)
+        plain = plain_lift(tmap, 0.0, 10_000)
+        eval_calls[0] = 0
+        assert tmap.lift_iter(0.0, 10_000) == plain
+        assert eval_calls[0] < 1000
+        for n in (lock - 1, lock, lock + 1, lock + lam):
+            assert tmap.lift_iter(0.0, n) == plain_lift(tmap, 0.0, n)
+
+    def test_semi_stable_orbit_is_stepped(self, eval_calls):
+        """On a threshold triangle the orbit creeps onto its semi-stable
+        period-5 orbit and never repeats exactly: every step is evaluated."""
+        tmap = build_tangent_map(ConvexBody.triangle(ellipse_pentagram(0.9, 0.1)[0]))
+        assert first_repeat(tmap, 0.0, 5000) is None
+        plain = plain_lift(tmap, 0.0, 5000)
+        eval_calls[0] = 0
+        assert tmap.lift_iter(0.0, 5000) == plain
+        assert eval_calls[0] == 5000
+
+    @seed(20240817)
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(("point", "segment", "polygon")),
+           body_seed=st.integers(0, 2**32 - 1),
+           x=st.floats(-10.0, 10.0, allow_nan=False),
+           n=st.integers(0, 5000))
+    def test_lift_iter_is_the_stepped_sum(self, kind, body_seed, x, n):
+        rng = np.random.default_rng(body_seed)
+        if kind == "point":
+            body = ConvexBody.point(random_disk_points(rng, 1)[0])
+        elif kind == "segment":
+            body = ConvexBody.segment(*random_disk_points(rng, 2))
+        else:
+            body = random_convex_polygon(rng, n=int(rng.integers(3, 8)), radius=0.85)
+        tmap = build_tangent_map(body)
+        assert tmap.lift_iter(x, n) == plain_lift(tmap, x, n)
+
+
+@pytest.fixture
+def eval_calls(monkeypatch):
+    """A one-item list counting TangentMap.eval_angle calls."""
+    eval_angle = TangentMap.eval_angle
+    calls = [0]
+
+    def counted(self, a):
+        calls[0] += 1
+        return eval_angle(self, a)
+
+    monkeypatch.setattr(TangentMap, "eval_angle", counted)
+    return calls
+
+
+def plain_lift(tmap, x, n):
+    """F^n(x) stepped one map evaluation at a time."""
+    a, total = x % 1.0, 0.0
+    for _ in range(n):
+        g = ccw_gap(a, tmap.eval_angle(a))
+        total += g
+        a = (a + g) % 1.0
+    return x + total
+
+
+def first_repeat(tmap, x, n):
+    """(k, lam): the first step k within n whose angle the orbit of x had
+    lam steps before, or None."""
+    a = x % 1.0
+    seen = {a: 0}
+    for k in range(1, n + 1):
+        a = (a + ccw_gap(a, tmap.eval_angle(a))) % 1.0
+        if a in seen:
+            return k, k - seen[a]
+        seen[a] = k
+    return None
 
 
 class TestDerivative:

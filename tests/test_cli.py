@@ -173,6 +173,22 @@ class TestResourceFlags:
         assert json.loads(capsys.readouterr().out)["error"] == "InvalidArgument"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rho", "--vertices=a,0,0,0.5,0.5,0"],
+            ["tau", "--pair=0,0.9,0,-0.9", "--point=x,0"],
+            ["sweep", "--t", "0.8:0.9:x", "--r=-0.03:-0.01:2", "--iters", "1500"],
+            [*SWEEP, "--seed", "-1"],
+        ],
+    )
+    def test_malformed_numbers_rejected(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        code = main([*argv, "--out", str(out)] if argv[0] == "sweep" else argv)
+        assert code == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "InvalidArgument"
+        assert not out.exists()
+
     def test_pool_capped_by_cpus_and_cells(self, tmp_path, monkeypatch, capsys):
         sizes = []
 

@@ -33,7 +33,7 @@ from barbilliard.rotation import (
     _dedupe_cyclic,
     scan_winding_zeros,
 )
-from conftest import random_convex_polygon
+from conftest import random_convex_polygon, random_disk_points
 
 
 def canonical_triangle(t, r):
@@ -86,6 +86,19 @@ class TestCertifyRational:
         # soundness against a freshly built map
         fresh = triangle_map(canonical_triangle(0.9, -1.0 / 19.0))
         assert abs(fresh.lift_iter(cert.witness_x, 5) - cert.witness_x - 2) <= 1e-9
+
+    def test_point_body_half_is_one_tangency_at_0(self, rng):
+        """F^2 = id for a point body, so F^2 - id - 1 vanishes everywhere:
+        one tangency, reported at 0."""
+        for point in random_disk_points(rng, 3):
+            tmap = build_tangent_map(ConvexBody.point(point))
+            res = certify_rational(tmap, 1, 2)
+            assert res.comparison is None
+            cert = res.certificate
+            assert (cert.p, cert.q, cert.witness_x, cert.kind) == (1, 2, 0.0, "tangency")
+            assert abs(cert.residual) <= TANGENCY_TOL
+            assert scan_winding_zeros(tmap, 1, 2).roots == ((0.0, cert.residual, "tangency"),)
+            assert res.estimate == 0.5
 
     def test_equilateral_third_certificate(self, ex31_map):
         res = certify_rational(ex31_map, 1, 3)
