@@ -34,8 +34,6 @@ from cmath import phase, rect
 from dataclasses import dataclass, field
 from itertools import cycle, islice
 
-import numpy as np
-
 from .errors import InvalidBody, IterationBudgetExceeded
 from .geometry import (
     TWO_PI,
@@ -231,12 +229,10 @@ class TangentMap:
         """CCW winding gap from a to its image, in (0, 1) turns."""
         return ccw_gap(a, self.eval_angle(a))
 
-    def eval_angles(self, angles: np.ndarray) -> np.ndarray:
-        """:meth:`eval_angle` over an array of angles."""
-        return np.array([self.eval_angle(float(a)) for a in np.ravel(angles)])
-
-    def gap_angles(self, angles: np.ndarray) -> np.ndarray:
-        return np.array([self.gap_angle(float(a) % 1.0) for a in np.ravel(angles)])
+    def gap_angles(self, angles) -> list[float]:
+        """:meth:`gap_angle` of each angle, reduced mod 1.  Its only caller
+        is the benchmark tracer, which binds it by name."""
+        return [self.gap_angle(float(a) % 1.0) for a in angles]
 
     # --- public operations --------------------------------------------------
 

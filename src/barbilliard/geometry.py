@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import (
     CoincidentPoints,
     InfeasibleSides,
@@ -34,7 +32,8 @@ EPS_BOUNDARY = 1e-9
 #: two angles closer than this (in turns) are treated as the same ideal point
 EPS_ANGLE = 1e-12
 
-_LORENTZ_J = np.diag([1.0, 1.0, -1.0])
+#: the diagonal of the Lorentz form J = diag(1, 1, -1)
+_LORENTZ_J = (1.0, 1.0, -1.0)
 
 
 def wrap_turns(a: float) -> float:
@@ -276,61 +275,73 @@ def equidistant_x(k: float, y: float) -> float:
 class KleinIsometry:
     """Disk isometry acting projectively on homogeneous coordinates.
 
-    The matrix satisfies m^T J m = +-J with J = diag(1, 1, -1), which is
-    exactly the condition to preserve the disk and the distance.
+    The matrix, kept as three rows of three floats, satisfies
+    m^T J m = +-J with J = diag(1, 1, -1), which is exactly the condition
+    to preserve the disk and the distance.
     """
 
-    m: np.ndarray = field(repr=False)
+    m: tuple[tuple[float, float, float], ...] = field(repr=False)
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
-        if m.shape != (3, 3):
+        try:
+            m = tuple(tuple(float(x) for x in row) for row in self.m)
+        except TypeError:
+            m = ()
+        if len(m) != 3 or any(len(row) != 3 for row in m):
             raise OutOfRange("isometry matrix must be 3x3")
-        e = m.T @ _LORENTZ_J @ m
-        if not (
-            np.allclose(e, _LORENTZ_J, atol=1e-10)
-            or np.allclose(e, -_LORENTZ_J, atol=1e-10)
+        e = [[sum(r[i] * j * r[k] for r, j in zip(m, _LORENTZ_J)) for k in range(3)]
+             for i in range(3)]
+        # m^T J m = +-J, to 1e-10 off the diagonal and 1e-10 + 1e-5 on it
+        if not any(
+            all(abs(e[i][k] - s * _LORENTZ_J[i] * (i == k)) <= 1e-10 + 1e-5 * (i == k)
+                for i in range(3) for k in range(3))
+            for s in (1.0, -1.0)
         ):
             raise OutOfRange("matrix does not satisfy the Lorentz condition")
-        m = m.copy()
-        m.setflags(write=False)
         object.__setattr__(self, "m", m)
 
     @classmethod
     def identity(cls) -> "KleinIsometry":
-        return cls(np.eye(3))
+        return cls(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
 
     @classmethod
     def rotation(cls, angle_turns: float) -> "KleinIsometry":
         a = TWO_PI * angle_turns
         c, s = math.cos(a), math.sin(a)
-        return cls(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]))
+        return cls(((c, -s, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0)))
 
     @classmethod
     def boost_x(cls, rapidity: float) -> "KleinIsometry":
         """Translation along the x-axis moving the origin to (tanh s, 0)."""
         ch, sh = math.cosh(rapidity), math.sinh(rapidity)
-        return cls(np.array([[ch, 0.0, sh], [0.0, 1.0, 0.0], [sh, 0.0, ch]]))
+        return cls(((ch, 0.0, sh), (0.0, 1.0, 0.0), (sh, 0.0, ch)))
 
     def compose(self, other: "KleinIsometry") -> "KleinIsometry":
         """self after other (matrix product self.m @ other.m)."""
-        return KleinIsometry(self.m @ other.m)
+        cols = tuple(zip(*other.m))
+        return KleinIsometry(
+            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.m)
+        )
 
     def __matmul__(self, other: "KleinIsometry") -> "KleinIsometry":
         return self.compose(other)
 
     def inverse(self) -> "KleinIsometry":
         # Lorentz inverse J m^T J, exact up to sign normalization
-        return KleinIsometry(_LORENTZ_J @ self.m.T @ _LORENTZ_J)
+        j = _LORENTZ_J
+        return KleinIsometry(
+            tuple(tuple(j[i] * j[k] * self.m[k][i] for k in range(3)) for i in range(3))
+        )
+
+    def _apply(self, x: float, y: float) -> tuple[float, float]:
+        u, v, w = (row[0] * x + row[1] * y + row[2] for row in self.m)
+        return u / w, v / w
 
     def apply_point(self, p: DiskPoint) -> DiskPoint:
-        v = self.m @ (p.x, p.y, 1.0)
-        return DiskPoint(float(v[0] / v[2]), float(v[1] / v[2]))
+        return DiskPoint(*self._apply(p.x, p.y))
 
     def apply_ideal(self, p: IdealPoint) -> IdealPoint:
-        x, y = p.xy
-        v = self.m @ (x, y, 1.0)
-        return IdealPoint.from_xy(float(v[0] / v[2]), float(v[1] / v[2]))
+        return IdealPoint.from_xy(*self._apply(*p.xy))
 
 
 def apply(iso: KleinIsometry, p):

@@ -147,9 +147,10 @@ class TestEvaluate:
             angles = np.concatenate(
                 [rng.uniform(0, 1, 300), [u.angle for u, _ in tmap.breakpoints]]
             )
-            vec = tmap.eval_angles(angles)
+            vec = tmap.gap_angles(angles)
+            assert type(vec) is list and len(vec) == len(angles)
             for a, b in zip(angles, vec):
-                assert abs(tmap.eval_angle(float(a)) - float(b)) < 1e-13
+                assert abs(tmap.gap_angle(float(a)) - b) < 1e-13
 
 
 def chord_construction(tmap, a):

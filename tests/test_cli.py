@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from barbilliard import cli
@@ -355,9 +356,59 @@ def test_verify_json_is_rho_json_restricted(capsys):
 
 
 def test_cli_import_loads_no_scipy():
+    """Nor numpy: the package runs on the standard library alone."""
     code = ("import sys, barbilliard.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+#: a child Python in which ``import numpy`` fails runs ``cli.main`` on its arguments
+NO_NUMPY = ("import sys; sys.modules['numpy'] = None; "
+            "from barbilliard.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize(
+    "argv, pinned_file",
+    [
+        (["rho", "--t", "0.9", "--r=-0.02"], None),
+        (["verify", "--t", "0.9", "--r=-0.02"], None),
+        (["tau", "--pair=0,0.9,0,-0.9", "--point=-0.02,0", "--n", "2"], None),
+        (["render", "--t", "0.9", "--r=-0.052631578947", "--steps", "5"],
+         "render_t09_steps5.svg"),
+        (["sweep", "--t", "0.85:0.95:4", "--r=-0.04:-0.006:4", "--iters", "2000",
+          "--seed", "3"], "sweep_band_4x4_seed3.csv"),
+    ],
+    ids=["rho", "verify", "tau", "render", "sweep"],
+)
+def test_cli_runs_without_numpy(argv, pinned_file, tmp_path):
+    """Every subcommand, with numpy blocked, prints or writes its pinned bytes."""
+    out = tmp_path / "out"
+    flags = ["--out", str(out)] if pinned_file else []
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY, *argv, *flags],
+                          capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    if pinned_file:
+        with open(os.path.join(DATA, pinned_file), "rb") as fh:
+            assert out.read_bytes() == fh.read()
+    else:
+        assert proc.stdout == next(c["stdout"] for c in PINNED if c["argv"] == argv)
+
+
+class TestUniforms:
+    """``cli._uniforms``, the sweep jitter, against numpy's PCG64 stream."""
+
+    def test_matches_default_rng(self):
+        # 2**128 + 1 has five 32-bit words, one past SeedSequence's pool of four
+        for seed in [*range(200), 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 + 1]:
+            for n in range(1, 41):
+                assert cli._uniforms(seed, n) == np.random.default_rng(seed).random(n).tolist()
+
+    @pytest.mark.parametrize("t, r", [(1, 1), (4, 4), (20, 20), (3, 17), (40, 1)])
+    def test_one_call_splits_like_two(self, t, r):
+        for seed in (0, 3, 21, 22, 2**64):
+            rng = np.random.default_rng(seed)
+            both = rng.random(t).tolist() + rng.random(r).tolist()
+            assert cli._uniforms(seed, t + r) == both

@@ -359,6 +359,43 @@ class TestApply:
         with pytest.raises(OutOfRange):
             KleinIsometry(np.eye(3) * 2.0 + 1.0)
 
+    @pytest.mark.parametrize(
+        "m", [np.eye(2), np.eye(4), np.eye(3)[:2], [1.0] * 9, 1.0, [[1.0, 0.0], [0.0, 1.0], [0.0]]]
+    )
+    def test_non_3x3_rejected(self, m):
+        with pytest.raises(OutOfRange, match="3x3"):
+            KleinIsometry(m)
+
+    def test_matches_numpy_matmul(self, rng):
+        """compose, inverse, apply_point and apply_ideal against numpy's @
+        on normalize_pair isometries.  The bounds are the worst differences
+        over these 300 draws (4.4e-16, 0, 2.2e-16 and 1.1e-16 turns),
+        rounded up."""
+        lorentz_j = np.diag([1.0, 1.0, -1.0])
+        worst = dict.fromkeys(("compose", "inverse", "point", "ideal"), 0.0)
+        for _ in range(300):
+            a, b, c, d, p = random_disk_points(rng, 5)
+            if a.euclid_to(b) < 1e-2 or c.euclid_to(d) < 1e-2:
+                continue
+            f, _ = normalize_pair(a, b)
+            g, _ = normalize_pair(c, d)
+            fm, gm = np.array(f.m), np.array(g.m)
+            worst["compose"] = max(worst["compose"], np.max(np.abs(f.compose(g).m - fm @ gm)))
+            worst["inverse"] = max(
+                worst["inverse"], np.max(np.abs(f.inverse().m - lorentz_j @ fm.T @ lorentz_j))
+            )
+            u, v, w = fm @ (p.x, p.y, 1.0)
+            got = f.apply_point(p)
+            worst["point"] = max(worst["point"], abs(got.x - u / w), abs(got.y - v / w))
+            ideal = IdealPoint(float(rng.uniform(0, 1)))
+            u, v, w = fm @ (*ideal.xy, 1.0)
+            gap = abs(f.apply_ideal(ideal).angle - IdealPoint.from_xy(u / w, v / w).angle)
+            worst["ideal"] = max(worst["ideal"], min(gap, 1.0 - gap))
+        assert worst["compose"] <= 4.5e-16
+        assert worst["inverse"] == 0.0
+        assert worst["point"] <= 2.3e-16
+        assert worst["ideal"] <= 1.2e-16
+
 
 class TestTriangle:
     def test_reorders_to_ccw(self):
