@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
 from .circlemap import ITERATION_BUDGET
@@ -310,6 +309,9 @@ def cmd_sweep(args) -> int:
 
     workers = min(args.jobs, os.cpu_count() or 1, len(cells))
     if workers > 1:
+        # only a pooled sweep pays for importing the pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, cells, chunksize=8))
     else:

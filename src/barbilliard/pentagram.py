@@ -258,7 +258,8 @@ def detect_period5(tmap: TangentMap) -> OrbitSet:
     the zeros of F^5 - id - 2 from its Mobius pieces, grouped by orbit."""
     if tmap.body.kind != "polygon" or len(tmap.body.vertices) != 3:
         raise PreconditionFailed("period-5 detection applies to triangle bodies")
-    zeros = [x for x, _, _ in scan_winding_zeros(tmap, 2, 5).roots]
+    scan = scan_winding_zeros(tmap, 2, 5)
+    zeros = [scan.polish(z)[0] for z in scan.roots]
     remaining = list(zeros)
     orbits = []
     while remaining:
@@ -311,7 +312,8 @@ def tau_n(p1: DiskPoint, p2: DiskPoint, pt: DiskPoint, n: int) -> TauResult:
     P = complex(pt.x, pt.y)
     scan = _circle_zeros([pc.then_half_turn(P) for pc in tmap.pieces(2 * n)],
                          range(1, 2 * n + 1), lambda u: image(u)[1] - u, h)
-    return TauResult(n=n, count=len(scan.roots), roots=tuple(IdealPoint(x) for x, _, _ in scan.roots))
+    roots = tuple(IdealPoint(scan.polish(z)[0]) for z in scan.roots)
+    return TauResult(n=n, count=len(roots), roots=roots)
 
 
 def condition_report(tri: Triangle) -> ConditionReport:

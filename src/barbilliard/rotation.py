@@ -11,8 +11,8 @@ rho > p/q or rho < p/q instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .circlemap import ITERATION_BUDGET, SNAP, Piece, TangentMap, _dedupe_cyclic
 from .search import brentq, golden_min
@@ -77,15 +77,42 @@ def estimate_rho(tmap: TangentMap, n: int = 100_000, x0: float = 0.0) -> Rotatio
     return RotationResult(estimate=total % 1.0, n_iters=n, error_bound=1.0 / n)
 
 
+class Zero(NamedTuple):
+    """A zero of f as located, at angle x in [-MERGE_TOL, 1 - MERGE_TOL).
+    A tangency is final, with f there as its residual.  A sign change sits
+    unpolished at its piece's fixed point; ``span`` holds that point
+    unwrapped and the span (lo, hi) where f changes sign once."""
+
+    x: float
+    kind: str  # "sign_change" | "tangency"
+    residual: Optional[float] = None
+    span: tuple[float, ...] = ()
+
+
 @dataclass(frozen=True)
 class ZeroScan:
-    """Zeros of a function on the circle, and its sign when there are none.
+    """The zeros of f on the circle as located, sorted by angle, and the
+    sign of f when there are none (+1 or -1; 0 when there are zeros).
+    A caller polishes the zeros it reads."""
 
-    ``sign`` is +1 or -1 when there is no zero, and 0 otherwise.
-    """
-
-    roots: tuple[tuple[float, float, str], ...]  # (x, residual, kind)
+    roots: tuple[Zero, ...]
     sign: int
+    f: Callable[[float], float] = field(compare=False, repr=False)
+
+    def polish(self, zero: Zero) -> tuple[float, float, str]:
+        """A located zero as (x, residual, kind): a sign change polished on
+        its span, with f there as its residual, then wrapped."""
+        if zero.kind == "tangency":
+            return zero.x, zero.residual, zero.kind
+        x = _polish(self.f, *zero.span)
+        return _wrap(x), float(self.f(x)), zero.kind
+
+
+def _wrap(x: float) -> float:
+    """x in [-MERGE_TOL, 1 - MERGE_TOL): a zero a last bit below 1 is the
+    zero at 0."""
+    x %= 1.0
+    return x - 1.0 if x > 1.0 - MERGE_TOL else x
 
 
 #: width in turns of the cell a zero is polished on
@@ -107,9 +134,10 @@ def _circle_zeros(pieces: list[Piece], levels: Sequence[int],
     extremum within the screen of a level (a double root, a close pair or
     a near-circle complex pair) is one tangency when f there,
     golden-polished unless at a corner, is within TANGENCY_TOL.  Each
-    other level crossed between two extrema is one zero, at the fixed
-    point in that span, polished with brentq.  Zeros are reported in
-    [-MERGE_TOL, 1 - MERGE_TOL) and merged within MERGE_TOL.
+    other level crossed between two extrema is one sign change, located
+    at the fixed point in that span and left for ``ZeroScan.polish``.
+    Zeros are located in [-MERGE_TOL, 1 - MERGE_TOL) and merged within
+    MERGE_TOL.
     """
     ext, fixed = [], []  # extrema (x, +1 at a minimum of R, -1 at a maximum, 0 at a corner)
     for i, pc in enumerate(pieces):
@@ -142,7 +170,7 @@ def _circle_zeros(pieces: list[Piece], levels: Sequence[int],
         else:
             v = f(x)
         if abs(v) <= TANGENCY_TOL:
-            roots.append((x, float(v), "tangency"))
+            roots.append(Zero(_wrap(x), "tangency", float(v)))
             touched.add(j)
 
     for j in range(n):
@@ -154,21 +182,19 @@ def _circle_zeros(pieces: list[Piece], levels: Sequence[int],
                 # R crosses one integer at most between extrema: a fixed
                 # point in the span is this crossing
                 guess = [y for y in fixed if xa <= y <= xb]
-                x = _polish(f, guess[0] if guess else 0.5 * (xa + xb), xa, xb)
-                roots.append((x, float(f(x)), "sign_change"))
+                x = guess[0] if guess else 0.5 * (xa + xb)
+                roots.append(Zero(_wrap(x), "sign_change", span=(x, xa, xb)))
 
-    for i, (x, v, kind) in enumerate(roots):
-        x %= 1.0
-        roots[i] = (x - 1.0 if x > 1.0 - MERGE_TOL else x, v, kind)
     if roots:
-        return ZeroScan(tuple(_dedupe_cyclic(roots, MERGE_TOL)), 0)
-    return ZeroScan((), 1 if f(pieces[0].lo) > 0.0 else -1)
+        return ZeroScan(tuple(_dedupe_cyclic(roots, MERGE_TOL)), 0, f)
+    return ZeroScan((), 1 if f(pieces[0].lo) > 0.0 else -1, f)
 
 
 def _polish(f: Callable[[float], float], x: float, lo: float, hi: float) -> float:
     """The zero of f near x by brentq: on the cell of _CELL turns holding x,
     within the span [lo, hi] where f changes sign once, or else on the span.
-    A fixed cell keeps the zero's bits free of the closed form's last bits."""
+    A fixed cell keeps the zero's bits free of the closed form's last bits.
+    ``ZeroScan.polish`` calls it on one located sign change."""
     base = math.floor(x)
     c, lo, hi = math.floor((x - base) / _CELL) * _CELL, lo - base, hi - base
     for a, b in ((max(c, lo), min(c + _CELL, hi)), (lo, hi)):
@@ -181,7 +207,8 @@ def _polish(f: Callable[[float], float], x: float, lo: float, hi: float) -> floa
 
 
 def scan_winding_zeros(tmap: TangentMap, p: int, q: int) -> ZeroScan:
-    """Every zero of g = F^q - id - p on the circle, from the pieces of F^q.
+    """Every zero of g = F^q - id - p on the circle, from the pieces of F^q,
+    as located: the caller polishes the zeros it reads.
 
     A zero is a fixed point of a piece's Mobius map whose lift winds p
     times; by Katok & Hasselblatt (1995), 11.1, g > 0 everywhere exactly
@@ -217,11 +244,12 @@ def _certify(
     scan = scan_winding_zeros(tmap, p, q)
 
     # sign changes before tangencies, and the lowest-angle zero of that
-    # kind: the residuals are float noise and cannot rank the zeros
+    # kind: the residuals are float noise and cannot rank the zeros.  Only
+    # the witness is polished; the others are read as located.
     for kind in ("sign_change", "tangency"):
-        roots = [r for r in scan.roots if r[2] == kind]
+        roots = [z for z in scan.roots if z.kind == kind]
         if roots:
-            x, residual, _ = min(roots)
+            x, residual, _ = scan.polish(min(roots))
             return RationalCertificate(p, q, x, residual, kind), None
     return None, RationalComparison(p, q, "greater" if scan.sign > 0 else "less")
 

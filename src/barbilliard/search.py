@@ -5,8 +5,9 @@ coarse for corner-shaped extremes (the map's iterates are only
 one-sided differentiable at breakpoints).  Golden-section with an
 absolute interval tolerance localizes those to machine precision.
 
-Both serve the zero engine, ``rotation._circle_zeros``: Brent's method
-polishes each transverse zero, and golden section each tangency.
+Both serve the zero engine of ``rotation``: golden section refines each
+tangency inside ``_circle_zeros``, and Brent's method polishes a located
+transverse zero when a caller reads it (``ZeroScan.polish``).
 """
 
 from __future__ import annotations

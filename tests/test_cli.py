@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -206,7 +207,8 @@ class TestResourceFlags:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        # cmd_sweep imports the pool from concurrent.futures when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
         out = tmp_path / "x.csv"
         assert main([*self.SWEEP, "--jobs", "64", "--out", str(out)]) == 0
@@ -356,9 +358,11 @@ def test_verify_json_is_rho_json_restricted(capsys):
 
 
 def test_cli_import_loads_no_scipy():
-    """Nor numpy: the package runs on the standard library alone."""
+    """Nor numpy: the package runs on the standard library alone.  Nor the
+    process pool, which only ``sweep --jobs N`` with N > 1 uses."""
     code = ("import sys, barbilliard.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')"
+            " or m == 'concurrent.futures.process'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=src_env())
     assert proc.returncode == 0, proc.stderr

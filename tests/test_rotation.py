@@ -2,6 +2,7 @@ import cmath
 import importlib.util
 import math
 import os
+import random
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from barbilliard import (
     build_tangent_map,
     certify_rational,
     classify_rho,
+    detect_period5,
     ellipse_pentagram,
     estimate_rho,
     standard_pentagram,
@@ -97,7 +99,8 @@ class TestCertifyRational:
             cert = res.certificate
             assert (cert.p, cert.q, cert.witness_x, cert.kind) == (1, 2, 0.0, "tangency")
             assert abs(cert.residual) <= TANGENCY_TOL
-            assert scan_winding_zeros(tmap, 1, 2).roots == ((0.0, cert.residual, "tangency"),)
+            scan = scan_winding_zeros(tmap, 1, 2)
+            assert [scan.polish(z) for z in scan.roots] == [(0.0, cert.residual, "tangency")]
             assert res.estimate == 0.5
 
     def test_equilateral_third_certificate(self, ex31_map):
@@ -269,6 +272,11 @@ def _zeros(pieces, level):
     return _circle_zeros(pieces, (level,), lambda x: level + step(x), step)
 
 
+def _polished(scan):
+    """Every zero of a scan as (x, residual, kind), each one polished."""
+    return [scan.polish(z) for z in scan.roots]
+
+
 class TestFindZeros:
     """The zero engine on synthetic pieces: translations along a diameter,
     whose fixed points are its two ends."""
@@ -278,7 +286,7 @@ class TestFindZeros:
         # is one crossing, found from either side
         pieces = [_translation(0.0, 0.3, 0.0, 0.0, 0.5), _translation(0.0, 0.5, 0.0, 0.5, 1.0)]
         scan = _zeros(pieces, 2)
-        assert [(round(x, 12), kind) for x, _, kind in scan.roots] == [
+        assert [(round(x, 12), kind) for x, _, kind in _polished(scan)] == [
             (0.0, "sign_change"), (0.5, "sign_change")]
         assert scan.sign == 0
 
@@ -287,15 +295,15 @@ class TestFindZeros:
         # R at the level, one semi-stable zero
         pieces = [_translation(0.0, 0.3, 0.0, 0.0, 0.5), _translation(0.0, 0.0, 0.5, 0.5, 1.0)]
         scan = _zeros(pieces, 2)
-        assert [(round(x, 12), kind) for x, _, kind in scan.roots] == [
+        assert [(round(x, 12), kind) for x, _, kind in _polished(scan)] == [
             (0.0, "tangency"), (0.5, "tangency")]
-        assert all(abs(v) <= TANGENCY_TOL for _, v, _ in scan.roots)
+        assert all(abs(v) <= TANGENCY_TOL for _, v, _ in _polished(scan))
 
     def test_crossing_inside_a_cell(self):
         # one piece, no cuts: the two ends of the diameter at 0.3
         scan = _zeros([_translation(0.3, 0.4, -0.2)], 1)
-        assert [kind for _, _, kind in scan.roots] == ["sign_change"] * 2
-        for (x, v, _), want in zip(scan.roots, (0.3, 0.8)):
+        assert [kind for _, _, kind in _polished(scan)] == ["sign_change"] * 2
+        for (x, v, _), want in zip(_polished(scan), (0.3, 0.8)):
             assert abs(x - want) <= 1e-13 and abs(v) <= 1e-15
 
     @staticmethod
@@ -312,7 +320,7 @@ class TestFindZeros:
         # a dip into the band, and a close pair whose hump stays inside it
         for offset in (0.5 * TANGENCY_TOL, -0.5 * TANGENCY_TOL):
             x_min, scan = self._dip(offset)
-            ((x, v, kind),) = scan.roots
+            ((x, v, kind),) = _polished(scan)
             assert kind == "tangency" and abs(v) <= TANGENCY_TOL
             assert angular_distance(x, x_min) <= 1e-6
 
@@ -320,11 +328,11 @@ class TestFindZeros:
         # a close pair whose hump leaves the band is two crossings; a dip
         # that stays outside it is no zero, and g keeps its sign
         x_min, scan = self._dip(-5.0 * TANGENCY_TOL)
-        assert [kind for _, _, kind in scan.roots] == ["sign_change"] * 2
-        for x, v, _ in scan.roots:
+        assert [kind for _, _, kind in _polished(scan)] == ["sign_change"] * 2
+        for x, v, _ in _polished(scan):
             assert abs(v) <= 1e-15 and 1e-6 < angular_distance(x, x_min) <= 1e-3
         _, scan = self._dip(5.0 * TANGENCY_TOL)
-        assert scan == rotation.ZeroScan((), 1)
+        assert (scan.roots, scan.sign) == ((), 1)
 
     def test_duplicates_wrap_across_zero(self):
         # a zero just below 1 is reported at its wrapped value, first; the
@@ -333,15 +341,16 @@ class TestFindZeros:
         pieces = [_translation(-2e-9, 0.3, 0.0, lo, lo + 0.5),
                   _translation(-2e-9, 0.5, 0.0, lo + 0.5, lo + 1.0)]
         scan = _zeros(pieces, 2)
-        assert [kind for _, _, kind in scan.roots] == ["sign_change"] * 2
-        assert abs(scan.roots[0][0] + 2e-9) <= 1e-13
-        assert abs(scan.roots[1][0] - (0.5 - 2e-9)) <= 1e-13
+        roots = _polished(scan)
+        assert [kind for _, _, kind in roots] == ["sign_change"] * 2
+        assert abs(roots[0][0] + 2e-9) <= 1e-13
+        assert abs(roots[1][0] - (0.5 - 2e-9)) <= 1e-13
 
     def test_one_signed_grid_gives_the_comparison(self, monkeypatch):
         for tri, sign, relation in ((canonical_triangle(0.9, -0.001), 1, "greater"),
                                     (canonical_triangle(0.9, -0.3), -1, "less")):
             scan = scan_winding_zeros(triangle_map(tri), 2, 5)
-            assert scan == rotation.ZeroScan((), sign)
+            assert (scan.roots, scan.sign) == ((), sign)
             monkeypatch.setattr(rotation, "scan_winding_zeros", lambda *a, **k: scan)
             assert rotation._certify(None, 2, 5) == (
                 None, rotation.RationalComparison(2, 5, relation))
@@ -402,8 +411,11 @@ class TestPiecesOnRandomTriangles:
             assert all(a.hi == b.lo for a, b in zip(pieces, pieces[1:]))
             assert pieces[-1].hi == pieces[0].lo + 1.0
             scan = scan_winding_zeros(tmap, p, q)
-            for x, v, _ in scan.roots:
+            for zero, (x, v, _) in zip(scan.roots, _polished(scan)):
                 assert abs(tmap.lift_iter(x, q) - x - p) <= TANGENCY_TOL
+                # a zero as located is its polished self to far below the
+                # merge width, so it ranks and merges as the polished one
+                assert angular_distance(zero.x, x) <= 0.01 * MERGE_TOL
             assert len(scan.roots) % q == 0  # whole periodic orbits
             if locked:
                 assert len(scan.roots) == 2 * q
@@ -412,12 +424,12 @@ class TestPiecesOnRandomTriangles:
                 assert (np.sign(g) == scan.sign).all()
                 continue
             # every sampled sign change holds a zero of the scan
-            zeros = [x % 1.0 for x, _, _ in scan.roots]
+            zeros = [x % 1.0 for x, _, _ in _polished(scan)]
             for i in np.nonzero(g * np.roll(g, -1) < 0.0)[0]:
                 lo, hi = xs[i], xs[i] + 1.0 / samples
                 assert any(lo <= z <= hi or lo <= z + 1.0 <= hi for z in zeros)
             # and every isolated crossing lies in a sampled sign change
-            for z in (x % 1.0 for x, _, k in scan.roots if k == "sign_change"):
+            for z in (x % 1.0 for x, _, k in _polished(scan) if k == "sign_change"):
                 others = [angular_distance(z, w) for w in zeros if w != z]
                 if min(others, default=1.0) > 2.0 / samples:
                     i = int((z - 0.5 / samples) * samples) % samples
@@ -431,3 +443,80 @@ class TestPiecesOnRandomTriangles:
                 if math.gcd(p, q) == 1 and abs(p / q - 0.4) < 0.1:
                     cert, comp = _certify(tmap, p, q)
                     assert (cert is None) != (comp is None)
+
+
+def _witness_of_every_zero_polished(tmap, p, q):
+    """The certificate's (x, residual, kind) when every located zero is
+    polished first: the lowest-angle zero of the first kind present."""
+    scan = scan_winding_zeros(tmap, p, q)
+    roots = [scan.polish(z) for z in scan.roots]
+    for kind in ("sign_change", "tangency"):
+        of_kind = [r for r in roots if r[2] == kind]
+        if of_kind:
+            return min(of_kind)
+    return None
+
+
+class TestPolishOnlyTheWitness:
+    """A verdict polishes only the zero it reports, and reports the zero,
+    to the bit, that polishing every located zero would choose."""
+
+    @staticmethod
+    def _cases():
+        bench = _benchmark_inputs()
+        rng = random.Random(11)
+        maps = [triangle_map(standard_pentagram(0.9)[0]),
+                triangle_map(ellipse_pentagram(0.9, 0.1)[0])]
+        for _ in range(3):
+            for verts in (bench.sandwich(rng), bench.strict_inside(rng),
+                          bench.tall_vertices(*bench.tall_isosceles(rng)),
+                          bench.random_triangle(rng)):
+                maps.append(triangle_map(Triangle(*(DiskPoint(*v) for v in verts))))
+        cases = []
+        for tmap in maps:
+            est = estimate_rho(tmap, 4000).estimate
+            for q in (5, *LOCKED):
+                p = round(q * est)
+                if 1 <= p < q and math.gcd(p, q) == 1:
+                    cases.append((tmap, p, q))
+        for q, (t, r, p) in LOCKED.items():
+            cases.append((triangle_map(canonical_triangle(t, r)), p, q))
+        return cases
+
+    def test_witness_is_the_fully_polished_choice(self):
+        kinds = set()
+        for tmap, p, q in self._cases():
+            cert, comp = _certify(tmap, p, q)
+            want = _witness_of_every_zero_polished(tmap, p, q)
+            if want is None:
+                assert cert is None and comp is not None
+                continue
+            kinds.add(cert.kind)
+            assert (cert.witness_x.hex(), cert.residual.hex(), cert.kind) == (
+                want[0].hex(), want[1].hex(), want[2])
+        assert kinds == {"sign_change", "tangency"}
+
+    def test_brentq_runs_once_per_polished_zero(self, monkeypatch):
+        calls = []
+        brentq = rotation.brentq
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return brentq(*args, **kwargs)
+
+        monkeypatch.setattr(rotation, "brentq", counted)
+        sandwich = triangle_map(canonical_triangle(0.9, -0.02))
+        for tmap, kind, polishes in (
+            (sandwich, "sign_change", 1),
+            (triangle_map(standard_pentagram(0.9)[0]), "tangency", 0),
+            (triangle_map(canonical_triangle(0.9, -0.001)), None, 0),  # rho > 2/5
+        ):
+            calls.clear()
+            cert, _ = _certify(tmap, 2, 5)
+            assert (cert and cert.kind, len(calls)) == (kind, polishes)
+        # detect_period5 reads every zero, so it polishes every one
+        calls.clear()
+        orbits = detect_period5(sandwich)
+        scan = scan_winding_zeros(sandwich, 2, 5)
+        assert [z.kind for z in scan.roots] == ["sign_change"] * 10
+        assert orbits.zero_count == len(calls) == 10
