@@ -151,8 +151,7 @@ def cmd_verdict(args) -> int:
         out["triangle"] = [[_round12(v.x), _round12(v.y)] for v in tri.vertices]
         out["t"] = _round12(t) if t is not None else None
         out["r"] = _round12(r) if r is not None else None
-        cert = verdict.rotation.certificate
-        if cert is not None and (cert.p, cert.q) == (2, 5):
+        if verdict.rho_verdict == "equals":
             orbits = detect_period5(triangle_map(tri))
             out["orbits"] = [
                 # an angle a last bit below 1 prints as 0, not as 1

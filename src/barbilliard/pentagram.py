@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .circlemap import (
+    SNAP,
     ConvexBody,
     TangentMap,
     build_tangent_map,
@@ -42,7 +43,7 @@ from .geometry import (
     hyp_distance,
     wrap_turns,
 )
-from .rotation import RotationResult, _circle_zeros, classify_rho, scan_winding_zeros
+from .rotation import MAX_Q, RotationResult, _circle_zeros, classify_rho, scan_winding_zeros
 
 LOG3 = math.log(3.0)
 LOG9 = math.log(9.0)
@@ -135,10 +136,11 @@ class ConditionReport:
 
 @dataclass(frozen=True)
 class ConjectureVerdict:
-    """Condition vs certified rotation number for one triangle."""
+    """Condition vs certified rotation number for one triangle: rho equals,
+    lies above or lies below 2/5, as ``classify_rho``'s 2/5 scan proved."""
 
     condition: bool
-    rho_verdict: str  # "equals" | "above" | "below" | "uncertified"
+    rho_verdict: str  # "equals" | "above" | "below"
     consistent: bool
     report: ConditionReport
     rotation: RotationResult
@@ -259,7 +261,7 @@ def detect_period5(tmap: TangentMap) -> OrbitSet:
     if tmap.body.kind != "polygon" or len(tmap.body.vertices) != 3:
         raise PreconditionFailed("period-5 detection applies to triangle bodies")
     scan = scan_winding_zeros(tmap, 2, 5)
-    zeros = [scan.polish(z)[0] for z in scan.roots]
+    zeros = [scan.polish(z) for z in scan.roots]
     remaining = list(zeros)
     orbits = []
     while remaining:
@@ -289,13 +291,27 @@ def tau_n(p1: DiskPoint, p2: DiskPoint, pt: DiskPoint, n: int) -> TauResult:
     w's half-turn about pt: the roots are the fixed points of that
     half-turn after each piece of F^{2n}, tangent within a 1e-9 band on
     the chord distance.
+
+    n runs from 1 to MAX_Q // 2, the piece engine's range.  The cuts of
+    F^{2n} are the base line's ends, and the residual's extrema close in
+    on them geometrically in n.  One within SNAP of a cut is read on the
+    wrong arc or rounded past it, so PreconditionFailed is raised.
     """
-    if n < 1:
-        raise OutOfRange(f"fold order must be a positive integer, got {n}")
+    if not 1 <= n <= MAX_Q // 2:
+        raise OutOfRange(f"fold order must be an integer in [1, {MAX_Q // 2}], got {n}")
     ch = chord_through(p1, p2)
     if _chord_distance(pt, ch.a.angle, ch.b.angle) <= 1e-12:
         raise PointOnLine("query point lies on the base line")
     tmap = build_tangent_map(ConvexBody.segment(p1, p2))
+    P = complex(pt.x, pt.y)
+    pieces = [pc.then_half_turn(P) for pc in tmap.pieces(2 * n)]
+    for pc in pieces:
+        for c in pc.critical_points():
+            x = pc.lo + (c - pc.lo) % 1.0
+            if min(x - pc.lo, pc.lo + 1.0 - x, abs(x - pc.hi)) <= SNAP:
+                raise PreconditionFailed(
+                    f"fold order {n}: an extremum at {x % 1.0:.12g} lies within "
+                    f"{SNAP} turns of a cut, beyond float resolution")
 
     def image(u: float) -> tuple[float, float]:
         """F^{2n}(u) lifted, and its half-turn about pt lifted after it."""
@@ -309,10 +325,8 @@ def tau_n(p1: DiskPoint, p2: DiskPoint, pt: DiskPoint, n: int) -> TauResult:
         b, w = image(u)
         return math.copysign(_chord_distance(pt, u, b), w - u - round(w - u))
 
-    P = complex(pt.x, pt.y)
-    scan = _circle_zeros([pc.then_half_turn(P) for pc in tmap.pieces(2 * n)],
-                         range(1, 2 * n + 1), lambda u: image(u)[1] - u, h)
-    roots = tuple(IdealPoint(scan.polish(z)[0]) for z in scan.roots)
+    scan = _circle_zeros(pieces, range(1, 2 * n + 1), lambda u: image(u)[1] - u, h)
+    roots = tuple(IdealPoint(scan.polish(z)) for z in scan.roots)
     return TauResult(n=n, count=len(roots), roots=roots)
 
 
@@ -461,20 +475,16 @@ def pentagram_witness(p: DiskPoint, q: DiskPoint, r: DiskPoint) -> IdealPoint:
 def conjecture_check(tri: Triangle, n: int = 100_000, q_max: int = 64) -> ConjectureVerdict:
     """Compare the sandwich condition with the certified rotation number.
 
-    ``classify_rho`` carries the relation to 2/5 unless it certified 2/5
-    itself, so the verdict reads from its certificate or its comparison.
+    ``classify_rho`` scans 2/5 first and carries its comparison exactly
+    when 2/5 is not certified, so the verdict is "equals" without one and
+    otherwise reads its side.  The verdict is the same for every n.
     """
     report = condition_report(tri)
     rotation = classify_rho(triangle_map(tri), n=n, q_max=q_max)
-    cert, comp = rotation.certificate, rotation.comparison
-    if cert is not None and (cert.p, cert.q) == (2, 5):
-        verdict = "equals"
-    elif comp is not None:
-        verdict = "below" if comp.relation == "less" else "above"
-    else:
-        verdict = "uncertified"
+    comp = rotation.comparison
+    verdict = "equals" if comp is None else {"less": "below", "greater": "above"}[comp.relation]
     condition = report.two_fifths_sandwich
-    consistent = verdict != "uncertified" and condition == (verdict == "equals")
+    consistent = condition == (verdict == "equals")
     return ConjectureVerdict(
         condition=condition,
         rho_verdict=verdict,

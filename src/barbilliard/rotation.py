@@ -99,13 +99,10 @@ class ZeroScan:
     sign: int
     f: Callable[[float], float] = field(compare=False, repr=False)
 
-    def polish(self, zero: Zero) -> tuple[float, float, str]:
-        """A located zero as (x, residual, kind): a sign change polished on
-        its span, with f there as its residual, then wrapped."""
-        if zero.kind == "tangency":
-            return zero.x, zero.residual, zero.kind
-        x = _polish(self.f, *zero.span)
-        return _wrap(x), float(self.f(x)), zero.kind
+    def polish(self, zero: Zero) -> float:
+        """A located zero's angle: a sign change polished on its span, then
+        wrapped.  No residual is computed; ``_certify`` reads its witness's."""
+        return zero.x if zero.kind == "tangency" else _wrap(_polish(self.f, *zero.span))
 
 
 def _wrap(x: float) -> float:
@@ -245,33 +242,28 @@ def _certify(
 
     # sign changes before tangencies, and the lowest-angle zero of that
     # kind: the residuals are float noise and cannot rank the zeros.  Only
-    # the witness is polished; the others are read as located.
+    # the witness is polished, its residual read at the polished point
+    # before it is wrapped; the others are read as located.
     for kind in ("sign_change", "tangency"):
         roots = [z for z in scan.roots if z.kind == kind]
         if roots:
-            x, residual, _ = scan.polish(min(roots))
-            return RationalCertificate(p, q, x, residual, kind), None
+            z = min(roots)
+            if kind == "tangency":
+                return RationalCertificate(p, q, z.x, z.residual, kind), None
+            x = _polish(scan.f, *z.span)
+            return RationalCertificate(p, q, _wrap(x), float(scan.f(x)), kind), None
     return None, RationalComparison(p, q, "greater" if scan.sign > 0 else "less")
 
 
-def _candidate_rationals(estimate: float, n: int, q_max: int) -> list[tuple[int, int]]:
-    cands = []
-    for q in range(2, q_max + 1):
-        p = round(q * estimate)
-        if not (1 <= p < q) or math.gcd(p, q) != 1:
-            continue
-        if abs(q * estimate - p) <= q / n + 1e-6:
-            cands.append((p, q))
-    return cands
-
-
 def classify_rho(tmap: TangentMap, n: int = 100_000, q_max: int = 64) -> RotationResult:
-    """Estimate rho for a triangle and try to pin it to a rational.
+    """Estimate rho for a triangle, place it against 2/5 and try to pin it
+    to a rational.
 
-    Candidate rationals consistent with the estimate are certified in
-    order of increasing denominator.  The result always carries the
-    relation to 2/5 unless 2/5 itself is certified, and the theoretical
-    range [1/3, 1/2) is asserted.
+    2/5 is scanned first, for every q_max: its certificate, or else the
+    side of 2/5 its scan proves (the comparison), is the verdict.  Only
+    then are the p/q with |q est - p| <= q/n, q <= q_max, on that side
+    scanned by increasing q; the first to certify is the certificate.
+    The range [1/3, 1/2) is asserted on the estimate and the certificate.
     """
     if tmap.body.kind != "polygon" or len(tmap.body.vertices) != 3:
         raise PreconditionFailed("classification applies to triangle bodies only")
@@ -282,19 +274,16 @@ def classify_rho(tmap: TangentMap, n: int = 100_000, q_max: int = 64) -> Rotatio
             f"estimate {est.estimate} escapes [1/3, 1/2); this is a bug"
         )
 
-    certificate = None
-    for p, q in _candidate_rationals(est.estimate, n, q_max):
-        certificate, _ = _certify(tmap, p, q)
-        if certificate is not None:
-            break
-
-    comparison = None
-    if certificate is None:
-        # the certificate is set only if the shortlist missed 2/5
-        certificate, comparison = _certify(tmap, 2, 5)
-    elif (certificate.p, certificate.q) != (2, 5):
-        rel = "less" if certificate.p * 5 < certificate.q * 2 else "greater"
-        comparison = RationalComparison(2, 5, rel)
+    certificate, comparison = _certify(tmap, 2, 5)
+    if comparison is not None:
+        side = 1 if comparison.relation == "greater" else -1
+        for q in range(2, q_max + 1):
+            p = round(q * est.estimate)
+            if (1 <= p < q and math.gcd(p, q) == 1 and (5 * p - 2 * q) * side > 0
+                    and abs(q * est.estimate - p) <= q / n + 1e-6):
+                certificate, _ = _certify(tmap, p, q)
+                if certificate is not None:
+                    break
 
     if certificate is not None:
         value = certificate.p / certificate.q

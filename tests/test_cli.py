@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from barbilliard import cli
+from barbilliard import cli, pentagram
 from barbilliard.cli import CSV_HEADER, main
 from conftest import src_env
 
@@ -262,6 +262,17 @@ class TestTauCmd:
         out = json.loads(capsys.readouterr().out)
         assert code == 2
         assert out["error"] == "PointOnLine"
+
+    @pytest.mark.parametrize("n", ["0", "33", "100000000"])
+    def test_fold_order_out_of_range_before_any_work(self, capsys, monkeypatch, n):
+        def no_map(*args):
+            raise AssertionError("a map was built")
+
+        monkeypatch.setattr(pentagram, "build_tangent_map", no_map)
+        code = main(["tau", "--pair=0,0.9,0,-0.9", "--point=-0.02,0", "--n", n])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert out["error"] == "OutOfRange"
 
 
 class TestRender:

@@ -302,6 +302,27 @@ class TestTau:
         assert tau_n(p1, p2, DiskPoint(-(x_star - 1e-3), 0.0), 1).count == 0
         assert tau_n(p1, p2, DiskPoint(-(x_star + 1e-3), 0.0), 1).count == 2
 
+    def test_past_float_resolution_is_an_error_not_a_wrong_count(self):
+        """The drop 0.02 lies far above delta_n for every n >= 2, so two
+        chords cover the point.  The residual's extrema close in on the
+        cuts at 0.25 and 0.75 by a factor 19 a fold; from n = 9 one lies
+        within SNAP of a cut, where the count used to read 0."""
+        p1, p2, pt = DiskPoint(0.0, 0.9), DiskPoint(0.0, -0.9), DiskPoint(-0.02, 0.0)
+        counts = []
+        for n in range(2, 17):
+            assert 0.02 > delta_n(hyp_distance(p1, p2), n)
+            try:
+                counts.append(tau_n(p1, p2, pt, n).count)
+            except PreconditionFailed:
+                counts.append(None)
+        assert counts[:7] == [2] * 7  # n = 2..8
+        assert set(counts) <= {2, None}
+
+    @pytest.mark.parametrize("n", [0, -1, 33, 100_000_000])
+    def test_fold_order_bounded(self, n):
+        with pytest.raises(OutOfRange):
+            tau_n(DiskPoint(0.0, 0.9), DiskPoint(0.0, -0.9), DiskPoint(-0.02, 0.0), n)
+
     def test_point_on_line_rejected(self):
         with pytest.raises(PointOnLine):
             tau_n(

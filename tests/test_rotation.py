@@ -17,6 +17,7 @@ from barbilliard import (
     build_tangent_map,
     certify_rational,
     classify_rho,
+    conjecture_check,
     detect_period5,
     ellipse_pentagram,
     estimate_rho,
@@ -100,7 +101,7 @@ class TestCertifyRational:
             assert (cert.p, cert.q, cert.witness_x, cert.kind) == (1, 2, 0.0, "tangency")
             assert abs(cert.residual) <= TANGENCY_TOL
             scan = scan_winding_zeros(tmap, 1, 2)
-            assert [scan.polish(z) for z in scan.roots] == [(0.0, cert.residual, "tangency")]
+            assert _polished(scan) == [(0.0, cert.residual, "tangency")]
             assert res.estimate == 0.5
 
     def test_equilateral_third_certificate(self, ex31_map):
@@ -243,7 +244,56 @@ class TestClassifyMatchesCertify:
         if cert is None or (cert.p, cert.q) == (2, 5):
             probe = certify_rational(tmap, 2, 5)
             assert (probe.certificate, probe.comparison) == (cert, res.comparison)
+        if res.comparison is not None:
+            assert res.comparison == certify_rational(tmap, 2, 5).comparison
         assert cert is not None or res.comparison is not None
+
+
+def _verdict_maps():
+    """CLASSIFY_CASES and seeded triangles of the benchmark's classes."""
+    bench = _benchmark_inputs()
+    rng = random.Random(12)
+    tris = list(CLASSIFY_CASES.values())
+    for _ in range(3):
+        for verts in (bench.equilateral(rng), bench.sandwich(rng), bench.strict_inside(rng),
+                      bench.tall_vertices(*bench.tall_isosceles(rng)),
+                      bench.random_triangle(rng)):
+            tris.append(Triangle(*(DiskPoint(*v) for v in verts)))
+    return tris
+
+
+class TestVerdictPath:
+    """classify_rho scans 2/5 first, and then only rationals on the side
+    of 2/5 that scan reported."""
+
+    def test_two_fifths_is_scanned_first_then_its_side(self, monkeypatch):
+        scans = []
+        scan = rotation.scan_winding_zeros
+
+        def recorded(tmap, p, q):
+            scans.append((p, q))
+            return scan(tmap, p, q)
+
+        monkeypatch.setattr(rotation, "scan_winding_zeros", recorded)
+        for tri in _verdict_maps():
+            scans.clear()
+            res = classify_rho(triangle_map(tri), n=20_000)
+            assert scans[0] == (2, 5)
+            if res.comparison is None:
+                assert scans == [(2, 5)]
+                continue
+            side = 1 if res.comparison.relation == "greater" else -1
+            assert all((5 * p - 2 * q) * side > 0 for p, q in scans[1:])
+
+    def test_verdict_is_the_same_for_every_n(self):
+        for tri in _verdict_maps():
+            short, full = (conjecture_check(tri, n=n) for n in (200, 100_000))
+            assert (short.rho_verdict, short.consistent, short.rotation.comparison) == (
+                full.rho_verdict, full.consistent, full.rotation.comparison)
+            for v in (short, full):
+                cert = v.rotation.certificate
+                if cert is not None and (cert.p, cert.q) in ((1, 3), (2, 5)):
+                    assert short.rotation.certificate == full.rotation.certificate
 
 
 def _translation(angle, p, q, lo=0.0, hi=1.0):
@@ -273,8 +323,16 @@ def _zeros(pieces, level):
 
 
 def _polished(scan):
-    """Every zero of a scan as (x, residual, kind), each one polished."""
-    return [scan.polish(z) for z in scan.roots]
+    """Every zero of a scan as (x, residual, kind), each one polished: a
+    sign change's residual is read at the polished point before it is
+    wrapped, as ``_certify`` reads its witness's."""
+    zeros = []
+    for z in scan.roots:
+        residual = z.residual
+        if z.kind == "sign_change":
+            residual = float(scan.f(rotation._polish(scan.f, *z.span)))
+        zeros.append((scan.polish(z), residual, z.kind))
+    return zeros
 
 
 class TestFindZeros:
@@ -448,8 +506,7 @@ class TestPiecesOnRandomTriangles:
 def _witness_of_every_zero_polished(tmap, p, q):
     """The certificate's (x, residual, kind) when every located zero is
     polished first: the lowest-angle zero of the first kind present."""
-    scan = scan_winding_zeros(tmap, p, q)
-    roots = [scan.polish(z) for z in scan.roots]
+    roots = _polished(scan_winding_zeros(tmap, p, q))
     for kind in ("sign_change", "tangency"):
         of_kind = [r for r in roots if r[2] == kind]
         if of_kind:
