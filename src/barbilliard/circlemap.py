@@ -31,8 +31,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from cmath import phase, rect
-from dataclasses import dataclass, field
 from itertools import cycle, islice
+from typing import NamedTuple
 
 from .errors import InvalidBody, IterationBudgetExceeded
 from .geometry import (
@@ -40,6 +40,7 @@ from .geometry import (
     DiskPoint,
     IdealPoint,
     Triangle,
+    _validated,
     ccw_gap,
     chord_through,
 )
@@ -51,28 +52,27 @@ SNAP = 1e-12
 ITERATION_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class ConvexBody:
+class ConvexBody(_validated("ConvexBody", [("kind", str), ("vertices", tuple)])):
     """A point, a segment, or a strictly convex CCW polygon in the disk."""
 
-    kind: str
-    vertices: tuple[DiskPoint, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("point", "segment", "polygon"):
-            raise InvalidBody(f"unknown body kind {self.kind!r}")
-        n = len(self.vertices)
-        if self.kind == "point" and n != 1:
+    def __new__(cls, kind: str, vertices: tuple[DiskPoint, ...]):
+        if kind not in ("point", "segment", "polygon"):
+            raise InvalidBody(f"unknown body kind {kind!r}")
+        n = len(vertices)
+        if kind == "point" and n != 1:
             raise InvalidBody("point body needs exactly one vertex")
-        if self.kind == "segment":
+        if kind == "segment":
             if n != 2:
                 raise InvalidBody("segment body needs exactly two vertices")
-            if self.vertices[0].euclid_to(self.vertices[1]) <= 1e-12:
+            if vertices[0].euclid_to(vertices[1]) <= 1e-12:
                 raise InvalidBody("segment endpoints coincide")
-        if self.kind == "polygon":
+        if kind == "polygon":
             if n < 3:
                 raise InvalidBody("polygon body needs at least three vertices")
-            object.__setattr__(self, "vertices", _ccw_convex(self.vertices))
+            vertices = _ccw_convex(vertices)
+        return super().__new__(cls, kind, vertices)
 
     @classmethod
     def point(cls, p: DiskPoint) -> "ConvexBody":
@@ -110,8 +110,7 @@ def _ccw_convex(vertices: tuple[DiskPoint, ...]) -> tuple[DiskPoint, ...]:
     return vertices
 
 
-@dataclass(frozen=True)
-class OneSidedDerivative:
+class OneSidedDerivative(NamedTuple):
     """Left and right derivatives of the map at a boundary point."""
 
     left: float
@@ -158,8 +157,7 @@ def _dedupe_cyclic(items, tol: float) -> list:
     return kept
 
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(NamedTuple):
     """An arc [lo, hi) of angles (turns; hi may pass 1) on which a circle
     map is one Mobius map z -> (a z + b)/(conj(b) z + conj(a))."""
 
@@ -196,21 +194,48 @@ class Piece:
         return Piece(self.lo, self.hi, *_compose(_half_turn(P), (self.a, self.b)))
 
 
-@dataclass(frozen=True)
 class TangentMap:
     """Evaluable bar-billiard map: body plus its breakpoint table.
 
     ``breakpoints`` lists (ideal point, active vertex index) sorted by
     angle; the vertex is the tangency on the left-closed arc starting at
     that breakpoint.  A point body has an empty table and a single arc.
+    ``_bp_angles`` holds the breakpoint angles and ``_arc_verts`` each
+    arc's active vertex P as x + iy; arc -1 wraps past angle 1 and is the
+    only arc of a point body.  :func:`build_tangent_map` builds the map.
+
+    Immutable, compared and hashed by its fields.  A slot class, not a
+    named tuple: ``eval_angle`` reads two tables on every lift step, and
+    a slot reads in about a third of the time of a named-tuple field.
     """
 
-    body: ConvexBody
-    breakpoints: tuple[tuple[IdealPoint, int], ...]
-    _bp_angles: tuple[float, ...] = field(repr=False)
-    # each arc's active vertex P as x + iy; arc -1 wraps past angle 1 and
-    # is the only arc of a point body
-    _arc_verts: tuple[complex, ...] = field(repr=False)
+    __slots__ = ("body", "breakpoints", "_bp_angles", "_arc_verts")
+
+    def __init__(self, body: ConvexBody, breakpoints: tuple[tuple[IdealPoint, int], ...],
+                 bp_angles: tuple[float, ...], arc_verts: tuple[complex, ...]):
+        for name, value in zip(self.__slots__, (body, breakpoints, bp_angles, arc_verts)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.body, self.breakpoints, self._bp_angles, self._arc_verts)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is TangentMap else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return TangentMap, self._key()
+
+    def __repr__(self) -> str:
+        return f"TangentMap(body={self.body!r}, breakpoints={self.breakpoints!r})"
 
     def active_vertex_index(self, angle: float) -> int:
         """Index of the tangency vertex for the arc containing the angle."""

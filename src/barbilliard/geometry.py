@@ -14,7 +14,7 @@ of circle maps live on the real line with integer deck transformations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     CoincidentPoints,
@@ -36,6 +36,14 @@ EPS_ANGLE = 1e-12
 _LORENTZ_J = (1.0, 1.0, -1.0)
 
 
+def _validated(name: str, fields: list[tuple[str, type]]) -> type:
+    """Named-tuple base of a type that checks its fields in ``__new__``:
+    ``_make``, and so ``_replace``, build through that check too."""
+    base = NamedTuple(name, fields)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
+
+
 def wrap_turns(a: float) -> float:
     """Reduce an angle in turns to [0, 1)."""
     a = a % 1.0
@@ -54,20 +62,17 @@ def angular_distance(a: float, b: float) -> float:
     return min(d, 1.0 - d)
 
 
-@dataclass(frozen=True)
-class DiskPoint:
+class DiskPoint(_validated("DiskPoint", [("x", float), ("y", float)])):
     """A point strictly inside the open unit disk."""
 
-    x: float
-    y: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise InvalidBody(f"non-finite coordinates ({self.x}, {self.y})")
-        if self.x * self.x + self.y * self.y >= 1.0 - EPS_BOUNDARY:
-            raise InvalidBody(
-                f"point ({self.x}, {self.y}) is not strictly inside the unit disk"
-            )
+    def __new__(cls, x: float, y: float):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise InvalidBody(f"non-finite coordinates ({x}, {y})")
+        if x * x + y * y >= 1.0 - EPS_BOUNDARY:
+            raise InvalidBody(f"point ({x}, {y}) is not strictly inside the unit disk")
+        return super().__new__(cls, x, y)
 
     @property
     def xy(self) -> tuple[float, float]:
@@ -77,16 +82,15 @@ class DiskPoint:
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
-@dataclass(frozen=True)
-class IdealPoint:
+class IdealPoint(_validated("IdealPoint", [("angle", float)])):
     """A boundary point of the disk, stored as an angle in turns."""
 
-    angle: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.angle):
-            raise OutOfRange(f"non-finite angle {self.angle}")
-        object.__setattr__(self, "angle", float(wrap_turns(self.angle)))
+    def __new__(cls, angle: float):
+        if not math.isfinite(angle):
+            raise OutOfRange(f"non-finite angle {angle}")
+        return super().__new__(cls, float(wrap_turns(angle)))
 
     @classmethod
     def from_xy(cls, x: float, y: float) -> "IdealPoint":
@@ -107,34 +111,29 @@ class IdealPoint:
         return math.sin(TWO_PI * self.angle)
 
 
-@dataclass(frozen=True)
-class Chord:
+class Chord(_validated("Chord", [("a", IdealPoint), ("b", IdealPoint)])):
     """A hyperbolic line: the chord between two distinct ideal points."""
 
-    a: IdealPoint
-    b: IdealPoint
+    __slots__ = ()
 
-    def __post_init__(self):
-        if angular_distance(self.a.angle, self.b.angle) <= EPS_ANGLE:
+    def __new__(cls, a: IdealPoint, b: IdealPoint):
+        if angular_distance(a.angle, b.angle) <= EPS_ANGLE:
             raise CoincidentPoints("chord endpoints coincide")
+        return super().__new__(cls, a, b)
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(_validated("Triangle", [("p", DiskPoint), ("q", DiskPoint), ("r", DiskPoint)])):
     """Three non-collinear disk points, reordered counterclockwise."""
 
-    p: DiskPoint
-    q: DiskPoint
-    r: DiskPoint
+    __slots__ = ()
 
-    def __post_init__(self):
-        cross = _signed_area2(self.p, self.q, self.r)
+    def __new__(cls, p: DiskPoint, q: DiskPoint, r: DiskPoint):
+        cross = _signed_area2(p, q, r)
         if abs(cross) <= 1e-12:
             raise InvalidBody("triangle is degenerate (collinear vertices)")
         if cross < 0.0:
-            q, r = self.q, self.r
-            object.__setattr__(self, "q", r)
-            object.__setattr__(self, "r", q)
+            q, r = r, q
+        return super().__new__(cls, p, q, r)
 
     @property
     def vertices(self) -> tuple[DiskPoint, DiskPoint, DiskPoint]:
@@ -271,8 +270,7 @@ def equidistant_x(k: float, y: float) -> float:
     return math.sqrt(1.0 - y * y) * math.tanh(k)
 
 
-@dataclass(frozen=True)
-class KleinIsometry:
+class KleinIsometry(_validated("KleinIsometry", [("m", tuple)])):
     """Disk isometry acting projectively on homogeneous coordinates.
 
     The matrix, kept as three rows of three floats, satisfies
@@ -280,11 +278,11 @@ class KleinIsometry:
     to preserve the disk and the distance.
     """
 
-    m: tuple[tuple[float, float, float], ...] = field(repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, m):
         try:
-            m = tuple(tuple(float(x) for x in row) for row in self.m)
+            m = tuple(tuple(float(x) for x in row) for row in m)
         except TypeError:
             m = ()
         if len(m) != 3 or any(len(row) != 3 for row in m):
@@ -298,7 +296,7 @@ class KleinIsometry:
             for s in (1.0, -1.0)
         ):
             raise OutOfRange("matrix does not satisfy the Lorentz condition")
-        object.__setattr__(self, "m", m)
+        return super().__new__(cls, m)
 
     @classmethod
     def identity(cls) -> "KleinIsometry":

@@ -12,8 +12,7 @@ all the distance conditions that decide 1/3, 2/5, above or below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .circlemap import (
     SNAP,
@@ -52,8 +51,7 @@ LOG9 = math.log(9.0)
 CLOSURE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Pentagram:
+class Pentagram(NamedTuple):
     """A period-5 boundary orbit in traversal order, with its 5 chords."""
 
     points: tuple[IdealPoint, ...]
@@ -85,16 +83,14 @@ class Pentagram:
         return cls(pts, edges)
 
 
-@dataclass(frozen=True)
-class OrbitSet:
+class OrbitSet(NamedTuple):
     """All period-5 orbits found for one map, plus the raw zero count."""
 
     orbits: tuple[Pentagram, ...]
     zero_count: int
 
 
-@dataclass(frozen=True)
-class TauResult:
+class TauResult(NamedTuple):
     """Chord-incidence count for the 2n-fold segment map."""
 
     n: int
@@ -102,8 +98,7 @@ class TauResult:
     roots: tuple[IdealPoint, ...]
 
 
-@dataclass(frozen=True)
-class LabelingReport:
+class LabelingReport(NamedTuple):
     """Distance data for one choice of base pair (i, j) and apex k."""
 
     pair: tuple[int, int]
@@ -122,8 +117,7 @@ class LabelingReport:
     isosceles_below: bool
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Per-labeling distance conditions and their aggregate verdicts."""
 
     labelings: tuple[LabelingReport, LabelingReport, LabelingReport]
@@ -134,8 +128,7 @@ class ConditionReport:
     isosceles_below: bool
 
 
-@dataclass(frozen=True)
-class ConjectureVerdict:
+class ConjectureVerdict(NamedTuple):
     """Condition vs certified rotation number for one triangle: rho equals,
     lies above or lies below 2/5, as ``classify_rho``'s 2/5 scan proved."""
 

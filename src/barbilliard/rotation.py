@@ -11,7 +11,6 @@ rho > p/q or rho < p/q instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .circlemap import ITERATION_BUDGET, SNAP, Piece, TangentMap, _dedupe_cyclic
@@ -33,8 +32,7 @@ MERGE_TOL = 1e-8
 MAX_Q = 64
 
 
-@dataclass(frozen=True)
-class RationalCertificate:
+class RationalCertificate(NamedTuple):
     """Numerical witness of F^q(x) = x + p."""
 
     p: int
@@ -44,8 +42,7 @@ class RationalCertificate:
     kind: str  # "sign_change" | "tangency"
 
 
-@dataclass(frozen=True)
-class RationalComparison:
+class RationalComparison(NamedTuple):
     """Strict ordering of the rotation number against a queried p/q."""
 
     p: int
@@ -53,8 +50,7 @@ class RationalComparison:
     relation: str  # "less" | "greater"
 
 
-@dataclass(frozen=True)
-class RotationResult:
+class RotationResult(NamedTuple):
     estimate: float
     n_iters: int
     error_bound: float
@@ -89,15 +85,14 @@ class Zero(NamedTuple):
     span: tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
-class ZeroScan:
+class ZeroScan(NamedTuple):
     """The zeros of f on the circle as located, sorted by angle, and the
     sign of f when there are none (+1 or -1; 0 when there are zeros).
     A caller polishes the zeros it reads."""
 
     roots: tuple[Zero, ...]
     sign: int
-    f: Callable[[float], float] = field(compare=False, repr=False)
+    f: Callable[[float], float]
 
     def polish(self, zero: Zero) -> float:
         """A located zero's angle: a sign change polished on its span, then
@@ -222,14 +217,7 @@ def certify_rational(tmap: TangentMap, p: int, q: int) -> RotationResult:
     """Certify rho = p/q, or report which side of p/q rho falls on, with
     a 10k-step estimate alongside."""
     certificate, comparison = _certify(tmap, p, q)
-    est = estimate_rho(tmap, 10_000)
-    return RotationResult(
-        estimate=est.estimate,
-        n_iters=est.n_iters,
-        error_bound=est.error_bound,
-        certificate=certificate,
-        comparison=comparison,
-    )
+    return estimate_rho(tmap, 10_000)._replace(certificate=certificate, comparison=comparison)
 
 
 def _certify(
@@ -291,10 +279,4 @@ def classify_rho(tmap: TangentMap, n: int = 100_000, q_max: int = 64) -> Rotatio
             raise OutOfTheoreticalRange(
                 f"certified {certificate.p}/{certificate.q} escapes [1/3, 1/2)"
             )
-    return RotationResult(
-        estimate=est.estimate,
-        n_iters=est.n_iters,
-        error_bound=est.error_bound,
-        certificate=certificate,
-        comparison=comparison,
-    )
+    return est._replace(certificate=certificate, comparison=comparison)

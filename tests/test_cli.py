@@ -370,10 +370,12 @@ def test_verify_json_is_rho_json_restricted(capsys):
 
 def test_cli_import_loads_no_scipy():
     """Nor numpy: the package runs on the standard library alone.  Nor the
-    process pool, which only ``sweep --jobs N`` with N > 1 uses."""
+    process pool, which only ``sweep --jobs N`` with N > 1 uses.  Nor
+    dataclasses or the inspect module it loads, which cost most of the
+    package's own import."""
     code = ("import sys, barbilliard.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')"
-            " or m == 'concurrent.futures.process'))")
+            " or m in ('concurrent.futures.process', 'dataclasses', 'inspect')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=src_env())
     assert proc.returncode == 0, proc.stderr
