@@ -195,24 +195,40 @@ class Piece(NamedTuple):
 
 
 class TangentMap:
-    """Evaluable bar-billiard map: body plus its breakpoint table.
+    """Evaluable bar-billiard map of a body: ``TangentMap(body)``.
+
+    The body fixes the map, so the constructor builds the breakpoint table
+    from it: one breakpoint per supporting edge.  For the edge from vertex
+    i to vertex i+1 the breakpoint is the ideal endpoint nearer vertex i,
+    and the arc it opens is served by vertex i+1.  A segment is handled as
+    a 2-gon with both edge orientations; a point body has an empty table
+    and a single arc.
 
     ``breakpoints`` lists (ideal point, active vertex index) sorted by
     angle; the vertex is the tangency on the left-closed arc starting at
-    that breakpoint.  A point body has an empty table and a single arc.
-    ``_bp_angles`` holds the breakpoint angles and ``_arc_verts`` each
-    arc's active vertex P as x + iy; arc -1 wraps past angle 1 and is the
-    only arc of a point body.  :func:`build_tangent_map` builds the map.
+    that breakpoint.  ``_bp_angles`` holds the breakpoint angles and
+    ``_arc_verts`` each arc's active vertex P as x + iy; arc -1 wraps past
+    angle 1 and is the only arc of a point body.
 
-    Immutable, compared and hashed by its fields.  A slot class, not a
-    named tuple: ``eval_angle`` reads two tables on every lift step, and
-    a slot reads in about a third of the time of a named-tuple field.
+    Immutable, and compared, hashed and pickled by its body.  A slot
+    class, not a named tuple: ``eval_angle`` reads two tables on every
+    lift step, and a slot reads in about a third of the time of a
+    named-tuple field.
     """
 
     __slots__ = ("body", "breakpoints", "_bp_angles", "_arc_verts")
 
-    def __init__(self, body: ConvexBody, breakpoints: tuple[tuple[IdealPoint, int], ...],
-                 bp_angles: tuple[float, ...], arc_verts: tuple[complex, ...]):
+    def __init__(self, body: ConvexBody):
+        vs = body.vertices
+        n = len(vs) if body.kind != "point" else 0
+        breakpoints = tuple(sorted(
+            ((chord_through(vs[i], vs[(i + 1) % n]).a, (i + 1) % n) for i in range(n)),
+            key=lambda e: e[0].angle))
+        bp_angles = tuple(u.angle for u, _ in breakpoints)
+        if any(a2 - a1 <= SNAP for a1, a2 in zip(bp_angles, bp_angles[1:])):
+            raise InvalidBody("breakpoints collide; body is numerically degenerate")
+        verts = [complex(p.x, p.y) for p in vs]
+        arc_verts = tuple(verts[k] for _, k in breakpoints) or (verts[0],)
         for name, value in zip(self.__slots__, (body, breakpoints, bp_angles, arc_verts)):
             object.__setattr__(self, name, value)
 
@@ -222,17 +238,14 @@ class TangentMap:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def _key(self) -> tuple:
-        return (self.body, self.breakpoints, self._bp_angles, self._arc_verts)
-
     def __eq__(self, other):
-        return self._key() == other._key() if type(other) is TangentMap else NotImplemented
+        return self.body == other.body if type(other) is TangentMap else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self.body)
 
     def __reduce__(self):
-        return TangentMap, self._key()
+        return TangentMap, (self.body,)
 
     def __repr__(self) -> str:
         return f"TangentMap(body={self.body!r}, breakpoints={self.breakpoints!r})"
@@ -371,28 +384,5 @@ class TangentMap:
         return pts
 
 
-def build_tangent_map(body: ConvexBody) -> TangentMap:
-    """Breakpoint table of the map: one breakpoint per supporting edge.
-
-    For the edge from vertex i to vertex i+1 the breakpoint is the ideal
-    endpoint nearer vertex i, and the arc it opens is served by vertex
-    i+1.  A segment is handled as a 2-gon with both edge orientations.
-    """
-    verts = [complex(p.x, p.y) for p in body.vertices]
-    entries = []
-    n = len(verts) if body.kind != "point" else 0
-    for i in range(n):
-        k = (i + 1) % n
-        u = chord_through(body.vertices[i], body.vertices[k]).a
-        entries.append((u.angle, u, k))
-    entries.sort(key=lambda e: e[0])
-    for (a1, _, _), (a2, _, _) in zip(entries, entries[1:]):
-        if a2 - a1 <= SNAP:
-            raise InvalidBody("breakpoints collide; body is numerically degenerate")
-    arc_verts = tuple(verts[k] for _, _, k in entries) or (verts[0],)
-    return TangentMap(
-        body,
-        tuple((u, k) for _, u, k in entries),
-        tuple(a for a, _, _ in entries),
-        arc_verts,
-    )
+#: the same class under its older name: build_tangent_map(body) is TangentMap(body)
+build_tangent_map = TangentMap

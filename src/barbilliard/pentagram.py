@@ -18,7 +18,6 @@ from .circlemap import (
     SNAP,
     ConvexBody,
     TangentMap,
-    build_tangent_map,
     second_intersection,
 )
 from .errors import (
@@ -140,7 +139,7 @@ class ConjectureVerdict(NamedTuple):
 
 
 def triangle_map(tri: Triangle) -> TangentMap:
-    return build_tangent_map(ConvexBody.triangle(tri))
+    return TangentMap(ConvexBody.triangle(tri))
 
 
 def _standard_vertices(t: float) -> tuple[DiskPoint, DiskPoint, DiskPoint]:
@@ -238,11 +237,9 @@ def ellipse_pentagram(t: float, v: float, side: str = "left") -> tuple[Triangle,
     # follow the actual map through the constructed points to fix the order
     start = pts[1]  # the horizontal-chord point (-s, v), mirrored if needed
     seq = [start]
-    a = start.angle
-    for _ in range(4):
-        a = tmap.eval_angle(a)
-        match = min(pts, key=lambda pt: angular_distance(pt.angle, a))
-        if angular_distance(match.angle, a) > 1e-7:
+    for img in tmap.orbit(start, 4)[1:]:
+        match = min(pts, key=lambda pt: angular_distance(pt.angle, img.angle))
+        if angular_distance(match.angle, img.angle) > 1e-7:
             raise RuntimeError("constructed points are not an orbit of the map")
         seq.append(match)
     return tri, Pentagram.build(tmap, seq)
@@ -258,12 +255,9 @@ def detect_period5(tmap: TangentMap) -> OrbitSet:
     remaining = list(zeros)
     orbits = []
     while remaining:
-        a = remaining.pop(0)
-        pts = [IdealPoint(a)]
-        for _ in range(4):
-            a = tmap.eval_angle(a)
-            pts.append(IdealPoint(a))
-            remaining = [z for z in remaining if angular_distance(z, a) > 1e-7]
+        pts = tmap.orbit(IdealPoint(remaining.pop(0)), 4)
+        remaining = [z for z in remaining
+                     if all(angular_distance(z, p.angle) > 1e-7 for p in pts[1:])]
         orbits.append(Pentagram.build(tmap, pts))
     return OrbitSet(orbits=tuple(orbits), zero_count=len(zeros))
 
@@ -295,7 +289,7 @@ def tau_n(p1: DiskPoint, p2: DiskPoint, pt: DiskPoint, n: int) -> TauResult:
     ch = chord_through(p1, p2)
     if _chord_distance(pt, ch.a.angle, ch.b.angle) <= 1e-12:
         raise PointOnLine("query point lies on the base line")
-    tmap = build_tangent_map(ConvexBody.segment(p1, p2))
+    tmap = TangentMap(ConvexBody.segment(p1, p2))
     P = complex(pt.x, pt.y)
     pieces = [pc.then_half_turn(P) for pc in tmap.pieces(2 * n)]
     for pc in pieces:
@@ -387,12 +381,7 @@ def ideal_chain(t: float) -> list[IdealPoint]:
     ch = chord_through(q, r)
     u3, u2 = ch.a, ch.b  # nearer the bottom vertex; the upper-left one
     u1 = second_intersection(u2, p)
-    chain = [u1, u2, u3]
-    a = u3.angle
-    for _ in range(3):
-        a = tmap.eval_angle(a)
-        chain.append(IdealPoint(a))
-    return chain
+    return [u1, u2] + tmap.orbit(u3, 3)
 
 
 def orbit_derivative_product(t: float) -> float:
@@ -424,9 +413,7 @@ def contraction_check(t: float, v: IdealPoint) -> bool:
             raise NotInArc("point coincides with a closing orbit point")
     below = [ang for ang in a_angles if ang <= v.angle]
     left = below[-1] if below else a_angles[-1]
-    w = v.angle
-    for _ in range(5):
-        w = tmap.eval_angle(w)
+    w = tmap.orbit(v, 5)[-1].angle
     return 0.0 < ccw_gap(left, w) < ccw_gap(left, v.angle)
 
 

@@ -20,49 +20,17 @@ def fmt(x: float) -> str:
     return "0" if s == "-0" else s
 
 
-class SvgCanvas:
-    """Minimal element collector rendered into one <svg> string."""
+def _dot(x: float, y: float, r: float, fill: str) -> str:
+    return f'<circle cx="{fmt(x)}" cy="{fmt(y)}" r="{fmt(r)}" fill="{fill}"/>'
 
-    def __init__(self):
-        self.elements: list[str] = []
 
-    def circle(self, cx: float, cy: float, r: float, stroke: str,
-               width: float, fill: str = "none") -> None:
-        self.elements.append(
-            f'<circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="{fmt(r)}" '
-            f'fill="{fill}" stroke="{stroke}" stroke-width="{fmt(width)}"/>'
-        )
-
-    def dot(self, cx: float, cy: float, r: float, fill: str) -> None:
-        self.elements.append(
-            f'<circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="{fmt(r)}" fill="{fill}"/>'
-        )
-
-    def polygon(self, pts, stroke: str, width: float) -> None:
-        coords = " ".join(f"{fmt(x)},{fmt(y)}" for x, y in pts)
-        self.elements.append(
-            f'<polygon points="{coords}" fill="none" stroke="{stroke}" '
-            f'stroke-width="{fmt(width)}"/>'
-        )
-
-    def path(self, pts, stroke: str, width: float) -> None:
-        if len(pts) < 2:
-            return
-        d = "M " + " L ".join(f"{fmt(x)} {fmt(y)}" for x, y in pts)
-        self.elements.append(
-            f'<path d="{d}" fill="none" stroke="{stroke}" '
-            f'stroke-width="{fmt(width)}"/>'
-        )
-
-    def render(self) -> str:
-        body = "\n    ".join(self.elements)
-        return (
-            f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{VIEW_BOX}">\n'
-            f'  <g transform="scale(1,-1)">\n'
-            f"    {body}\n"
-            f"  </g>\n"
-            f"</svg>\n"
-        )
+def _line(tag: str, pts, stroke: str, width: float) -> str:
+    """A polygon (closed) or a path (open) through the points, unfilled."""
+    if tag == "polygon":
+        geom = 'points="' + " ".join(f"{fmt(x)},{fmt(y)}" for x, y in pts)
+    else:
+        geom = 'd="M ' + " L ".join(f"{fmt(x)} {fmt(y)}" for x, y in pts)
+    return f'<{tag} {geom}" fill="none" stroke="{stroke}" stroke-width="{fmt(width)}"/>'
 
 
 def figure_svg(
@@ -71,28 +39,31 @@ def figure_svg(
     start: IdealPoint,
     orbits=(),
 ) -> str:
-    """Unit circle, body, breakpoints, a trajectory and closing orbits."""
-    canvas = SvgCanvas()
-    canvas.circle(0.0, 0.0, 1.0, "black", CIRCLE_STROKE)
+    """Unit circle, body, breakpoints, a trajectory and closing orbits.
 
+    One element per line inside a y-flipped group: the circle, the body
+    (a dot, a segment path or a polygon), the trajectory of ``steps``
+    chords from ``start`` when steps > 0, a dot per breakpoint and a
+    polygon per orbit.
+    """
+    elements = [f'<circle cx="0" cy="0" r="1" fill="none" stroke="black" '
+                f'stroke-width="{fmt(CIRCLE_STROKE)}"/>']
     verts = [p.xy for p in tmap.body.vertices]
     if len(verts) == 1:
-        canvas.dot(verts[0][0], verts[0][1], 0.012, "steelblue")
-    elif len(verts) == 2:
-        canvas.path(verts, "steelblue", 0.008)
+        elements.append(_dot(*verts[0], 0.012, "steelblue"))
     else:
-        canvas.polygon(verts, "steelblue", 0.008)
-
+        tag = "path" if len(verts) == 2 else "polygon"
+        elements.append(_line(tag, verts, "steelblue", 0.008))
     if steps > 0:
-        traj = [p.xy for p in tmap.orbit(start, steps)]
-        canvas.path(traj, "gray", 0.004)
-
-    for u, _ in tmap.breakpoints:
-        x, y = u.xy
-        canvas.dot(x, y, 0.01, "darkorange")
-
-    for pent in orbits:
-        pts = [p.xy for p in pent.points]
-        canvas.polygon(pts, "crimson", 0.006)
-
-    return canvas.render()
+        elements.append(_line("path", [p.xy for p in tmap.orbit(start, steps)], "gray", 0.004))
+    elements += [_dot(*u.xy, 0.01, "darkorange") for u, _ in tmap.breakpoints]
+    elements += [_line("polygon", [p.xy for p in pent.points], "crimson", 0.006)
+                 for pent in orbits]
+    body = "\n    ".join(elements)
+    return (
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{VIEW_BOX}">\n'
+        f'  <g transform="scale(1,-1)">\n'
+        f"    {body}\n"
+        f"  </g>\n"
+        f"</svg>\n"
+    )

@@ -98,6 +98,25 @@ class TestBuildTangentMap:
         with pytest.raises(InvalidBody):
             ConvexBody.polygon(pts)
 
+    @pytest.mark.parametrize("kind, n", [
+        ("point", 0), ("point", 2), ("segment", 1), ("segment", 3), ("polygon", 2),
+    ])
+    def test_wrong_vertex_count_rejected(self, kind, n):
+        pts = (DiskPoint(0.1, 0.2), DiskPoint(-0.3, 0.1), DiskPoint(0.2, -0.4))
+        with pytest.raises(InvalidBody):
+            ConvexBody(kind, pts[:n])
+
+    def test_built_from_the_body_alone(self):
+        """One constructor, the body's; equality, hash and pickle read the body."""
+        body = ConvexBody.triangle(Triangle(
+            DiskPoint(0.0, 0.5), DiskPoint(-0.5, 0.0), DiskPoint(0.0, -0.5)))
+        tmap = TangentMap(body)
+        assert build_tangent_map is TangentMap
+        assert tmap.__reduce__() == (TangentMap, (body,))
+        assert tmap == fig_triangle_map() and hash(tmap) == hash(body)
+        with pytest.raises(TypeError):
+            TangentMap(body, tmap.breakpoints, tmap._bp_angles, tmap._arc_verts)
+
     def test_cw_input_flipped(self):
         body = ConvexBody.polygon(
             [DiskPoint(0.0, 0.5), DiskPoint(0.5, 0.0), DiskPoint(-0.5, 0.0)]

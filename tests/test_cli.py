@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import os
 import subprocess
@@ -7,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from barbilliard import cli, pentagram
+from barbilliard import ConvexBody, DiskPoint, IdealPoint, TangentMap, cli, pentagram
 from barbilliard.cli import CSV_HEADER, main
+from barbilliard.svgfig import figure_svg
 from conftest import src_env
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -217,6 +219,46 @@ class TestResourceFlags:
         assert sizes == [3, 2]
 
 
+class TestInputChecks:
+    """Malformed triangles, ranges and counts exit 2 with InvalidArgument,
+    and a sweep rejected this way writes no file."""
+
+    R = ["--r=-0.03:-0.01:2", "--iters", "1500"]
+
+    @pytest.mark.parametrize("argv", [
+        ["rho", "--vertices=0,0.5,0.5,0,-0.5"],
+        ["verify", "--vertices=0,0.5,0.5,0,-0.5,0,0.1"],
+        ["rho", "--t", "1.0", "--r=-0.02"],
+        ["verify", "--t=-0.5", "--r=-0.02"],
+        ["tau", "--pair=0,0.9,0", "--point=-0.02,0"],
+        ["tau", "--pair=0,0.9,0,-0.9,0", "--point=-0.02,0"],
+        ["tau", "--pair=0,0.9,0,-0.9", "--point=-0.02"],
+        ["tau", "--pair=0,0.9,0,-0.9", "--point=-0.02,0,0"],
+    ], ids=["vertices-5", "vertices-7", "t-1", "t-negative",
+            "pair-3", "pair-5", "point-1", "point-3"])
+    def test_triangle_and_tau_flags(self, capsys, argv):
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "InvalidArgument"
+
+    @pytest.mark.parametrize("argv", [
+        ["--r=-0.03:-0.01:2", "--iters", "1500"],
+        ["--t", "0.88:0.92:2", "--iters", "1500"],
+        ["--t", "0.88", *R],
+        ["--t", "0.8:0.9:2:3", *R],
+        ["--t", "0.88:0.92", "--r=-0.03:-0.01", "--grid", "2by3", "--iters", "1500"],
+        ["--t", "0.88:0.92", "--r=-0.03:-0.01", "--grid", "2x", "--iters", "1500"],
+        ["--t", "0.92:0.88:2", *R],
+        ["--t", "0.88:0.92:0", *R],
+        ["--t", "0.88:0.92", "--r=-0.03:-0.01", "--grid", "2x0", "--iters", "1500"],
+    ], ids=["no-t", "no-r", "one-part", "four-parts", "grid-by", "grid-half",
+            "t-lo-above-hi", "zero-steps", "zero-grid-steps"])
+    def test_sweep_ranges(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        assert main(["sweep", *argv, "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "InvalidArgument"
+        assert not out.exists()
+
+
 def test_sweep_reproduces_pinned_band_csv(tmp_path, capsys):
     """A 4x4 criterion-9-band sweep, byte for byte as first committed."""
     out = tmp_path / "band.csv"
@@ -268,7 +310,7 @@ class TestTauCmd:
         def no_map(*args):
             raise AssertionError("a map was built")
 
-        monkeypatch.setattr(pentagram, "build_tangent_map", no_map)
+        monkeypatch.setattr(pentagram, "TangentMap", no_map)
         code = main(["tau", "--pair=0,0.9,0,-0.9", "--point=-0.02,0", "--n", n])
         out = json.loads(capsys.readouterr().out)
         assert code == 2
@@ -325,6 +367,27 @@ class TestRender:
         assert abs(first[0] - fourth[0]) < 1e-9
         assert abs(first[1] - fourth[1]) < 1e-9
         assert "crimson" not in svg  # no period-5 overlay here
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "fig.svg"
+        assert main(["render", "--t", "0.9", "--r=-0.02", "--out", str(out)]) == 3
+        assert json.loads(capsys.readouterr().out)["error"] == "IOFailure"
+
+    @pytest.mark.parametrize("body, steps, digest", [
+        (ConvexBody.point(DiskPoint(0.2, -0.1)), 0,
+         "5e0430ada35b3f615b42b9e26b327fb7f3f3d5335d3ab12854b1d935af6742be"),
+        (ConvexBody.point(DiskPoint(0.2, -0.1)), 1,
+         "2010a74f7da01801cd203cefb4f8198fc72ee3851ed896f4e320fffbf42b940f"),
+        (ConvexBody.segment(DiskPoint(-0.3, 0.4), DiskPoint(0.2, -0.5)), 0,
+         "c2017872ee55a64990fa7e5a6c03065061dad27014121bf97586f7fe14a04bfc"),
+        (ConvexBody.segment(DiskPoint(-0.3, 0.4), DiskPoint(0.2, -0.5)), 1,
+         "50e7f9921014fbc76d2ad5f359834961ce59f1d97113c0c81bbf39ff028108d5"),
+    ], ids=["point-0", "point-1", "segment-0", "segment-1"])
+    def test_point_and_segment_figures_pinned(self, body, steps, digest):
+        """The CLI renders triangles only; a point body is drawn as a dot
+        and a segment as a path, byte for byte as first recorded."""
+        svg = figure_svg(TangentMap(body), steps, IdealPoint(0.1))
+        assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
     def test_steps_capped(self, capsys):
         code = main(["render", "--t", "0.5", "--r=-0.2", "--steps", "20000",

@@ -9,6 +9,7 @@ from barbilliard import (
     IdealPoint,
     NotInArc,
     OutOfRange,
+    Pentagram,
     PointOnLine,
     PreconditionFailed,
     Triangle,
@@ -211,6 +212,11 @@ class TestDetectPeriod5:
             assert len(found.orbits) == 1
             assert found.zero_count == 5
 
+    def test_segment_map_rejected(self):
+        with pytest.raises(PreconditionFailed):
+            detect_period5(build_tangent_map(ConvexBody.segment(DiskPoint(0.0, 0.9),
+                                                                DiskPoint(0.0, -0.9))))
+
     def test_orbit_points_are_plain_floats(self):
         found = detect_period5(triangle_map(canonical_triangle(0.9, -0.02)))
         for pent in found.orbits:
@@ -255,6 +261,30 @@ def test_dedupe_cyclic_keeps_run_heads_and_drops_the_wrap():
     # the last value lies within tol of the first across 1 and is dropped
     assert _dedupe_cyclic([0.99999995, 0.5, 2e-8], 1e-7) == [2e-8, 0.5]
     assert _dedupe_cyclic([0.99999995], 1e-7) == [0.99999995]
+
+
+class TestPentagramBuild:
+    def test_needs_five_points(self):
+        tri, pent = standard_pentagram(0.9)
+        with pytest.raises(PreconditionFailed, match="five points"):
+            Pentagram.build(triangle_map(tri), pent.points[:4])
+
+    def test_orbit_must_close(self):
+        tri, pent = standard_pentagram(0.9)
+        pts = pent.points
+        with pytest.raises(PreconditionFailed, match="does not close"):
+            Pentagram.build(triangle_map(tri), pts[1:2] + pts[:1] + pts[2:])
+
+    def test_orbit_must_advance_by_two(self):
+        # a regular pentagon this large has rho = 1/5: its period-5 orbits
+        # close but advance by one
+        body = ConvexBody.polygon([DiskPoint(0.9 * math.cos(0.4 * math.pi * k),
+                                             0.9 * math.sin(0.4 * math.pi * k))
+                                   for k in range(5)])
+        tmap = build_tangent_map(body)
+        x = certify_rational(tmap, 1, 5).certificate.witness_x
+        with pytest.raises(PreconditionFailed, match="advance by 2"):
+            Pentagram.build(tmap, tmap.orbit(IdealPoint(x), 4))
 
 
 class TestTau:
