@@ -10,7 +10,6 @@ from .circlemap import (
     ConvexBody,
     OneSidedDerivative,
     TangentMap,
-    build_tangent_map,
     second_intersection,
 )
 from .errors import (
@@ -35,7 +34,6 @@ from .geometry import (
     IdealPoint,
     KleinIsometry,
     Triangle,
-    apply,
     chord_through,
     delta_from_sides,
     delta_n,

@@ -39,7 +39,6 @@ from .geometry import (
     TWO_PI,
     DiskPoint,
     IdealPoint,
-    Triangle,
     _validated,
     ccw_gap,
     chord_through,
@@ -85,10 +84,6 @@ class ConvexBody(_validated("ConvexBody", [("kind", str), ("vertices", tuple)]))
     @classmethod
     def polygon(cls, vertices) -> "ConvexBody":
         return cls("polygon", tuple(vertices))
-
-    @classmethod
-    def triangle(cls, tri: Triangle) -> "ConvexBody":
-        return cls("polygon", tri.vertices)
 
 
 def _ccw_convex(vertices: tuple[DiskPoint, ...]) -> tuple[DiskPoint, ...]:
@@ -272,11 +267,6 @@ class TangentMap:
         is the benchmark tracer, which binds it by name."""
         return [self.gap_angle(float(a) % 1.0) for a in angles]
 
-    # --- public operations --------------------------------------------------
-
-    def evaluate(self, v: IdealPoint) -> IdealPoint:
-        return IdealPoint(self.eval_angle(v.angle))
-
     def derivative(self, v: IdealPoint) -> OneSidedDerivative:
         """One-sided derivatives |M'(z)| = (1 - |P|^2)/|z - P|^2 of the
         half-turns about the active vertices P at z = v; by the power of
@@ -294,12 +284,9 @@ class TangentMap:
             right=(1.0 - abs(right) ** 2) / abs(z - right) ** 2,
         )
 
-    def lift(self, x: float) -> float:
-        """Lift F with F(x+1) = F(x)+1 and F(x)-x in (0, 1)."""
-        return x + self.gap_angle(x % 1.0)
-
     def lift_iter(self, x: float, n: int) -> float:
-        """n-fold lift F^n(x), accumulating the winding gap per step.
+        """n-fold lift F^n(x) of the map, accumulating the winding gap per
+        step; the lift F has F(x+1) = F(x) + 1 and F(x) - x in (0, 1].
 
         The gap depends on the angle alone, so once the float orbit repeats
         an angle exactly (on a locked rotation number every orbit is drawn
@@ -383,6 +370,3 @@ class TangentMap:
             pts.append(IdealPoint(a))
         return pts
 
-
-#: the same class under its older name: build_tangent_map(body) is TangentMap(body)
-build_tangent_map = TangentMap

@@ -276,12 +276,6 @@ def cmd_sweep(args) -> int:
         raise CliError("InvalidArgument", f"--jobs must be >= 1, got {args.jobs}")
     t_lo, t_hi, t_steps = _parse_range(args.t_range, "--t")
     r_lo, r_hi, r_steps = _parse_range(args.r_range, "--r")
-    if args.grid:
-        try:
-            a, b = args.grid.lower().split("x")
-            t_steps, r_steps = int(a), int(b)
-        except ValueError as exc:
-            raise CliError("InvalidArgument", "--grid must look like 20x20") from exc
     if not 0.0 < t_lo <= t_hi < 1.0:
         raise CliError("InvalidArgument", "t range must satisfy 0 < lo <= hi < 1")
     if t_steps < 1 or r_steps < 1:
@@ -410,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="t range lo:hi[:steps]")
     p_sweep.add_argument("--r", dest="r_range", type=str, default=None,
                          help="r range lo:hi[:steps] (abscissa or interval fraction)")
-    p_sweep.add_argument("--grid", type=str, default=None, help="TxR step counts")
     p_sweep.add_argument("--r-mode", type=str, default="absolute",
                          choices=("absolute", "relative_interval"))
     p_sweep.add_argument("--iters", type=int, default=2000)

@@ -102,14 +102,6 @@ class IdealPoint(_validated("IdealPoint", [("angle", float)])):
         a = TWO_PI * self.angle
         return (math.cos(a), math.sin(a))
 
-    @property
-    def x(self) -> float:
-        return math.cos(TWO_PI * self.angle)
-
-    @property
-    def y(self) -> float:
-        return math.sin(TWO_PI * self.angle)
-
 
 class Chord(_validated("Chord", [("a", IdealPoint), ("b", IdealPoint)])):
     """A hyperbolic line: the chord between two distinct ideal points."""
@@ -166,15 +158,20 @@ def chord_through(p: DiskPoint, q: DiskPoint) -> Chord:
 
 
 def hyp_distance(p: DiskPoint, q: DiskPoint) -> float:
-    """Hyperbolic distance between two disk points.
+    """Hyperbolic distance between two disk points: the arcsinh of
 
-    Evaluated through the arccosh closed form, which is algebraically
-    symmetric; it agrees with the defining half log cross-ratio of the
-    chord through the points.
+        sqrt(|q - p|^2 - (m x (q - p))^2) / sqrt((1 - |p|^2)(1 - |q|^2)),
+
+    m = (p + q)/2, which is cosh d = (1 - p.q)/sqrt((1 - |p|^2)(1 - |q|^2))
+    by Lagrange's identity.  The arccosh of cosh d would lose short
+    distances: cosh d rounds to 1 below d ~ 1e-8.  Swapping p and q negates
+    q - p and keeps m, so the result is symmetric bit for bit.
     """
-    num = 1.0 - (p.x * q.x + p.y * q.y)
+    dx, dy = q.x - p.x, q.y - p.y
+    cross = 0.5 * ((p.x + q.x) * dy - (p.y + q.y) * dx)
+    num = math.sqrt(dx * dx + dy * dy - cross * cross)
     den = math.sqrt((1.0 - p.x * p.x - p.y * p.y) * (1.0 - q.x * q.x - q.y * q.y))
-    return math.acosh(max(1.0, num / den))
+    return math.asinh(num / den)
 
 
 def delta_n(d: float, n: int) -> float:
@@ -321,9 +318,6 @@ class KleinIsometry(_validated("KleinIsometry", [("m", tuple)])):
             tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.m)
         )
 
-    def __matmul__(self, other: "KleinIsometry") -> "KleinIsometry":
-        return self.compose(other)
-
     def inverse(self) -> "KleinIsometry":
         # Lorentz inverse J m^T J, exact up to sign normalization
         j = _LORENTZ_J
@@ -342,15 +336,6 @@ class KleinIsometry(_validated("KleinIsometry", [("m", tuple)])):
         return IdealPoint.from_xy(*self._apply(*p.xy))
 
 
-def apply(iso: KleinIsometry, p):
-    """Apply an isometry to a disk or ideal point, preserving the kind."""
-    if isinstance(p, DiskPoint):
-        return iso.apply_point(p)
-    if isinstance(p, IdealPoint):
-        return iso.apply_ideal(p)
-    raise TypeError(f"cannot apply an isometry to {type(p).__name__}")
-
-
 def _boost_to_origin(x: float, y: float) -> KleinIsometry:
     rho = math.hypot(x, y)
     if rho < 1e-300:
@@ -358,7 +343,7 @@ def _boost_to_origin(x: float, y: float) -> KleinIsometry:
     theta = math.atan2(y, x) / TWO_PI
     rot = KleinIsometry.rotation(theta)
     boost = KleinIsometry.boost_x(-math.atanh(rho))
-    return rot @ boost @ rot.inverse()
+    return rot.compose(boost).compose(rot.inverse())
 
 
 def normalize_pair(p: DiskPoint, q: DiskPoint) -> tuple[KleinIsometry, float]:
@@ -378,6 +363,6 @@ def normalize_pair(p: DiskPoint, q: DiskPoint) -> tuple[KleinIsometry, float]:
     to_origin = _boost_to_origin(mx / mz, my / mz)
     p1 = to_origin.apply_point(p)
     phi = math.atan2(p1.y, p1.x) / TWO_PI
-    iso = KleinIsometry.rotation(0.25 - phi) @ to_origin
+    iso = KleinIsometry.rotation(0.25 - phi).compose(to_origin)
     t = math.tanh(0.5 * hyp_distance(p, q))
     return iso, t

@@ -139,7 +139,7 @@ class ConjectureVerdict(NamedTuple):
 
 
 def triangle_map(tri: Triangle) -> TangentMap:
-    return TangentMap(ConvexBody.triangle(tri))
+    return TangentMap(ConvexBody.polygon(tri.vertices))
 
 
 def _standard_vertices(t: float) -> tuple[DiskPoint, DiskPoint, DiskPoint]:
@@ -222,10 +222,10 @@ def ellipse_pentagram(t: float, v: float, side: str = "left") -> tuple[Triangle,
     pts = [a1, a2, a3, a4, a5]
 
     for x_pt, x_formula in zip(pts, ellipse_contact_xs(t, v)):
-        if abs(x_pt.x - x_formula) > 1e-9:
+        if abs(x_pt.xy[0] - x_formula) > 1e-9:
             raise RuntimeError(
                 f"contact-point abscissa disagrees with its closed form: "
-                f"{x_pt.x} vs {x_formula}"
+                f"{x_pt.xy[0]} vs {x_formula}"
             )
 
     if mirror:

@@ -58,7 +58,7 @@ class RotationResult(NamedTuple):
     comparison: Optional[RationalComparison] = None
 
 
-def estimate_rho(tmap: TangentMap, n: int = 100_000, x0: float = 0.0) -> RotationResult:
+def estimate_rho(tmap: TangentMap, n: int = 100_000) -> RotationResult:
     """Lift-average estimate with the standard 1/n error bound.
 
     The n-step lift replays an exactly repeating float cycle (a locked
@@ -69,7 +69,7 @@ def estimate_rho(tmap: TangentMap, n: int = 100_000, x0: float = 0.0) -> Rotatio
         raise IterationBudgetExceeded(f"estimate needs n >= 1, got {n}")
     if n > ITERATION_BUDGET:
         raise IterationBudgetExceeded(f"estimate length {n} exceeds the budget")
-    total = (tmap.lift_iter(x0, n) - x0) / n
+    total = tmap.lift_iter(0.0, n) / n
     return RotationResult(estimate=total % 1.0, n_iters=n, error_bound=1.0 / n)
 
 

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from barbilliard import ConvexBody, DiskPoint, Triangle, build_tangent_map
+from barbilliard import ConvexBody, DiskPoint, TangentMap, Triangle
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -64,4 +64,4 @@ def ex31_triangle():
 
 @pytest.fixture
 def ex31_map(ex31_triangle):
-    return build_tangent_map(ConvexBody.triangle(ex31_triangle))
+    return TangentMap(ConvexBody.polygon(ex31_triangle.vertices))

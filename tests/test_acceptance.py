@@ -15,8 +15,8 @@ from barbilliard import (
     ConvexBody,
     DiskPoint,
     IdealPoint,
+    TangentMap,
     Triangle,
-    build_tangent_map,
     certify_rational,
     classify_rho,
     condition_report,
@@ -243,13 +243,13 @@ def test_criterion_6_tau_trichotomy():
     }
     ok = True
     details = []
-    tmap = build_tangent_map(ConvexBody.segment(p1, p2))
+    tmap = TangentMap(ConvexBody.segment(p1, p2))
 
     def h(w, pt):
         """Signed distance from pt to the chord from w to its fourth image."""
         b = w
         for _ in range(4):
-            b = tmap.evaluate(b)
+            b = IdealPoint(tmap.eval_angle(b.angle))
         ax, ay = w.xy
         bx, by = b.xy
         ex, ey = bx - ax, by - ay
@@ -318,10 +318,10 @@ def test_criterion_8_property_suites():
     h = 1e-6
     worst_fd = 0.0
     maps = [
-        build_tangent_map(ConvexBody.point(DiskPoint(0.3, -0.2))),
-        build_tangent_map(ConvexBody.segment(DiskPoint(-0.3, 0.4), DiskPoint(0.2, -0.5))),
+        TangentMap(ConvexBody.point(DiskPoint(0.3, -0.2))),
+        TangentMap(ConvexBody.segment(DiskPoint(-0.3, 0.4), DiskPoint(0.2, -0.5))),
         triangle_map(standard_pentagram(0.9)[0]),
-        build_tangent_map(random_convex_polygon(rng)),
+        TangentMap(random_convex_polygon(rng)),
     ]
     for tmap in maps:
         bps = [u.angle for u, _ in tmap.breakpoints]
@@ -329,7 +329,7 @@ def test_criterion_8_property_suites():
             a = float(a)
             if bps and min(angular_distance(a, b) for b in bps) < 1e-3:
                 continue
-            fd = (tmap.lift(a + h) - tmap.lift(a - h)) / (2.0 * h)
+            fd = (tmap.lift_iter(a + h, 1) - tmap.lift_iter(a - h, 1)) / (2.0 * h)
             dv = tmap.derivative(IdealPoint(a)).right
             worst_fd = max(worst_fd, abs(fd - dv) / dv)
     checks["derivative-vs-fd"] = worst_fd <= 1e-4
@@ -338,12 +338,12 @@ def test_criterion_8_property_suites():
     mono_ok = True
     for _ in range(6):
         poly = random_convex_polygon(rng, n=5)
-        big = build_tangent_map(poly)
-        sub = build_tangent_map(
+        big = TangentMap(poly)
+        sub = TangentMap(
             ConvexBody.polygon([poly.vertices[0], poly.vertices[2], poly.vertices[4]])
         )
         for x in np.linspace(0.0, 1.0, 48, endpoint=False):
-            if big.lift(float(x)) > sub.lift(float(x)) + 1e-12:
+            if big.lift_iter(float(x), 1) > sub.lift_iter(float(x), 1) + 1e-12:
                 mono_ok = False
     checks["inclusion-monotone"] = mono_ok
 

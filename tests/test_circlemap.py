@@ -12,12 +12,11 @@ from barbilliard import (
     InvalidBody,
     IterationBudgetExceeded,
     Triangle,
-    build_tangent_map,
     ellipse_pentagram,
     second_intersection,
     standard_pentagram,
 )
-from barbilliard.circlemap import TangentMap
+from barbilliard.circlemap import ITERATION_BUDGET, TangentMap
 from barbilliard.geometry import angular_distance, ccw_gap
 from conftest import random_convex_polygon, random_disk_points
 
@@ -26,14 +25,14 @@ SQRT7 = math.sqrt(7.0)
 
 def fig_triangle_map():
     tri = Triangle(DiskPoint(0.0, 0.5), DiskPoint(-0.5, 0.0), DiskPoint(0.0, -0.5))
-    return build_tangent_map(ConvexBody.triangle(tri))
+    return TangentMap(ConvexBody.polygon(tri.vertices))
 
 
 def canonical_map(t):
     tri = Triangle(
         DiskPoint(0.0, t), DiskPoint(0.0, -t), DiskPoint((t - 1.0) / (t + 1.0), 0.0)
     )
-    return build_tangent_map(ConvexBody.triangle(tri))
+    return TangentMap(ConvexBody.polygon(tri.vertices))
 
 
 class TestSecondIntersection:
@@ -76,7 +75,7 @@ class TestBuildTangentMap:
         assert xs[0][0] == pytest.approx(-(1 + SQRT7) / 4, abs=1e-9)
 
     def test_segment_breakpoints(self):
-        tmap = build_tangent_map(
+        tmap = TangentMap(
             ConvexBody.segment(DiskPoint(0.0, 0.9), DiskPoint(0.0, -0.9))
         )
         angles = sorted(u.angle for u, _ in tmap.breakpoints)
@@ -84,7 +83,7 @@ class TestBuildTangentMap:
         assert angles[1] == pytest.approx(0.75, abs=1e-12)
 
     def test_point_has_no_breakpoints(self):
-        tmap = build_tangent_map(ConvexBody.point(DiskPoint(0.2, 0.1)))
+        tmap = TangentMap(ConvexBody.point(DiskPoint(0.2, 0.1)))
         assert tmap.breakpoints == ()
 
     def test_nonconvex_rejected(self):
@@ -108,14 +107,30 @@ class TestBuildTangentMap:
 
     def test_built_from_the_body_alone(self):
         """One constructor, the body's; equality, hash and pickle read the body."""
-        body = ConvexBody.triangle(Triangle(
-            DiskPoint(0.0, 0.5), DiskPoint(-0.5, 0.0), DiskPoint(0.0, -0.5)))
+        body = ConvexBody.polygon(Triangle(
+            DiskPoint(0.0, 0.5), DiskPoint(-0.5, 0.0), DiskPoint(0.0, -0.5)).vertices)
         tmap = TangentMap(body)
-        assert build_tangent_map is TangentMap
         assert tmap.__reduce__() == (TangentMap, (body,))
         assert tmap == fig_triangle_map() and hash(tmap) == hash(body)
         with pytest.raises(TypeError):
             TangentMap(body, tmap.breakpoints, tmap._bp_angles, tmap._arc_verts)
+
+    def test_coincident_segment_ends_rejected(self):
+        p = DiskPoint(0.1, 0.2)
+        with pytest.raises(InvalidBody, match="coincide"):
+            ConvexBody.segment(p, p)
+
+    def test_fields_cannot_be_deleted(self):
+        tmap = fig_triangle_map()
+        with pytest.raises(AttributeError):
+            del tmap.body
+        assert tmap.body.kind == "polygon"
+
+    def test_repr_names_body_and_breakpoints(self):
+        tmap = fig_triangle_map()
+        assert repr(tmap) == (
+            f"TangentMap(body={tmap.body!r}, breakpoints={tmap.breakpoints!r})"
+        )
 
     def test_cw_input_flipped(self):
         body = ConvexBody.polygon(
@@ -132,7 +147,7 @@ class TestBuildTangentMap:
 class TestEvaluate:
     def test_fig_triangle_example(self):
         tmap = fig_triangle_map()
-        w = tmap.evaluate(IdealPoint.from_xy(1.0, 0.0))
+        w = IdealPoint(tmap.eval_angle(IdealPoint.from_xy(1.0, 0.0).angle))
         assert w.xy[0] == pytest.approx(-0.6, abs=1e-12)
         assert w.xy[1] == pytest.approx(0.8, abs=1e-12)
 
@@ -146,7 +161,7 @@ class TestEvaluate:
             IdealPoint.from_xy(-0.19 / 1.81, -1.8 / 1.81),
         ]
         for i in range(5):
-            img = tmap.evaluate(tri_pts[i])
+            img = IdealPoint(tmap.eval_angle(tri_pts[i].angle))
             assert angular_distance(img.angle, tri_pts[(i + 1) % 5].angle) < 1e-12
 
     def test_breakpoint_uses_incoming_arc_vertex(self):
@@ -197,7 +212,7 @@ def assorted_maps(rng):
             body = ConvexBody.segment(*random_disk_points(rng, 2))
         else:
             body = random_convex_polygon(rng, n=3 + k % 5, radius=0.3 + 0.02 * k)
-        maps.append(build_tangent_map(body))
+        maps.append(TangentMap(body))
     return maps + [fig_triangle_map(), canonical_map(0.9)]
 
 
@@ -236,8 +251,8 @@ class TestHalfTurn:
     def test_locked_orbit_is_replayed(self, eval_calls):
         """The canonical sandwich locks at 2/5: its float orbit repeats
         exactly, and the replayed sum equals the stepped one around the lock."""
-        tmap = build_tangent_map(ConvexBody.triangle(Triangle(
-            DiskPoint(0.0, 0.9), DiskPoint(0.0, -0.9), DiskPoint(-0.02, 0.0))))
+        tmap = TangentMap(ConvexBody.polygon(Triangle(
+            DiskPoint(0.0, 0.9), DiskPoint(0.0, -0.9), DiskPoint(-0.02, 0.0)).vertices))
         lock, lam = first_repeat(tmap, 0.0, 10_000)
         plain = plain_lift(tmap, 0.0, 10_000)
         eval_calls[0] = 0
@@ -249,7 +264,7 @@ class TestHalfTurn:
     def test_semi_stable_orbit_is_stepped(self, eval_calls):
         """On a threshold triangle the orbit creeps onto its semi-stable
         period-5 orbit and never repeats exactly: every step is evaluated."""
-        tmap = build_tangent_map(ConvexBody.triangle(ellipse_pentagram(0.9, 0.1)[0]))
+        tmap = TangentMap(ConvexBody.polygon(ellipse_pentagram(0.9, 0.1)[0].vertices))
         assert first_repeat(tmap, 0.0, 5000) is None
         plain = plain_lift(tmap, 0.0, 5000)
         eval_calls[0] = 0
@@ -270,7 +285,7 @@ class TestHalfTurn:
             body = ConvexBody.segment(*random_disk_points(rng, 2))
         else:
             body = random_convex_polygon(rng, n=int(rng.integers(3, 8)), radius=0.85)
-        tmap = build_tangent_map(body)
+        tmap = TangentMap(body)
         assert tmap.lift_iter(x, n) == plain_lift(tmap, x, n)
 
 
@@ -319,7 +334,7 @@ class TestDerivative:
         assert d.right == pytest.approx(0.6, abs=1e-12)
 
     def test_point_at_center_unit(self):
-        tmap = build_tangent_map(ConvexBody.point(DiskPoint(0.0, 0.0)))
+        tmap = TangentMap(ConvexBody.point(DiskPoint(0.0, 0.0)))
         d = tmap.derivative(IdealPoint(0.3))
         assert d.left == pytest.approx(1.0, abs=1e-12)
         assert d.right == pytest.approx(1.0, abs=1e-12)
@@ -327,12 +342,12 @@ class TestDerivative:
     def test_matches_finite_difference(self, rng):
         h = 1e-6
         bodies = [
-            build_tangent_map(ConvexBody.point(DiskPoint(0.3, -0.2))),
-            build_tangent_map(
+            TangentMap(ConvexBody.point(DiskPoint(0.3, -0.2))),
+            TangentMap(
                 ConvexBody.segment(DiskPoint(-0.3, 0.4), DiskPoint(0.2, -0.5))
             ),
             canonical_map(0.9),
-            build_tangent_map(random_convex_polygon(rng)),
+            TangentMap(random_convex_polygon(rng)),
         ]
         for tmap in bodies:
             bps = [u.angle for u, _ in tmap.breakpoints]
@@ -341,7 +356,7 @@ class TestDerivative:
                 a = float(a)
                 if bps and min(angular_distance(a, b) for b in bps) < 1e-3:
                     continue
-                fd = (tmap.lift(a + h) - tmap.lift(a - h)) / (2.0 * h)
+                fd = (tmap.lift_iter(a + h, 1) - tmap.lift_iter(a - h, 1)) / (2.0 * h)
                 d = tmap.derivative(IdealPoint(a))
                 assert d.left == pytest.approx(d.right, rel=1e-9)
                 assert fd == pytest.approx(d.right, rel=1e-4)
@@ -351,7 +366,7 @@ class TestDerivative:
     def test_point_body_monotonicity(self):
         # the chord-map derivative rises on the far arc and falls on the near arc
         p = DiskPoint(0.35, 0.15)
-        tmap = build_tangent_map(ConvexBody.point(p))
+        tmap = TangentMap(ConvexBody.point(p))
         theta = math.atan2(p.y, p.x) / (2 * math.pi)
         u1 = theta  # diameter endpoint nearer p
         u2 = (theta + 0.5) % 1.0
@@ -371,9 +386,9 @@ class TestDerivative:
 
 class TestLift:
     def test_point_at_center_half_turn(self):
-        tmap = build_tangent_map(ConvexBody.point(DiskPoint(0.0, 0.0)))
+        tmap = TangentMap(ConvexBody.point(DiskPoint(0.0, 0.0)))
         for x in (-1.2, 0.0, 0.3, 2.7):
-            assert tmap.lift(x) == pytest.approx(x + 0.5, abs=1e-12)
+            assert tmap.lift_iter(x, 1) == pytest.approx(x + 0.5, abs=1e-12)
 
     def test_canonical_fifth_iterate_winds_twice(self):
         tmap = canonical_map(0.9)
@@ -382,30 +397,40 @@ class TestLift:
     def test_equivariance(self, rng):
         tmap = fig_triangle_map()
         for x in (0.3, -0.7, 1.9):
-            assert tmap.lift(x + 1.0) - tmap.lift(x) == pytest.approx(1.0, abs=1e-12)
+            assert tmap.lift_iter(x + 1.0, 1) - tmap.lift_iter(x, 1) == pytest.approx(1.0, abs=1e-12)
 
     def test_projects_to_evaluate(self, rng):
         tmap = canonical_map(0.7)
         for a in rng.uniform(0, 1, 100):
             a = float(a)
-            assert angular_distance(tmap.lift(a) % 1.0, tmap.eval_angle(a)) < 1e-12
+            assert angular_distance(tmap.lift_iter(a, 1) % 1.0, tmap.eval_angle(a)) < 1e-12
 
     def test_orientation_preserving(self, rng):
         for tmap in (fig_triangle_map(), canonical_map(0.9)):
             xs = np.sort(rng.uniform(0, 1, 200))
-            ys = [tmap.lift(float(x)) for x in xs]
+            ys = [tmap.lift_iter(float(x), 1) for x in xs]
             assert all(a < b for a, b in zip(ys, ys[1:]))
             assert all(
-                tmap.lift(float(x)) < tmap.lift(float(x) + 0.999) < tmap.lift(float(x)) + 1.0
+                tmap.lift_iter(float(x), 1) < tmap.lift_iter(float(x) + 0.999, 1) < tmap.lift_iter(float(x), 1) + 1.0
                 for x in xs[:20]
             )
+
+    @pytest.mark.parametrize("call", [
+        lambda tmap: tmap.lift_iter(0.0, -1),
+        lambda tmap: tmap.lift_iter(0.0, ITERATION_BUDGET + 1),
+        lambda tmap: tmap.pieces(0),
+    ], ids=["lift-negative", "lift-over-budget", "pieces-zero"])
+    def test_counts_out_of_budget_rejected(self, call, eval_calls):
+        with pytest.raises(IterationBudgetExceeded):
+            call(fig_triangle_map())
+        assert eval_calls[0] == 0
 
     def test_inclusion_monotonicity(self, rng):
         # a larger body advances the lift no further than any body inside it
         for _ in range(10):
             poly = random_convex_polygon(rng, n=5)
-            big = build_tangent_map(poly)
-            sub = build_tangent_map(
+            big = TangentMap(poly)
+            sub = TangentMap(
                 ConvexBody.polygon([poly.vertices[0], poly.vertices[2], poly.vertices[4]])
             )
             contains_origin = True
@@ -415,15 +440,15 @@ class TestLift:
                 if a.x * b.y - a.y * b.x <= 0:
                     contains_origin = False
             for x in np.linspace(0.0, 1.0, 64, endpoint=False):
-                assert big.lift(float(x)) <= sub.lift(float(x)) + 1e-12
+                assert big.lift_iter(float(x), 1) <= sub.lift_iter(float(x), 1) + 1e-12
             if contains_origin:
-                scaled = build_tangent_map(
+                scaled = TangentMap(
                     ConvexBody.polygon(
                         [DiskPoint(0.5 * v.x, 0.5 * v.y) for v in verts]
                     )
                 )
                 for x in np.linspace(0.0, 1.0, 64, endpoint=False):
-                    assert big.lift(float(x)) <= scaled.lift(float(x)) + 1e-12
+                    assert big.lift_iter(float(x), 1) <= scaled.lift_iter(float(x), 1) + 1e-12
 
 
 class TestOrbit:

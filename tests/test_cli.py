@@ -8,7 +8,15 @@ import sys
 import numpy as np
 import pytest
 
-from barbilliard import ConvexBody, DiskPoint, IdealPoint, TangentMap, cli, pentagram
+from barbilliard import (
+    ConvexBody,
+    DiskPoint,
+    IdealPoint,
+    OutOfTheoreticalRange,
+    TangentMap,
+    cli,
+    pentagram,
+)
 from barbilliard.cli import CSV_HEADER, main
 from barbilliard.svgfig import figure_svg
 from conftest import src_env
@@ -59,6 +67,25 @@ class TestRho:
         assert code == 2
         assert out["error"] == "InvalidArgument"
 
+    def test_base_shorter_than_arccosh_resolves(self, capsys):
+        # cosh(2e-9) rounds to 1, so the arccosh form read a zero-length base
+        code = main(["rho", "--t", "1e-9", "--r=-0.5"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        d_base = min(l["d_base"] for l in out["condition_report"]["labelings"])
+        assert d_base == pytest.approx(2e-9, rel=1e-12)
+
+    def test_invariant_breach_exits_4_with_json(self, capsys, monkeypatch):
+        def breach(*args, **kwargs):
+            raise OutOfTheoreticalRange("estimate escapes [1/3, 1/2); this is a bug")
+
+        monkeypatch.setattr(cli, "conjecture_check", breach)
+        assert main(["verify", "--t", "0.9", "--r=-0.02"]) == 4
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "OutOfTheoreticalRange",
+            "message": "estimate escapes [1/3, 1/2); this is a bug",
+        }
+
 
 class TestSweep:
     def test_small_grid_csv(self, tmp_path, capsys):
@@ -105,17 +132,6 @@ class TestSweep:
         lines = out.read_text().splitlines()[1:]
         assert all(line.split(",")[6] == "true" for line in lines)
         assert all(line.split(",")[12] == "true" for line in lines)
-
-    def test_grid_flag_overrides_steps(self, tmp_path, capsys):
-        out = tmp_path / "grid.csv"
-        code = main(
-            [
-                "sweep", "--t", "0.88:0.92", "--r=-0.03:-0.01", "--grid", "2x3",
-                "--iters", "1500", "--out", str(out),
-            ]
-        )
-        assert code == 0
-        assert len(out.read_text().splitlines()) == 7
 
     def test_single_cell_grid(self, tmp_path, capsys):
         out = tmp_path / "one.csv"
@@ -245,13 +261,9 @@ class TestInputChecks:
         ["--t", "0.88:0.92:2", "--iters", "1500"],
         ["--t", "0.88", *R],
         ["--t", "0.8:0.9:2:3", *R],
-        ["--t", "0.88:0.92", "--r=-0.03:-0.01", "--grid", "2by3", "--iters", "1500"],
-        ["--t", "0.88:0.92", "--r=-0.03:-0.01", "--grid", "2x", "--iters", "1500"],
         ["--t", "0.92:0.88:2", *R],
         ["--t", "0.88:0.92:0", *R],
-        ["--t", "0.88:0.92", "--r=-0.03:-0.01", "--grid", "2x0", "--iters", "1500"],
-    ], ids=["no-t", "no-r", "one-part", "four-parts", "grid-by", "grid-half",
-            "t-lo-above-hi", "zero-steps", "zero-grid-steps"])
+    ], ids=["no-t", "no-r", "one-part", "four-parts", "t-lo-above-hi", "zero-steps"])
     def test_sweep_ranges(self, tmp_path, capsys, argv):
         out = tmp_path / "x.csv"
         assert main(["sweep", *argv, "--out", str(out)]) == 2

@@ -13,7 +13,6 @@ from barbilliard import (
     NonpositiveDistance,
     OutOfRange,
     Triangle,
-    apply,
     chord_through,
     delta_from_sides,
     delta_n,
@@ -117,6 +116,22 @@ class TestHypDistance:
             p, q = random_disk_points(rng, 2)
             assert hyp_distance(p, q) == hyp_distance(q, p)
 
+    def test_short_distances_match_50_digit_reference(self, rng):
+        # below d ~ 1e-8 cosh d rounds to 1, where the arccosh form read 0
+        mpmath = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mpmath.workdps(50):
+            for p in random_disk_points(rng, 500):
+                sep, turn = 10.0 ** rng.uniform(-9.0, -2.0), rng.uniform(0.0, 2.0 * math.pi)
+                q = DiskPoint(p.x + sep * math.cos(turn), p.y + sep * math.sin(turn))
+                px, py, qx, qy = map(mpmath.mpf, (p.x, p.y, q.x, q.y))
+                ref = mpmath.acosh(
+                    (1 - px * qx - py * qy)
+                    / mpmath.sqrt((1 - px * px - py * py) * (1 - qx * qx - qy * qy))
+                )
+                worst = max(worst, float(abs(hyp_distance(p, q) - ref) / ref))
+        assert worst <= 1e-14
+
 
 class TestDeltaN:
     def test_equilateral_threshold(self):
@@ -154,6 +169,10 @@ class TestDeltaN:
                 ref = mpmath.log((mpmath.exp(x) + 1) / (mpmath.exp(x) - 1))
                 worst = max(worst, float(abs(delta_n(d, n) - ref) / ref))
         assert worst <= 1e-14
+
+    def test_order_below_one_rejected(self):
+        with pytest.raises(OutOfRange):
+            delta_n(1.0, 0)
 
     def test_nonpositive_distance_rejected(self):
         with pytest.raises(NonpositiveDistance):
@@ -315,9 +334,9 @@ class TestApply:
     def test_identity(self):
         iso = KleinIsometry.identity()
         p = DiskPoint(0.3, -0.1)
-        assert apply(iso, p).xy == p.xy
+        assert iso.apply_point(p).xy == p.xy
         v = IdealPoint(0.125)
-        assert apply(iso, v).angle == pytest.approx(0.125, abs=1e-15)
+        assert iso.apply_ideal(v).angle == pytest.approx(0.125, abs=1e-15)
 
     def test_boundary_stays_on_circle(self, rng):
         for _ in range(50):
@@ -325,7 +344,7 @@ class TestApply:
             if a.euclid_to(b) < 1e-2:
                 continue
             iso, _ = normalize_pair(a, b)
-            img = apply(iso, IdealPoint(float(rng.uniform(0, 1))))
+            img = iso.apply_ideal(IdealPoint(float(rng.uniform(0, 1))))
             assert math.hypot(*img.xy) == pytest.approx(1.0, abs=1e-12)
 
     def test_drop_length_invariant(self, rng):

@@ -12,8 +12,8 @@ from barbilliard import (
     Pentagram,
     PointOnLine,
     PreconditionFailed,
+    TangentMap,
     Triangle,
-    build_tangent_map,
     certify_rational,
     chord_through,
     condition_report,
@@ -214,7 +214,7 @@ class TestDetectPeriod5:
 
     def test_segment_map_rejected(self):
         with pytest.raises(PreconditionFailed):
-            detect_period5(build_tangent_map(ConvexBody.segment(DiskPoint(0.0, 0.9),
+            detect_period5(TangentMap(ConvexBody.segment(DiskPoint(0.0, 0.9),
                                                                 DiskPoint(0.0, -0.9))))
 
     def test_orbit_points_are_plain_floats(self):
@@ -226,14 +226,14 @@ class TestDetectPeriod5:
 
 def brute_tau_signs(p1, p2, pt, n, grid=20001):
     """Dense-grid sign-change count of the chord side function."""
-    tmap = build_tangent_map(ConvexBody.segment(p1, p2))
+    tmap = TangentMap(ConvexBody.segment(p1, p2))
     ch = chord_through(p1, p2)
 
     def h(w_angle):
         a = IdealPoint(w_angle)
         b = a
         for _ in range(2 * n):
-            b = tmap.evaluate(b)
+            b = IdealPoint(tmap.eval_angle(b.angle))
         ax, ay = a.xy
         bx, by = b.xy
         ex, ey = bx - ax, by - ay
@@ -281,7 +281,7 @@ class TestPentagramBuild:
         body = ConvexBody.polygon([DiskPoint(0.9 * math.cos(0.4 * math.pi * k),
                                              0.9 * math.sin(0.4 * math.pi * k))
                                    for k in range(5)])
-        tmap = build_tangent_map(body)
+        tmap = TangentMap(body)
         x = certify_rational(tmap, 1, 5).certificate.witness_x
         with pytest.raises(PreconditionFailed, match="advance by 2"):
             Pentagram.build(tmap, tmap.orbit(IdealPoint(x), 4))
@@ -314,11 +314,11 @@ class TestTau:
         p1, p2 = DiskPoint(0.0, 0.9), DiskPoint(0.0, -0.9)
         pt = DiskPoint(-0.02, 0.0)
         res = tau_n(p1, p2, pt, 2)
-        tmap = build_tangent_map(ConvexBody.segment(p1, p2))
+        tmap = TangentMap(ConvexBody.segment(p1, p2))
         for w in res.roots:
             b = w
             for _ in range(4):
-                b = tmap.evaluate(b)
+                b = IdealPoint(tmap.eval_angle(b.angle))
             ax, ay = w.xy
             bx, by = b.xy
             ex, ey = bx - ax, by - ay
@@ -451,7 +451,7 @@ class TestIdealChain:
             chain = ideal_chain(t)
             tmap = triangle_map(canonical_triangle(t, (t - 1.0) / (t + 1.0)))
             for i in range(5):
-                img = tmap.evaluate(chain[i])
+                img = IdealPoint(tmap.eval_angle(chain[i].angle))
                 assert angular_distance(img.angle, chain[i + 1].angle) < 1e-12
 
     def test_ratios_are_map_derivatives(self):

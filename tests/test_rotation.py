@@ -13,8 +13,8 @@ from barbilliard import (
     InvalidRational,
     IterationBudgetExceeded,
     PreconditionFailed,
+    TangentMap,
     Triangle,
-    build_tangent_map,
     certify_rational,
     classify_rho,
     conjecture_check,
@@ -26,7 +26,7 @@ from barbilliard import (
 from barbilliard.pentagram import triangle_map
 from barbilliard import rotation
 from barbilliard.geometry import TWO_PI, angular_distance
-from barbilliard.circlemap import Piece, _compose, _half_turn
+from barbilliard.circlemap import ITERATION_BUDGET, Piece, _compose, _half_turn
 from barbilliard.rotation import (
     MAX_Q,
     MERGE_TOL,
@@ -46,7 +46,7 @@ def canonical_triangle(t, r):
 class TestEstimateRho:
     def test_point_body_half(self, rng):
         for p in ((0.0, 0.0), (0.3, -0.4), (-0.7, 0.1)):
-            tmap = build_tangent_map(ConvexBody.point(DiskPoint(*p)))
+            tmap = TangentMap(ConvexBody.point(DiskPoint(*p)))
             res = estimate_rho(tmap, 4000)
             assert abs(res.estimate - 0.5) <= res.error_bound
             assert res.error_bound == pytest.approx(1.0 / 4000)
@@ -63,19 +63,29 @@ class TestEstimateRho:
     def test_start_point_independence(self, rng):
         tmap = triangle_map(canonical_triangle(0.8, -0.1))
         n = 5000
-        runs = [estimate_rho(tmap, n, x0=float(x)).estimate for x in rng.uniform(0, 1, 5)]
+        runs = [(tmap.lift_iter(x, n) - x) / n for x in map(float, rng.uniform(0, 1, 5))]
         assert max(runs) - min(runs) <= 2.0 / n
 
     def test_upper_bound_half(self, rng):
         n = 3000
         for _ in range(5):
-            tmap = build_tangent_map(random_convex_polygon(rng))
+            tmap = TangentMap(random_convex_polygon(rng))
             assert estimate_rho(tmap, n).estimate <= 0.5 + 1.0 / n
 
     def test_budget(self):
-        tmap = build_tangent_map(ConvexBody.point(DiskPoint(0.0, 0.0)))
+        tmap = TangentMap(ConvexBody.point(DiskPoint(0.0, 0.0)))
         with pytest.raises(IterationBudgetExceeded):
             estimate_rho(tmap, 0)
+
+    def test_over_budget_rejected_before_any_step(self, monkeypatch):
+        tmap = TangentMap(ConvexBody.point(DiskPoint(0.0, 0.0)))
+
+        def no_lift(*args):
+            raise AssertionError("the map was lifted")
+
+        monkeypatch.setattr(TangentMap, "lift_iter", no_lift)
+        with pytest.raises(IterationBudgetExceeded, match="exceeds the budget"):
+            estimate_rho(tmap, ITERATION_BUDGET + 1)
 
 
 class TestCertifyRational:
@@ -94,7 +104,7 @@ class TestCertifyRational:
         """F^2 = id for a point body, so F^2 - id - 1 vanishes everywhere:
         one tangency, reported at 0."""
         for point in random_disk_points(rng, 3):
-            tmap = build_tangent_map(ConvexBody.point(point))
+            tmap = TangentMap(ConvexBody.point(point))
             res = certify_rational(tmap, 1, 2)
             assert res.comparison is None
             cert = res.certificate
@@ -132,8 +142,8 @@ class TestCertifyRational:
         n = 4000
         for _ in range(5):
             poly = random_convex_polygon(rng, n=5)
-            big = build_tangent_map(poly)
-            sub = build_tangent_map(
+            big = TangentMap(poly)
+            sub = TangentMap(
                 ConvexBody.polygon([poly.vertices[0], poly.vertices[2], poly.vertices[4]])
             )
             rho_big = estimate_rho(big, n).estimate
@@ -164,7 +174,7 @@ class TestClassifyRho:
             assert (res.certificate.p, res.certificate.q) != (2, 5)
 
     def test_triangle_precondition(self):
-        seg = build_tangent_map(
+        seg = TangentMap(
             ConvexBody.segment(DiskPoint(0.0, 0.5), DiskPoint(0.0, -0.5))
         )
         with pytest.raises(PreconditionFailed):

@@ -68,3 +68,8 @@ def test_same_sign_bracket_raises():
 def test_returns_plain_float_for_numpy_bounds():
     x = brentq(lambda u: np.float64(u) - 0.3, np.float64(0.0), np.float64(1.0), xtol=1e-13)
     assert type(x) is float
+
+
+def test_nan_value_rejected():
+    with pytest.raises(ValueError, match="NaN"):
+        brentq(lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0, xtol=1e-13)

@@ -1,7 +1,10 @@
 """The package source parses as Python 3.10, the oldest version that
-``pyproject.toml`` allows, whichever interpreter runs the suite."""
+``pyproject.toml`` allows, whichever interpreter runs the suite, and it
+names each operation once."""
 
 import ast
+import importlib
+import inspect
 import pathlib
 
 import pytest
@@ -19,3 +22,24 @@ def test_module_parses_as_python_3_10(path):
 def test_newer_syntax_is_rejected():
     with pytest.raises(SyntaxError):
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+
+
+def _public_callables(namespace) -> list:
+    """(name, value) for the public functions and classes of a namespace."""
+    return [(name, value) for name, value in vars(namespace).items()
+            if not name.startswith("_") and (inspect.isroutine(value) or inspect.isclass(value))]
+
+
+def test_no_public_name_is_an_alias():
+    """No module or package class binds one function or class to two
+    public names: a second name is a forwarder that callers must learn."""
+    spaces = [barbilliard] + [importlib.import_module(f"barbilliard.{p.stem}")
+                              for p in MODULES if not p.stem.startswith("_")]
+    spaces += sorted({value for space in spaces for _, value in _public_callables(space)
+                      if inspect.isclass(value) and value.__module__.startswith("barbilliard")},
+                     key=lambda cls: cls.__qualname__)
+    for space in spaces:
+        names = {}
+        for name, value in _public_callables(space):
+            first = names.setdefault(id(value), name)
+            assert first == name, f"{space.__name__}.{name} is {space.__name__}.{first}"

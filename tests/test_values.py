@@ -14,7 +14,6 @@ from barbilliard import (
     IdealPoint,
     TangentMap,
     Triangle,
-    build_tangent_map,
     certify_rational,
     chord_through,
     condition_report,
@@ -45,7 +44,7 @@ VALUES = {
     "Chord": lambda: chord_through(P, Q),
     "Triangle": lambda: TRI,
     "KleinIsometry": lambda: normalize_pair(DiskPoint(0.1, 0.2), DiskPoint(-0.3, 0.1))[0],
-    "ConvexBody": lambda: ConvexBody.triangle(TRI),
+    "ConvexBody": lambda: ConvexBody.polygon(TRI.vertices),
     "TangentMap": lambda: triangle_map(TRI),
     "OneSidedDerivative": lambda: triangle_map(TRI).derivative(IdealPoint(0.3)),
     "Piece": lambda: triangle_map(TRI).pieces(5)[0],
@@ -83,12 +82,12 @@ def test_value_type_contract(name):
 
 
 @pytest.mark.parametrize("body", [
-    ConvexBody.triangle(TRI),
+    ConvexBody.polygon(TRI.vertices),
     ConvexBody.segment(P, Q),
     ConvexBody.point(DiskPoint(0.1, -0.3)),
 ], ids=["triangle", "segment", "point"])
 def test_round_tripped_map_evaluates_alike(body):
-    tmap = build_tangent_map(body)
+    tmap = TangentMap(body)
     angles = (0.0, 0.1, 0.25, 0.5, 0.7071, 1.0 - 2.0 ** -40)
     bits = [tmap.eval_angle(a).hex() for a in angles]
     for copied in (pickle.loads(pickle.dumps(tmap)), copy.deepcopy(tmap)):
@@ -101,7 +100,7 @@ def test_round_tripped_map_evaluates_alike(body):
     (chord_through(P, Q), "b", chord_through(P, Q).a),
     (TRI, "r", P),
     (normalize_pair(P, Q)[0], "m", ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 2.0))),
-    (ConvexBody.triangle(TRI), "kind", "disk"),
+    (ConvexBody.polygon(TRI.vertices), "kind", "disk"),
 ], ids=["DiskPoint", "IdealPoint", "Chord", "Triangle", "KleinIsometry", "ConvexBody"])
 def test_replace_validates(value, field, bad):
     """``_replace`` goes through the constructor's checks, as construction does."""
