@@ -28,7 +28,7 @@ from .errors import (
     PointOnLine,
     PreconditionFailed,
 )
-from .geometry import DiskPoint, IdealPoint, Triangle, delta_n, hyp_distance
+from .geometry import DiskPoint, IdealPoint, Triangle, delta_n, fmt, hyp_distance
 from .pentagram import (
     conjecture_check,
     detect_period5,
@@ -36,7 +36,6 @@ from .pentagram import (
     triangle_map,
 )
 from .rotation import MAX_Q
-from .svgfig import figure_svg, fmt
 
 
 def _round12(x: float) -> float:
@@ -167,6 +166,8 @@ CSV_HEADER = (
     "t,r,d_pq,delta,delta2,half_delta1,cond48,cond53,"
     "rho_estimate,rho_p,rho_q,certificate_kind,consistent"
 )
+#: sweep cells per task handed to a pool worker
+CHUNK = 8
 
 
 def _sweep_cell(cell: tuple[float, float, int, int]) -> tuple[str, bool, bool]:
@@ -271,6 +272,14 @@ def _relative_radius(t: float, frac: float) -> float:
     return x_inner + frac * (x_half - x_inner)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, since ``os.cpu_count`` counts CPUs the mask excludes."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise CliError("InvalidArgument", f"--jobs must be >= 1, got {args.jobs}")
@@ -300,13 +309,15 @@ def cmd_sweep(args) -> int:
             r = -_relative_radius(t, rv) if args.r_mode == "relative_interval" else rv
             cells.append((t, r, args.iters, args.qmax))
 
-    workers = min(args.jobs, os.cpu_count() or 1, len(cells))
+    # a worker beyond the chunk count would get no cells, one beyond the
+    # usable CPUs would only share a CPU
+    workers = min(args.jobs, _usable_cpus(), math.ceil(len(cells) / CHUNK))
     if workers > 1:
         # only a pooled sweep pays for importing the pool
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_cell, cells, chunksize=8))
+            rows = list(pool.map(_sweep_cell, cells, chunksize=CHUNK))
     else:
         rows = [_sweep_cell(c) for c in cells]
 
@@ -363,6 +374,9 @@ def cmd_tau(args) -> int:
 
 
 def cmd_render(args) -> int:
+    # only render draws, so only render imports the figure code
+    from .svgfig import figure_svg
+
     tri, _, _ = _triangle_from_args(args)
     if args.steps < 0 or args.steps > 10_000:
         raise CliError("InvalidArgument", "--steps must be in [0, 10000]")
@@ -409,7 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--iters", type=int, default=2000)
     p_sweep.add_argument("--qmax", type=int, default=64)
     p_sweep.add_argument("--seed", type=int, default=None, help="jitter seed")
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="worker processes, capped at the usable CPUs and at "
+                              f"one per {CHUNK} cells")
     p_sweep.add_argument("--out", type=str, required=True)
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -44,6 +44,13 @@ def _validated(name: str, fields: list[tuple[str, type]]) -> type:
     return base
 
 
+def fmt(x: float) -> str:
+    """Locale-independent 12-significant-digit float formatting, shared by
+    the CLI's JSON and CSV and the SVG figures."""
+    s = f"{x:.12g}"
+    return "0" if s == "-0" else s
+
+
 def wrap_turns(a: float) -> float:
     """Reduce an angle in turns to [0, 1)."""
     a = a % 1.0
@@ -170,8 +177,7 @@ def hyp_distance(p: DiskPoint, q: DiskPoint) -> float:
     dx, dy = q.x - p.x, q.y - p.y
     cross = 0.5 * ((p.x + q.x) * dy - (p.y + q.y) * dx)
     num = math.sqrt(dx * dx + dy * dy - cross * cross)
-    den = math.sqrt((1.0 - p.x * p.x - p.y * p.y) * (1.0 - q.x * q.x - q.y * q.y))
-    return math.asinh(num / den)
+    return math.asinh(num / math.sqrt(_boundary_gap(p) * _boundary_gap(q)))
 
 
 def delta_n(d: float, n: int) -> float:
@@ -229,6 +235,12 @@ def _exact_sum_of_products(*pairs: tuple[float, float]) -> float:
     return math.fsum(terms)
 
 
+def _boundary_gap(p: DiskPoint) -> float:
+    """1 - |p|^2, rounded once: the float form cancels near the circle,
+    where it divides every distance to p."""
+    return _exact_sum_of_products((1.0, 1.0), (-p.x, p.x), (-p.y, p.y))
+
+
 def foot_and_delta(p: DiskPoint, q: DiskPoint, r: DiskPoint) -> tuple[DiskPoint, float]:
     """Perpendicular foot of r on the line pq, and the drop's length.
 
@@ -251,7 +263,7 @@ def foot_and_delta(p: DiskPoint, q: DiskPoint, r: DiskPoint) -> tuple[DiskPoint,
     k = xm / mm
     w = 1.0 + k * m3
     foot = DiskPoint((r.x - k * m1) / w, (r.y - k * m2) / w)
-    return foot, math.asinh(abs(xm) / math.sqrt((1.0 - r.x * r.x - r.y * r.y) * mm))
+    return foot, math.asinh(abs(xm) / math.sqrt(_boundary_gap(r) * mm))
 
 
 def equidistant_x(k: float, y: float) -> float:

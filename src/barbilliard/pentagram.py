@@ -320,11 +320,12 @@ def tau_n(p1: DiskPoint, p2: DiskPoint, pt: DiskPoint, n: int) -> TauResult:
 def condition_report(tri: Triangle) -> ConditionReport:
     """Evaluate every distance condition for all three vertex labelings."""
     verts = tri.vertices
+    # each side is the base of one labeling and a leg of the other two
+    opposite = [hyp_distance(verts[1], verts[2]), hyp_distance(verts[2], verts[0]),
+                hyp_distance(verts[0], verts[1])]
     labelings = []
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        base = hyp_distance(verts[i], verts[j])
-        side_ik = hyp_distance(verts[i], verts[k])
-        side_jk = hyp_distance(verts[j], verts[k])
+        base, side_ik, side_jk = opposite[k], opposite[j], opposite[i]
         _, delta = foot_and_delta(verts[i], verts[j], verts[k])
         d1 = delta_n(base, 1)
         d2 = delta_n(base, 2)

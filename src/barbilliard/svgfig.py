@@ -8,16 +8,10 @@ identical files.
 from __future__ import annotations
 
 from .circlemap import TangentMap
-from .geometry import IdealPoint
+from .geometry import IdealPoint, fmt
 
 VIEW_BOX = "-1.1 -1.1 2.2 2.2"
 CIRCLE_STROKE = 0.005
-
-
-def fmt(x: float) -> str:
-    """Locale-independent 12-significant-digit float formatting."""
-    s = f"{x:.12g}"
-    return "0" if s == "-0" else s
 
 
 def _dot(x: float, y: float, r: float, fill: str) -> str:

@@ -110,13 +110,25 @@ class TestSweep:
             if fields[6] == "true" and fields[11] != "uncertified":
                 assert (fields[9], fields[10]) == ("2", "5")
 
-    def test_jobs_parallel_identical(self, tmp_path):
+    def test_jobs_parallel_identical(self, tmp_path, monkeypatch):
+        # 18 cells are three chunks, so --jobs 2 runs a real two-worker pool
+        sizes = []
+
+        class SpyPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        args = ["sweep", "--t", "0.86:0.9:2", "--r=-0.03:-0.02:2",
+        args = ["sweep", "--t", "0.86:0.9:3", "--r=-0.03:-0.02:6",
                 "--iters", "1500", "--seed", "5"]
         assert main(args + ["--jobs", "1", "--out", str(a)]) == 0
+        assert sizes == []
         assert main(args + ["--jobs", "2", "--out", str(b)]) == 0
+        assert sizes == [2]
         assert a.read_bytes() == b.read_bytes()
 
     def test_relative_interval_mode(self, tmp_path, capsys):
@@ -210,6 +222,7 @@ class TestResourceFlags:
         assert not out.exists()
 
     def test_pool_capped_by_cpus_and_cells(self, tmp_path, monkeypatch, capsys):
+        """At most one worker per usable CPU and per chunk of cells."""
         sizes = []
 
         class SerialPool:
@@ -223,16 +236,46 @@ class TestResourceFlags:
                 return False
 
             def map(self, fn, items, chunksize=1):
+                assert chunksize == cli.CHUNK
                 return map(fn, items)
 
         # cmd_sweep imports the pool from concurrent.futures when it needs one
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
         out = tmp_path / "x.csv"
-        assert main([*self.SWEEP, "--jobs", "64", "--out", str(out)]) == 0
-        assert main(["sweep", "--t", "0.9:0.9:1", "--r=-0.03:-0.01:2", "--iters", "1500",
-                     "--jobs", "64", "--out", str(out)]) == 0
+        for t_range, r_range in [
+            ("0.86:0.9:3", "-0.03:-0.02:6"),   # 18 cells, 3 chunks: 3 workers
+            ("0.86:0.9:2", "-0.03:-0.02:8"),   # 16 cells, 2 chunks: 2 workers
+            ("0.86:0.9:2", "-0.03:-0.02:4"),   # 8 cells, 1 chunk: no pool
+            ("0.9:0.9:1", "-0.03:-0.01:2"),    # 2 cells: no pool
+        ]:
+            assert main(["sweep", "--t", t_range, f"--r={r_range}", "--iters", "1500",
+                         "--jobs", "64", "--out", str(out)]) == 0
         assert sizes == [3, 2]
+
+    @pytest.mark.parametrize(
+        "setup, t_range, r_range",
+        [
+            ("", "0.86:0.9:2", "-0.03:-0.02:2"),
+            # 18 cells on one usable CPU, though os.cpu_count counts them all
+            ("os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); ",
+             "0.86:0.9:3", "-0.03:-0.02:6"),
+        ],
+        ids=["one-chunk", "one-cpu"],
+    )
+    def test_sweep_without_work_for_a_pool_imports_none(self, tmp_path, setup, t_range,
+                                                        r_range):
+        if setup and not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no CPU affinity on this platform")
+        argv = ["sweep", "--t", t_range, f"--r={r_range}", "--iters", "1500",
+                "--jobs", "2", "--out", str(tmp_path / "x.csv")]
+        code = (f"import os, sys; {setup}from barbilliard.cli import main; "
+                f"code = main({argv!r}); "
+                "print(code, 'concurrent.futures.process' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=src_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 class TestInputChecks:
@@ -445,12 +488,14 @@ def test_verify_json_is_rho_json_restricted(capsys):
 
 def test_cli_import_loads_no_scipy():
     """Nor numpy: the package runs on the standard library alone.  Nor the
-    process pool, which only ``sweep --jobs N`` with N > 1 uses.  Nor
-    dataclasses or the inspect module it loads, which cost most of the
-    package's own import."""
+    process pool, which only a sweep of several chunks at ``--jobs N``
+    with N > 1 uses.  Nor the figure code, which only ``render`` uses.
+    Nor dataclasses or the inspect module it loads, which cost most of
+    the package's own import."""
     code = ("import sys, barbilliard.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')"
-            " or m in ('concurrent.futures.process', 'dataclasses', 'inspect')))")
+            " or m in ('concurrent.futures.process', 'barbilliard.svgfig', 'dataclasses',"
+            " 'inspect')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=src_env())
     assert proc.returncode == 0, proc.stderr

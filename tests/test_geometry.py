@@ -28,6 +28,15 @@ D_EQUILATERAL = math.log((SQRT5 + 1.0) / (SQRT5 - 1.0))
 LOG_SQRT5 = 0.5 * math.log(5.0)
 
 
+def near_boundary_points(rng, count):
+    """Points 10^-8.5 to 10^-1 inside the unit circle, where 1 - |p|^2
+    cancels in floats."""
+    gaps = 10.0 ** rng.uniform(-8.5, -1.0, count)
+    turns = rng.uniform(0.0, 2.0 * math.pi, count)
+    return [DiskPoint(float((1.0 - g) * math.cos(a)), float((1.0 - g) * math.sin(a)))
+            for g, a in zip(gaps, turns)]
+
+
 class TestDiskPoint:
     def test_interior_ok(self):
         p = DiskPoint(0.3, -0.4)
@@ -132,6 +141,23 @@ class TestHypDistance:
                 worst = max(worst, float(abs(hyp_distance(p, q) - ref) / ref))
         assert worst <= 1e-14
 
+    def test_near_boundary_matches_50_digit_reference(self, rng):
+        # pairs at least 0.1 apart, so that only 1 - |p|^2 can cancel
+        mpmath = pytest.importorskip("mpmath")
+        points = near_boundary_points(rng, 4000)
+        pairs = [(p, q) for p, q in zip(points[::2], points[1::2]) if p.euclid_to(q) > 0.1]
+        worst = 0.0
+        with mpmath.workdps(50):
+            for p, q in pairs:
+                px, py, qx, qy = map(mpmath.mpf, (p.x, p.y, q.x, q.y))
+                ref = mpmath.acosh(
+                    (1 - px * qx - py * qy)
+                    / mpmath.sqrt((1 - px * px - py * py) * (1 - qx * qx - qy * qy))
+                )
+                worst = max(worst, float(abs(hyp_distance(p, q) - ref) / ref))
+        assert len(pairs) > 1500
+        assert worst <= 1e-13
+
 
 class TestDeltaN:
     def test_equilateral_threshold(self):
@@ -227,12 +253,17 @@ class TestFootAndDelta:
 
     def test_matches_50_digit_reference(self, rng):
         # generic triangles, then apexes 1e-3 to 1e-6 off the base line,
-        # where X . m cancels to those digits
+        # where X . m cancels to those digits, then apexes near the circle,
+        # where 1 - |r|^2 does
         import mpmath
 
         cases = [random_triangle(rng).vertices for _ in range(300)]
         for gap in (1e-3, 1e-4, 1e-5, 1e-6):
             cases += [near_line_apex(rng, gap) for _ in range(100)]
+        for r in near_boundary_points(rng, 300):
+            p, q = random_disk_points(rng, 2, rmax=0.9)
+            if p.euclid_to(q) > 0.05:
+                cases.append((p, q, r))
         for p, q, r in cases:
             foot, delta = foot_and_delta(p, q, r)
             with mpmath.workdps(50):
