@@ -3,7 +3,9 @@
 Convex bodies (points, segments, convex polygons) inside the unit circle
 induce a tangent-line circle homeomorphism; this package evaluates the
 map, estimates and certifies its rotation number, and checks the
-hyperbolic distance conditions governing the 1/3 and 2/5 regimes.
+hyperbolic distance conditions governing the 1/3 and 2/5 regimes.  The
+checks of the paper's single proof steps are in ``barbilliard.lemmas``,
+which this package does not import.
 """
 
 from .circlemap import (
@@ -16,7 +18,6 @@ from .errors import (
     BarBilliardError,
     CoincidentPoints,
     DegenerateU,
-    InfeasibleSides,
     InvalidBody,
     InvalidRational,
     IterationBudgetExceeded,
@@ -32,15 +33,11 @@ from .geometry import (
     Chord,
     DiskPoint,
     IdealPoint,
-    KleinIsometry,
     Triangle,
     chord_through,
-    delta_from_sides,
     delta_n,
-    equidistant_x,
     foot_and_delta,
     hyp_distance,
-    normalize_pair,
 )
 from .pentagram import (
     ConditionReport,
@@ -50,13 +47,8 @@ from .pentagram import (
     TauResult,
     condition_report,
     conjecture_check,
-    contraction_check,
     detect_period5,
-    edge_incidence,
     ellipse_pentagram,
-    ideal_chain,
-    orbit_derivative_product,
-    pentagram_witness,
     standard_pentagram,
     tau_n,
     triangle_map,

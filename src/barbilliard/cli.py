@@ -23,7 +23,6 @@ from .errors import (
     CoincidentPoints,
     InvalidBody,
     InvalidRational,
-    NotInArc,
     OutOfRange,
     PointOnLine,
     PreconditionFailed,
@@ -459,7 +458,7 @@ def main(argv=None) -> int:
         return _emit_error(err)
     except (InvalidBody, CoincidentPoints) as err:
         return _emit_error(CliError("DegenerateBody", str(err)))
-    except (OutOfRange, InvalidRational, PointOnLine, NotInArc, PreconditionFailed) as err:
+    except (OutOfRange, InvalidRational, PointOnLine, PreconditionFailed) as err:
         return _emit_error(CliError(type(err).__name__, str(err)))
     except OSError as err:
         return _emit_error(CliError("IOFailure", str(err), exit_code=3))

@@ -13,10 +13,6 @@ class NonpositiveDistance(BarBilliardError):
     """A threshold was requested for a distance that is not positive."""
 
 
-class InfeasibleSides(BarBilliardError):
-    """Side lengths violate the hyperbolic triangle inequality."""
-
-
 class InvalidBody(BarBilliardError):
     """A convex body is degenerate, non-convex or touches the boundary."""
 

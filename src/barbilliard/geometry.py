@@ -3,9 +3,9 @@
 Points live in the open unit disk, hyperbolic lines are straight chords,
 and the boundary circle holds the ideal points.  Distances come from the
 log cross-ratio of a chord's ideal endpoints; the module also provides
-the derived threshold quantities, perpendicular feet, equidistant loci,
-and disk isometries represented as Lorentz-orthogonal projective
-matrices (the hyperboloid model under the hood).
+the derived threshold quantities and the perpendicular foot and drop
+(the hyperboloid model under the hood).  Disk isometries live in
+:mod:`barbilliard.lemmas`, which only the paper's proof steps use.
 
 Angles on the boundary circle are measured in turns (period 1), so lifts
 of circle maps live on the real line with integer deck transformations.
@@ -16,13 +16,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import (
-    CoincidentPoints,
-    InfeasibleSides,
-    InvalidBody,
-    NonpositiveDistance,
-    OutOfRange,
-)
+from .errors import CoincidentPoints, InvalidBody, NonpositiveDistance, OutOfRange
 
 TWO_PI = 2.0 * math.pi
 
@@ -31,9 +25,6 @@ EPS_BOUNDARY = 1e-9
 
 #: two angles closer than this (in turns) are treated as the same ideal point
 EPS_ANGLE = 1e-12
-
-#: the diagonal of the Lorentz form J = diag(1, 1, -1)
-_LORENTZ_J = (1.0, 1.0, -1.0)
 
 
 def _validated(name: str, fields: list[tuple[str, type]]) -> type:
@@ -193,26 +184,6 @@ def delta_n(d: float, n: int) -> float:
     return math.log1p(2.0 / math.expm1(n * d))
 
 
-def delta_from_sides(alpha: float, beta: float, gamma: float) -> float:
-    """Perpendicular distance from the apex to the base, from side lengths.
-
-    ``gamma`` is the base, ``alpha`` and ``beta`` the sides adjacent to
-    the far endpoints.  Tiny negative radicands from collinear limits are
-    clamped to zero.
-    """
-    if alpha <= 0.0 or beta <= 0.0 or gamma <= 0.0:
-        raise NonpositiveDistance("side lengths must be positive")
-    rad = (math.cosh(beta) - math.cosh(alpha - gamma)) * (
-        math.cosh(alpha + gamma) - math.cosh(beta)
-    )
-    if rad < -1e-12:
-        raise InfeasibleSides(
-            f"sides ({alpha}, {beta}, {gamma}) violate the triangle inequality"
-        )
-    rad = max(0.0, rad)
-    return math.asinh(math.sqrt(rad) / math.sinh(gamma))
-
-
 def _split(a: float) -> tuple[float, float]:
     """Veltkamp split a = hi + lo into halves of at most 26 significant bits."""
     c = 134217729.0 * a  # 2^27 + 1
@@ -237,8 +208,12 @@ def _exact_sum_of_products(*pairs: tuple[float, float]) -> float:
 
 def _boundary_gap(p: DiskPoint) -> float:
     """1 - |p|^2, rounded once: the float form cancels near the circle,
-    where it divides every distance to p."""
-    return _exact_sum_of_products((1.0, 1.0), (-p.x, p.x), (-p.y, p.y))
+    where it divides every distance to p.  Each square splits into three
+    exact products, so ``fsum`` rounds the exact value once."""
+    xh, xl = _split(p.x)
+    yh, yl = _split(p.y)
+    return math.fsum((1.0, -xh * xh, -2.0 * xh * xl, -xl * xl,
+                      -yh * yh, -2.0 * yh * yl, -yl * yl))
 
 
 def foot_and_delta(p: DiskPoint, q: DiskPoint, r: DiskPoint) -> tuple[DiskPoint, float]:
@@ -252,8 +227,7 @@ def foot_and_delta(p: DiskPoint, q: DiskPoint, r: DiskPoint) -> tuple[DiskPoint,
 
     and the foot is the Lorentz projection X - (X . m / <m, m>) J m,
     dehomogenised.  X . m is rounded once, because it cancels for an
-    apex near the line.  The length cross-validates against
-    :func:`delta_from_sides`.
+    apex near the line.
     """
     m1, m2, m3 = p.y - q.y, q.x - p.x, p.x * q.y - p.y * q.x
     mm = m1 * m1 + m2 * m2 - m3 * m3
@@ -264,117 +238,3 @@ def foot_and_delta(p: DiskPoint, q: DiskPoint, r: DiskPoint) -> tuple[DiskPoint,
     w = 1.0 + k * m3
     foot = DiskPoint((r.x - k * m1) / w, (r.y - k * m2) / w)
     return foot, math.asinh(abs(xm) / math.sqrt(_boundary_gap(r) * mm))
-
-
-def equidistant_x(k: float, y: float) -> float:
-    """Abscissa of the locus at distance k from the vertical diameter.
-
-    The locus is the ellipse x^2/tanh(k)^2 + y^2 = 1; the nonnegative
-    abscissa at height y is sqrt(1-y^2) tanh(k).
-    """
-    if k <= 0.0:
-        raise OutOfRange(f"locus distance must be positive, got {k}")
-    if abs(y) >= 1.0:
-        raise OutOfRange(f"height must satisfy |y| < 1, got {y}")
-    return math.sqrt(1.0 - y * y) * math.tanh(k)
-
-
-class KleinIsometry(_validated("KleinIsometry", [("m", tuple)])):
-    """Disk isometry acting projectively on homogeneous coordinates.
-
-    The matrix, kept as three rows of three floats, satisfies
-    m^T J m = +-J with J = diag(1, 1, -1), which is exactly the condition
-    to preserve the disk and the distance.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, m):
-        try:
-            m = tuple(tuple(float(x) for x in row) for row in m)
-        except TypeError:
-            m = ()
-        if len(m) != 3 or any(len(row) != 3 for row in m):
-            raise OutOfRange("isometry matrix must be 3x3")
-        e = [[sum(r[i] * j * r[k] for r, j in zip(m, _LORENTZ_J)) for k in range(3)]
-             for i in range(3)]
-        # m^T J m = +-J, to 1e-10 off the diagonal and 1e-10 + 1e-5 on it
-        if not any(
-            all(abs(e[i][k] - s * _LORENTZ_J[i] * (i == k)) <= 1e-10 + 1e-5 * (i == k)
-                for i in range(3) for k in range(3))
-            for s in (1.0, -1.0)
-        ):
-            raise OutOfRange("matrix does not satisfy the Lorentz condition")
-        return super().__new__(cls, m)
-
-    @classmethod
-    def identity(cls) -> "KleinIsometry":
-        return cls(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
-
-    @classmethod
-    def rotation(cls, angle_turns: float) -> "KleinIsometry":
-        a = TWO_PI * angle_turns
-        c, s = math.cos(a), math.sin(a)
-        return cls(((c, -s, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0)))
-
-    @classmethod
-    def boost_x(cls, rapidity: float) -> "KleinIsometry":
-        """Translation along the x-axis moving the origin to (tanh s, 0)."""
-        ch, sh = math.cosh(rapidity), math.sinh(rapidity)
-        return cls(((ch, 0.0, sh), (0.0, 1.0, 0.0), (sh, 0.0, ch)))
-
-    def compose(self, other: "KleinIsometry") -> "KleinIsometry":
-        """self after other (matrix product self.m @ other.m)."""
-        cols = tuple(zip(*other.m))
-        return KleinIsometry(
-            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.m)
-        )
-
-    def inverse(self) -> "KleinIsometry":
-        # Lorentz inverse J m^T J, exact up to sign normalization
-        j = _LORENTZ_J
-        return KleinIsometry(
-            tuple(tuple(j[i] * j[k] * self.m[k][i] for k in range(3)) for i in range(3))
-        )
-
-    def _apply(self, x: float, y: float) -> tuple[float, float]:
-        u, v, w = (row[0] * x + row[1] * y + row[2] for row in self.m)
-        return u / w, v / w
-
-    def apply_point(self, p: DiskPoint) -> DiskPoint:
-        return DiskPoint(*self._apply(p.x, p.y))
-
-    def apply_ideal(self, p: IdealPoint) -> IdealPoint:
-        return IdealPoint.from_xy(*self._apply(*p.xy))
-
-
-def _boost_to_origin(x: float, y: float) -> KleinIsometry:
-    rho = math.hypot(x, y)
-    if rho < 1e-300:
-        return KleinIsometry.identity()
-    theta = math.atan2(y, x) / TWO_PI
-    rot = KleinIsometry.rotation(theta)
-    boost = KleinIsometry.boost_x(-math.atanh(rho))
-    return rot.compose(boost).compose(rot.inverse())
-
-
-def normalize_pair(p: DiskPoint, q: DiskPoint) -> tuple[KleinIsometry, float]:
-    """Isometry sending p, q to (0, t), (0, -t) on the vertical diameter.
-
-    t = tanh(d/2) where d is the hyperbolic distance between the points,
-    so the image pair is symmetric about the origin.
-    """
-    if p.euclid_to(q) <= 1e-12:
-        raise CoincidentPoints("cannot normalize a coincident pair")
-    # hyperbolic midpoint via the hyperboloid embedding
-    wp = math.sqrt(1.0 - p.x * p.x - p.y * p.y)
-    wq = math.sqrt(1.0 - q.x * q.x - q.y * q.y)
-    mx = p.x / wp + q.x / wq
-    my = p.y / wp + q.y / wq
-    mz = 1.0 / wp + 1.0 / wq
-    to_origin = _boost_to_origin(mx / mz, my / mz)
-    p1 = to_origin.apply_point(p)
-    phi = math.atan2(p1.y, p1.x) / TWO_PI
-    iso = KleinIsometry.rotation(0.25 - phi).compose(to_origin)
-    t = math.tanh(0.5 * hyp_distance(p, q))
-    return iso, t

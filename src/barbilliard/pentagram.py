@@ -6,13 +6,15 @@ base) has rotation number 2/5, and its boundary orbits close into a
 pentagram winding twice around the circle.  This module builds the
 explicit closing orbits of the canonical families, detects period-5
 orbits of arbitrary triangles, counts chord incidences, and evaluates
-all the distance conditions that decide 1/3, 2/5, above or below.
+all the distance conditions that decide 1/3, 2/5, above or below.  The
+checks of single proof steps (chain ratios, contraction, the closing
+witness) live in :mod:`barbilliard.lemmas`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .circlemap import (
     SNAP,
@@ -20,21 +22,13 @@ from .circlemap import (
     TangentMap,
     second_intersection,
 )
-from .errors import (
-    DegenerateU,
-    NotInArc,
-    NoWitness,
-    OutOfRange,
-    PointOnLine,
-    PreconditionFailed,
-)
+from .errors import DegenerateU, OutOfRange, PointOnLine, PreconditionFailed
 from .geometry import (
     Chord,
     DiskPoint,
     IdealPoint,
     Triangle,
     angular_distance,
-    ccw_gap,
     chord_through,
     delta_n,
     foot_and_delta,
@@ -359,98 +353,6 @@ def condition_report(tri: Triangle) -> ConditionReport:
         isosceles_above=any(l.isosceles_above for l in labelings),
         isosceles_below=any(l.isosceles_below for l in labelings),
     )
-
-
-def edge_incidence(pent: Pentagram, c: DiskPoint) -> int:
-    """Number of pentagram edges whose supporting line passes through c."""
-    return sum(
-        _chord_distance(c, e.a.angle, e.b.angle) <= CLOSURE_TOL for e in pent.edges
-    )
-
-
-def ideal_chain(t: float) -> list[IdealPoint]:
-    """Six-step boundary chain of the canonical triangle's base-line ideals.
-
-    The chain starts from the ideal points of the apex-to-bottom side,
-    adds the auxiliary point across the top vertex, and then follows the
-    map three more steps.  Defined for 0.8 < t < 1.
-    """
-    if not 0.8 < t < 1.0:
-        raise OutOfRange(f"chain requires 0.8 < t < 1, got {t}")
-    p, q, r = _standard_vertices(t)
-    tmap = triangle_map(Triangle(p, q, r))
-    ch = chord_through(q, r)
-    u3, u2 = ch.a, ch.b  # nearer the bottom vertex; the upper-left one
-    u1 = second_intersection(u2, p)
-    return [u1, u2] + tmap.orbit(u3, 3)
-
-
-def orbit_derivative_product(t: float) -> float:
-    """Product of the five point-map derivatives along the ideal chain:
-    the slope of F^5 at the chain's first point, on the piece that ends
-    there (at a breakpoint the incoming vertex serves).
-
-    Stays below 1 on 0.8 < t < 1, which makes the fifth iterate a
-    contraction off the closing orbit.
-    """
-    u1 = ideal_chain(t)[0].angle
-    pieces = triangle_map(Triangle(*_standard_vertices(t))).pieces(5)
-    return min(pieces, key=lambda pc: angular_distance(pc.hi, u1)).slope(u1)
-
-
-def contraction_check(t: float, v: IdealPoint) -> bool:
-    """True when the fifth iterate pulls v back toward the gap's left end.
-
-    v must lie strictly between two consecutive closing points; the gap's
-    left endpoint is the closing point a with v in arc(a, next).
-    """
-    if not 0.8 < t < 1.0:
-        raise OutOfRange(f"contraction regime requires 0.8 < t < 1, got {t}")
-    tri, pent = standard_pentagram(t)
-    tmap = triangle_map(tri)
-    a_angles = sorted(pt.angle for pt in pent.points)
-    for ang in a_angles:
-        if angular_distance(v.angle, ang) <= 1e-12:
-            raise NotInArc("point coincides with a closing orbit point")
-    below = [ang for ang in a_angles if ang <= v.angle]
-    left = below[-1] if below else a_angles[-1]
-    w = tmap.orbit(v, 5)[-1].angle
-    return 0.0 < ccw_gap(left, w) < ccw_gap(left, v.angle)
-
-
-def _line_intersection(a1, b1, a2, b2) -> Optional[tuple[float, float]]:
-    d1x, d1y = b1[0] - a1[0], b1[1] - a1[1]
-    d2x, d2y = b2[0] - a2[0], b2[1] - a2[1]
-    det = d1x * d2y - d1y * d2x
-    if abs(det) < 1e-14:
-        return None
-    s = ((a2[0] - a1[0]) * d2y - (a2[1] - a1[1]) * d2x) / det
-    return (a1[0] + s * d1x, a1[1] + s * d1y)
-
-
-def pentagram_witness(p: DiskPoint, q: DiskPoint, r: DiskPoint) -> IdealPoint:
-    """Boundary point whose two-tangent chord construction recovers r.
-
-    Only defined when the apex distance equals half the order-1
-    threshold of the base; the witness generates the closing pentagram.
-    With v1, v2 the ends of the line pq, v1 nearer p, the line from v1
-    through r meets the circle again at w2, and the witness is w2's
-    chord image across q.  The construction must close: the line from
-    v2 through w's image across p meets the line v1 w2 at r.
-    """
-    base = hyp_distance(p, q)
-    _, delta = foot_and_delta(p, q, r)
-    if abs(delta - 0.5 * delta_n(base, 1)) > 1e-8:
-        raise PreconditionFailed(
-            "apex distance must equal half the order-1 threshold of the base"
-        )
-    ch = chord_through(p, q)
-    w2 = second_intersection(ch.a, r)
-    w = second_intersection(w2, q)
-    x = _line_intersection(ch.a.xy, w2.xy, ch.b.xy, second_intersection(w, p).xy)
-    if x is None or math.hypot(x[0] - r.x, x[1] - r.y) > 1e-8:
-        raise NoWitness("no boundary witness reproduces the apex within tolerance")
-    return w
 
 
 def conjecture_check(tri: Triangle, n: int = 100_000, q_max: int = 64) -> ConjectureVerdict:

@@ -18,6 +18,37 @@ def src_env():
     return env
 
 
+def delta_from_sides(alpha, beta, gamma):
+    """Perpendicular distance from the apex to the base, from side lengths:
+    the oracle of ``foot_and_delta``.
+
+    ``gamma`` is the base, ``alpha`` and ``beta`` the sides adjacent to
+    the far endpoints.  Tiny negative radicands from collinear limits are
+    clamped to zero.
+    """
+    if alpha <= 0.0 or beta <= 0.0 or gamma <= 0.0:
+        raise ValueError("side lengths must be positive")
+    rad = (math.cosh(beta) - math.cosh(alpha - gamma)) * (
+        math.cosh(alpha + gamma) - math.cosh(beta)
+    )
+    if rad < -1e-12:
+        raise ValueError(f"sides ({alpha}, {beta}, {gamma}) violate the triangle inequality")
+    return math.asinh(math.sqrt(max(0.0, rad)) / math.sinh(gamma))
+
+
+def equidistant_x(k, y):
+    """Abscissa of the locus at distance k from the vertical diameter.
+
+    The locus is the ellipse x^2/tanh(k)^2 + y^2 = 1; the nonnegative
+    abscissa at height y is sqrt(1-y^2) tanh(k).
+    """
+    if k <= 0.0:
+        raise ValueError(f"locus distance must be positive, got {k}")
+    if abs(y) >= 1.0:
+        raise ValueError(f"height must satisfy |y| < 1, got {y}")
+    return math.sqrt(1.0 - y * y) * math.tanh(k)
+
+
 def random_disk_points(rng, count, rmax=0.92):
     pts = []
     while len(pts) < count:

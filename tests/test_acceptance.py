@@ -20,21 +20,18 @@ from barbilliard import (
     certify_rational,
     classify_rho,
     condition_report,
-    delta_from_sides,
     delta_n,
     detect_period5,
     ellipse_pentagram,
     foot_and_delta,
     hyp_distance,
-    ideal_chain,
-    normalize_pair,
-    orbit_derivative_product,
     standard_pentagram,
     tau_n,
 )
 from barbilliard.geometry import angular_distance
+from barbilliard.lemmas import ideal_chain, normalize_pair, orbit_derivative_product
 from barbilliard.pentagram import ellipse_contact_xs, triangle_map
-from conftest import random_convex_polygon, random_triangle, src_env
+from conftest import delta_from_sides, random_convex_polygon, random_triangle, src_env
 from test_pentagram import brute_tau_signs
 
 SQRT5 = math.sqrt(5.0)

@@ -491,15 +491,25 @@ def test_cli_import_loads_no_scipy():
     process pool, which only a sweep of several chunks at ``--jobs N``
     with N > 1 uses.  Nor the figure code, which only ``render`` uses.
     Nor dataclasses or the inspect module it loads, which cost most of
-    the package's own import."""
+    the package's own import.  Nor the proof-step checks, which no
+    command uses."""
     code = ("import sys, barbilliard.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')"
             " or m in ('concurrent.futures.process', 'barbilliard.svgfig', 'dataclasses',"
-            " 'inspect')))")
+            " 'inspect', 'barbilliard.lemmas')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_package_import_loads_no_lemmas():
+    """A bare ``import barbilliard`` leaves the proof-step checks unloaded."""
+    code = "import sys, barbilliard; print('barbilliard.lemmas' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 #: a child Python in which ``import numpy`` fails runs ``cli.main`` on its arguments

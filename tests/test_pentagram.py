@@ -18,20 +18,23 @@ from barbilliard import (
     chord_through,
     condition_report,
     conjecture_check,
-    contraction_check,
     delta_n,
     detect_period5,
-    edge_incidence,
     ellipse_pentagram,
     foot_and_delta,
     hyp_distance,
-    ideal_chain,
-    orbit_derivative_product,
-    pentagram_witness,
     standard_pentagram,
     tau_n,
 )
 from barbilliard.geometry import angular_distance, ccw_gap
+from barbilliard.lemmas import (
+    contraction_check,
+    edge_incidence,
+    ideal_chain,
+    normalize_pair,
+    orbit_derivative_product,
+    pentagram_witness,
+)
 from barbilliard.pentagram import ellipse_contact_xs, triangle_map
 from conftest import random_triangle
 
@@ -542,8 +545,6 @@ class TestPentagramWitness:
     def test_rotated_configuration_closes_through_witness(self, rng):
         # same configuration pushed through an isometry still has a witness,
         # and the witness generates a closing five-chord path
-        from barbilliard import normalize_pair
-
         cases = [((0.3, 0.2), (-0.1, -0.4), 0.9)]
         for _ in range(20):
             a, b = rng.uniform(-0.6, 0.6, (2, 2))

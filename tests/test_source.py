@@ -1,6 +1,6 @@
 """The package source parses as Python 3.10, the oldest version that
-``pyproject.toml`` allows, whichever interpreter runs the suite, and it
-names each operation once."""
+``pyproject.toml`` allows, whichever interpreter runs the suite, it
+names each operation once, and only tests import the proof-step checks."""
 
 import ast
 import importlib
@@ -17,6 +17,31 @@ MODULES = sorted(pathlib.Path(barbilliard.__file__).parent.glob("*.py"))
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_parses_as_python_3_10(path):
     ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def _imported_modules(tree: ast.Module) -> set:
+    """Dotted names of the package modules that a module's imports load,
+    relative imports resolved against ``barbilliard``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "barbilliard" + ("." + base if base else "")
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "lemmas"],
+                         ids=lambda p: p.name)
+def test_only_tests_import_lemmas(path):
+    """No module of the package imports ``barbilliard.lemmas``, so no
+    command compiles the proof-step checks."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert "barbilliard.lemmas" not in _imported_modules(tree)
 
 
 def test_newer_syntax_is_rejected():

@@ -19,11 +19,11 @@ from barbilliard import (
     condition_report,
     conjecture_check,
     detect_period5,
-    normalize_pair,
     standard_pentagram,
     tau_n,
     triangle_map,
 )
+from barbilliard.lemmas import normalize_pair
 from barbilliard.rotation import scan_winding_zeros
 
 P, Q = DiskPoint(0.0, 0.9), DiskPoint(0.0, -0.9)
@@ -99,7 +99,7 @@ def test_round_tripped_map_evaluates_alike(body):
     (IdealPoint(0.25), "angle", float("nan")),
     (chord_through(P, Q), "b", chord_through(P, Q).a),
     (TRI, "r", P),
-    (normalize_pair(P, Q)[0], "m", ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 2.0))),
+    (normalize_pair(P, Q)[0], "b", 1.0),
     (ConvexBody.polygon(TRI.vertices), "kind", "disk"),
 ], ids=["DiskPoint", "IdealPoint", "Chord", "Triangle", "KleinIsometry", "ConvexBody"])
 def test_replace_validates(value, field, bad):
