@@ -71,14 +71,18 @@ def _number(text: str, flag: str, kind=float):
         raise CliError("InvalidArgument", f"{flag}: not a number: {text!r}") from exc
 
 
+def _numbers(text: str, flag: str, shape: str) -> list[float]:
+    """A flag's comma-separated numbers, as many as ``shape`` names."""
+    vals = [_number(v, flag) for v in text.split(",")]
+    if len(vals) != shape.count(",") + 1:
+        raise CliError("InvalidArgument", f"{flag} needs {shape}")
+    return vals
+
+
 def _triangle_from_args(args) -> tuple[Triangle, Optional[float], Optional[float]]:
     if args.vertices is not None:
-        vals = [_number(v, "--vertices") for v in args.vertices.split(",")]
-        if len(vals) != 6:
-            raise CliError("InvalidArgument", "--vertices needs x1,y1,x2,y2,x3,y3")
-        pts = [DiskPoint(vals[0], vals[1]), DiskPoint(vals[2], vals[3]),
-               DiskPoint(vals[4], vals[5])]
-        return Triangle(*pts), None, None
+        v = _numbers(args.vertices, "--vertices", "x1,y1,x2,y2,x3,y3")
+        return Triangle(*(DiskPoint(*v[i:i + 2]) for i in (0, 2, 4))), None, None
     if args.t is None or args.r is None:
         raise CliError("InvalidArgument", "give either --vertices or both --t and --r")
     t, r = args.t, args.r
@@ -347,18 +351,9 @@ def _parse_range(text: Optional[str], flag: str) -> tuple[float, float, int]:
 
 
 def cmd_tau(args) -> int:
-    vals = [_number(v, "--pair") for v in args.pair.split(",")]
-    if len(vals) != 4:
-        raise CliError("InvalidArgument", "--pair needs x1,y1,x2,y2")
-    pv = [_number(v, "--point") for v in args.point.split(",")]
-    if len(pv) != 2:
-        raise CliError("InvalidArgument", "--point needs x,y")
-    result = tau_n(
-        DiskPoint(vals[0], vals[1]),
-        DiskPoint(vals[2], vals[3]),
-        DiskPoint(pv[0], pv[1]),
-        args.n,
-    )
+    pair = _numbers(args.pair, "--pair", "x1,y1,x2,y2")
+    point = _numbers(args.point, "--point", "x,y")
+    result = tau_n(DiskPoint(*pair[:2]), DiskPoint(*pair[2:]), DiskPoint(*point), args.n)
     print(
         json.dumps(
             {

@@ -16,12 +16,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .circlemap import (
-    SNAP,
-    ConvexBody,
-    TangentMap,
-    second_intersection,
-)
+from .circlemap import ConvexBody, TangentMap, second_intersection
 from .errors import DegenerateU, OutOfRange, PointOnLine, PreconditionFailed
 from .geometry import (
     Chord,
@@ -241,7 +236,8 @@ def ellipse_pentagram(t: float, v: float, side: str = "left") -> tuple[Triangle,
 
 def detect_period5(tmap: TangentMap) -> OrbitSet:
     """Find every period-5, winding-2 boundary orbit of a triangle map:
-    the zeros of F^5 - id - 2 from its Mobius pieces, grouped by orbit."""
+    the zeros of F^5 - id - 2 from its Mobius pieces, grouped by orbit.
+    Raises PreconditionFailed where that scan cannot resolve."""
     if tmap.body.kind != "polygon" or len(tmap.body.vertices) != 3:
         raise PreconditionFailed("period-5 detection applies to triangle bodies")
     scan = scan_winding_zeros(tmap, 2, 5)
@@ -275,8 +271,8 @@ def tau_n(p1: DiskPoint, p2: DiskPoint, pt: DiskPoint, n: int) -> TauResult:
 
     n runs from 1 to MAX_Q // 2, the piece engine's range.  The cuts of
     F^{2n} are the base line's ends, and the residual's extrema close in
-    on them geometrically in n.  One within SNAP of a cut is read on the
-    wrong arc or rounded past it, so PreconditionFailed is raised.
+    on them geometrically in n, so from some n the scan's resolution
+    check raises PreconditionFailed (see ``rotation._circle_zeros``).
     """
     if not 1 <= n <= MAX_Q // 2:
         raise OutOfRange(f"fold order must be an integer in [1, {MAX_Q // 2}], got {n}")
@@ -286,13 +282,6 @@ def tau_n(p1: DiskPoint, p2: DiskPoint, pt: DiskPoint, n: int) -> TauResult:
     tmap = TangentMap(ConvexBody.segment(p1, p2))
     P = complex(pt.x, pt.y)
     pieces = [pc.then_half_turn(P) for pc in tmap.pieces(2 * n)]
-    for pc in pieces:
-        for c in pc.critical_points():
-            x = pc.lo + (c - pc.lo) % 1.0
-            if min(x - pc.lo, pc.lo + 1.0 - x, abs(x - pc.hi)) <= SNAP:
-                raise PreconditionFailed(
-                    f"fold order {n}: an extremum at {x % 1.0:.12g} lies within "
-                    f"{SNAP} turns of a cut, beyond float resolution")
 
     def image(u: float) -> tuple[float, float]:
         """F^{2n}(u) lifted, and its half-turn about pt lifted after it."""

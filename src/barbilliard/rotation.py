@@ -130,6 +130,10 @@ def _circle_zeros(pieces: list[Piece], levels: Sequence[int],
     at the fixed point in that span and left for ``ZeroScan.polish``.
     Zeros are located in [-MERGE_TOL, 1 - MERGE_TOL) and merged within
     MERGE_TOL.
+
+    This is every scan's one resolution check: a critical point within
+    SNAP of its piece's ends is read on the wrong arc or rounded past the
+    cut, so PreconditionFailed is raised before f or the residual is read.
     """
     ext, fixed = [], []  # extrema (x, +1 at a minimum of R, -1 at a maximum, 0 at a corner)
     for i, pc in enumerate(pieces):
@@ -137,6 +141,10 @@ def _circle_zeros(pieces: list[Piece], levels: Sequence[int],
             ext.append((pc.lo, 0))
         for c, s in zip(pc.critical_points(), (1, -1)):
             x = pc.lo + (c - pc.lo) % 1.0
+            if min(x - pc.lo, pc.lo + 1.0 - x, abs(x - pc.hi)) <= SNAP:
+                raise PreconditionFailed(
+                    f"an extremum at {x % 1.0:.12g} lies within {SNAP} turns of a cut, "
+                    "beyond float resolution")
             if x < pc.hi:
                 ext.append((x, s))
         for c in pc.fixed_points():
@@ -205,6 +213,8 @@ def scan_winding_zeros(tmap: TangentMap, p: int, q: int) -> ZeroScan:
     A zero is a fixed point of a piece's Mobius map whose lift winds p
     times; by Katok & Hasselblatt (1995), 11.1, g > 0 everywhere exactly
     when rho > p/q, so with no zero the sign of g is the comparison.
+    Raises PreconditionFailed where F^q is beyond float resolution (see
+    ``_circle_zeros``).
     """
 
     def residual(x: float) -> float:
@@ -215,7 +225,8 @@ def scan_winding_zeros(tmap: TangentMap, p: int, q: int) -> ZeroScan:
 
 def certify_rational(tmap: TangentMap, p: int, q: int) -> RotationResult:
     """Certify rho = p/q, or report which side of p/q rho falls on, with
-    a 10k-step estimate alongside."""
+    a 10k-step estimate alongside.  Raises PreconditionFailed where the
+    scan of F^q cannot resolve, before the estimate runs."""
     certificate, comparison = _certify(tmap, p, q)
     return estimate_rho(tmap, 10_000)._replace(certificate=certificate, comparison=comparison)
 
@@ -251,6 +262,8 @@ def classify_rho(tmap: TangentMap, n: int = 100_000, q_max: int = 64) -> Rotatio
     side of 2/5 its scan proves (the comparison), is the verdict.  Only
     then are the p/q with |q est - p| <= q/n, q <= q_max, on that side
     scanned by increasing q; the first to certify is the certificate.
+    A candidate whose scan is beyond float resolution is not certified,
+    and the next is tried; a refused 2/5 scan raises PreconditionFailed.
     The range [1/3, 1/2) is asserted on the estimate and the certificate.
     """
     if tmap.body.kind != "polygon" or len(tmap.body.vertices) != 3:
@@ -269,7 +282,10 @@ def classify_rho(tmap: TangentMap, n: int = 100_000, q_max: int = 64) -> Rotatio
             p = round(q * est.estimate)
             if (1 <= p < q and math.gcd(p, q) == 1 and (5 * p - 2 * q) * side > 0
                     and abs(q * est.estimate - p) <= q / n + 1e-6):
-                certificate, _ = _certify(tmap, p, q)
+                try:
+                    certificate, _ = _certify(tmap, p, q)
+                except PreconditionFailed:
+                    continue
                 if certificate is not None:
                     break
 

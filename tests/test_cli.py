@@ -360,6 +360,14 @@ class TestTauCmd:
         assert code == 2
         assert out["error"] == "PointOnLine"
 
+    def test_past_float_resolution_exits_2(self, capsys):
+        """The scan's resolution check refuses the segment map from n = 9."""
+        argv = ["tau", "--pair=0,0.9,0,-0.9", "--point=-0.02,0", "--n"]
+        assert main(argv + ["8"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["roots"]) == 2
+        assert main(argv + ["9"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "PreconditionFailed"
+
     @pytest.mark.parametrize("n", ["0", "33", "100000000"])
     def test_fold_order_out_of_range_before_any_work(self, capsys, monkeypatch, n):
         def no_map(*args):

@@ -1,5 +1,6 @@
 import cmath
 import importlib.util
+import json
 import math
 import os
 import random
@@ -25,6 +26,7 @@ from barbilliard import (
 )
 from barbilliard.pentagram import triangle_map
 from barbilliard import rotation
+from barbilliard.cli import _triangle_from_args, build_parser, main
 from barbilliard.geometry import TWO_PI, angular_distance
 from barbilliard.circlemap import ITERATION_BUDGET, Piece, _compose, _half_turn
 from barbilliard.rotation import (
@@ -473,12 +475,17 @@ class TestPiecesOnRandomTriangles:
             cases.append((triangle_map(canonical_triangle(t, r)), p, True))
         samples = 2000
         xs = (np.arange(samples) + 0.5) / samples
-        for tmap, p, locked in cases:
+        refused = []
+        for case, (tmap, p, locked) in enumerate(cases):
             pieces = tmap.pieces(q)
             assert len(pieces) <= 3 * q
             assert all(a.hi == b.lo for a, b in zip(pieces, pieces[1:]))
             assert pieces[-1].hi == pieces[0].lo + 1.0
-            scan = scan_winding_zeros(tmap, p, q)
+            try:
+                scan = scan_winding_zeros(tmap, p, q)
+            except PreconditionFailed:
+                refused.append(case)
+                continue
             for zero, (x, v, _) in zip(scan.roots, _polished(scan)):
                 assert abs(tmap.lift_iter(x, q) - x - p) <= TANGENCY_TOL
                 # a zero as located is its polished self to far below the
@@ -502,15 +509,33 @@ class TestPiecesOnRandomTriangles:
                 if min(others, default=1.0) > 2.0 / samples:
                     i = int((z - 0.5 / samples) * samples) % samples
                     assert g[i] * g[(i + 1) % samples] < 0.0
+        # the second seeded triangle's F^64 has a critical point within
+        # SNAP of a cut: the scan refuses it, and only it
+        assert refused == ([1] if q == 64 else [])
 
     def test_certify_runs_for_every_denominator(self):
+        """The scan reads this triangle up to q = 44.  From q = 45 a critical
+        point of F^q lies within SNAP of a cut (1.8e-13 at q = 45), which the
+        scalar map reads 0.81 off an 80-digit read: every scan refuses."""
         tri, tmap = _random_triangle(np.random.default_rng(7))
         for q in range(2, MAX_Q + 1):
             assert len(tmap.pieces(q)) <= 3 * q
-            for p in range(1, q):
-                if math.gcd(p, q) == 1 and abs(p / q - 0.4) < 0.1:
-                    cert, comp = _certify(tmap, p, q)
-                    assert (cert is None) != (comp is None)
+            ps = [p for p in range(1, q) if math.gcd(p, q) == 1 and abs(p / q - 0.4) < 0.1]
+            if q >= 45:
+                for p in ps:
+                    with pytest.raises(PreconditionFailed):
+                        _certify(tmap, p, q)
+                for scan in (scan_winding_zeros, certify_rational):
+                    with pytest.raises(PreconditionFailed):
+                        scan(tmap, ps[0], q)
+                continue
+            for p in ps:
+                cert, comp = _certify(tmap, p, q)
+                assert (cert is None) != (comp is None)
+            scan_winding_zeros(tmap, round(0.4 * q), q)  # returns, whatever p
+            if ps:
+                res = certify_rational(tmap, ps[0], q)
+                assert (res.certificate is None) != (res.comparison is None)
 
 
 def _witness_of_every_zero_polished(tmap, p, q):
@@ -551,9 +576,15 @@ class TestPolishOnlyTheWitness:
         return cases
 
     def test_witness_is_the_fully_polished_choice(self):
-        kinds = set()
+        kinds, refused = set(), []
         for tmap, p, q in self._cases():
-            cert, comp = _certify(tmap, p, q)
+            try:
+                cert, comp = _certify(tmap, p, q)
+            except PreconditionFailed:
+                with pytest.raises(PreconditionFailed):
+                    scan_winding_zeros(tmap, p, q)
+                refused.append(q)
+                continue
             want = _witness_of_every_zero_polished(tmap, p, q)
             if want is None:
                 assert cert is None and comp is not None
@@ -562,6 +593,9 @@ class TestPolishOnlyTheWitness:
             assert (cert.witness_x.hex(), cert.residual.hex(), cert.kind) == (
                 want[0].hex(), want[1].hex(), want[2])
         assert kinds == {"sign_change", "tangency"}
+        # five random benchmark-class maps are beyond float resolution at
+        # high q; no LOCKED triangle and no q = 5 case is
+        assert refused == [37, 46, 64, 37, 64]
 
     def test_brentq_runs_once_per_polished_zero(self, monkeypatch):
         calls = []
@@ -587,3 +621,78 @@ class TestPolishOnlyTheWitness:
         scan = scan_winding_zeros(sandwich, 2, 5)
         assert [z.kind for z in scan.roots] == ["sign_change"] * 10
         assert orbits.zero_count == len(calls) == 10
+
+
+def _benchmark_verdict_maps(seed):
+    """The maps of the benchmark's ``certify`` and ``rho-cli`` verdicts."""
+    bench = _benchmark_inputs()
+    for item in bench.certify_inputs(seed):
+        if item["kind"] != "verdict":
+            continue
+        th = item.get("threshold")
+        if th is None:
+            yield triangle_map(Triangle(*(DiskPoint(*v) for v in item["verts"])))
+        elif th["family"] == "standard":
+            yield triangle_map(standard_pentagram(th["t"])[0])
+        else:
+            yield triangle_map(ellipse_pentagram(th["t"], th["v"], th["side"])[0])
+    for item in bench.rho_inputs(seed):
+        yield triangle_map(_triangle_from_args(build_parser().parse_args(item["argv"]))[0])
+
+
+#: a tall isosceles triangle locked at 6/17: the 50-step estimate
+#: shortlists 4/11, 5/14 and 6/17 below 2/5
+TALL_6_17 = (0.9080828338830698, -0.0837518149789718)
+
+
+class TestResolutionGuard:
+    """Every scan refuses an F^q beyond float resolution; classify_rho
+    skips a refused candidate but not a refused 2/5 scan."""
+
+    @pytest.mark.parametrize("seed", [21, 22, 23, 24, 25])
+    def test_guard_spares_the_benchmark_verdicts(self, seed):
+        maps = list(_benchmark_verdict_maps(seed))
+        assert len(maps) == 68  # 48 certify verdicts, 20 rho calls
+        for tmap in maps:
+            scan_winding_zeros(tmap, 2, 5)
+            detect_period5(tmap)
+
+    @pytest.mark.parametrize("refused, cert", [
+        ((), (6, 17)), ((11, 14), (6, 17)), ((17,), None),
+    ], ids=["none", "4/11-and-5/14", "6/17"])
+    def test_classify_skips_a_refused_candidate(self, monkeypatch, capsys, refused, cert):
+        certify, calls = rotation._certify, []
+
+        def refusing(tmap, p, q):
+            calls.append((p, q))
+            if q in refused:
+                raise PreconditionFailed(f"{p}/{q} refused")
+            return certify(tmap, p, q)
+
+        monkeypatch.setattr(rotation, "_certify", refusing)
+        t, r = TALL_6_17
+        res = classify_rho(triangle_map(canonical_triangle(t, r)), n=50)
+        assert calls[:4] == [(2, 5), (4, 11), (5, 14), (6, 17)]
+        assert (res.certificate and (res.certificate.p, res.certificate.q)) == cert
+        assert res.comparison == (2, 5, "less")
+        # a refused candidate leaves the rho command's verdict standing
+        assert main(["rho", "--t", repr(t), f"--r={r!r}", "--iters", "50"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["rho_verdict"] == "below"
+        assert [out["rotation"]["rho_p"], out["rotation"]["rho_q"]] == list(cert or (None, None))
+
+    @pytest.mark.parametrize("command", ["rho", "verify"])
+    def test_a_refused_two_fifths_scan_exits_2(self, monkeypatch, capsys, command):
+        certify = rotation._certify
+
+        def refusing(tmap, p, q):
+            if (p, q) == (2, 5):
+                raise PreconditionFailed("2/5 refused")
+            return certify(tmap, p, q)
+
+        monkeypatch.setattr(rotation, "_certify", refusing)
+        t, r = TALL_6_17
+        with pytest.raises(PreconditionFailed):
+            classify_rho(triangle_map(canonical_triangle(t, r)), n=50)
+        assert main([command, "--t", repr(t), f"--r={r!r}"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "PreconditionFailed"

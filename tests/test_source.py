@@ -1,6 +1,7 @@
 """The package source parses as Python 3.10, the oldest version that
 ``pyproject.toml`` allows, whichever interpreter runs the suite, it
-names each operation once, and only tests import the proof-step checks."""
+names each operation once, only tests import the proof-step checks, and
+only the zero scan reads the pieces' critical points."""
 
 import ast
 import importlib
@@ -42,6 +43,17 @@ def test_only_tests_import_lemmas(path):
     command compiles the proof-step checks."""
     tree = ast.parse(path.read_text(), filename=str(path))
     assert "barbilliard.lemmas" not in _imported_modules(tree)
+
+
+def test_only_rotation_reads_critical_points():
+    """``rotation._circle_zeros`` places the pieces' critical points and
+    checks their resolution; no other module calls ``.critical_points()``,
+    so no caller keeps a resolution pass of its own."""
+    callers = {path.stem for path in MODULES
+               for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "critical_points"}
+    assert callers == {"rotation"}
 
 
 def test_newer_syntax_is_rejected():
