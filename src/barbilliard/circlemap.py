@@ -40,6 +40,7 @@ from .geometry import (
     DiskPoint,
     IdealPoint,
     _validated,
+    angular_distance,
     ccw_gap,
     chord_through,
 )
@@ -268,20 +269,17 @@ class TangentMap:
         return [self.gap_angle(float(a) % 1.0) for a in angles]
 
     def derivative(self, v: IdealPoint) -> OneSidedDerivative:
-        """One-sided derivatives |M'(z)| = (1 - |P|^2)/|z - P|^2 of the
-        half-turns about the active vertices P at z = v; by the power of
-        the point this is the chord ratio |P w|/|v P|."""
+        """One-sided derivatives at v: the :meth:`Piece.slope`, (1 - |P|^2) /
+        |v - P|^2, of the half-turns about the active vertices P either side;
+        by the power of the point, the chord ratio |P w|/|v P|."""
         a = v.angle
         k = bisect_right(self._bp_angles, (a + SNAP) % 1.0) - 1
         left = right = self._arc_verts[k]
-        if self._bp_angles:
-            gap = abs(a - self._bp_angles[k]) % 1.0
-            if min(gap, 1.0 - gap) <= SNAP:  # at the breakpoint opening the arc
-                left = self._arc_verts[k - 1]
-        z = rect(1.0, TWO_PI * a)
+        if self._bp_angles and angular_distance(a, self._bp_angles[k]) <= SNAP:
+            left = self._arc_verts[k - 1]  # at the breakpoint opening the arc
         return OneSidedDerivative(
-            left=(1.0 - abs(left) ** 2) / abs(z - left) ** 2,
-            right=(1.0 - abs(right) ** 2) / abs(z - right) ** 2,
+            left=Piece(a, a, *_half_turn(left)).slope(a),
+            right=Piece(a, a, *_half_turn(right)).slope(a),
         )
 
     def lift_iter(self, x: float, n: int) -> float:

@@ -270,9 +270,20 @@ def _uniforms(seed: int, n: int) -> list[float]:
 
 def _relative_radius(t: float, frac: float) -> float:
     d = hyp_distance(DiskPoint(0.0, t), DiskPoint(0.0, -t))
+    if d <= 0.0:  # 2t below ~1e-162 squares to 0: no thresholds to interpolate
+        raise CliError("InvalidArgument", f"--t {t} is too small: the base length underflows")
     x_inner = math.tanh(delta_n(d, 2))
     x_half = math.tanh(0.5 * delta_n(d, 1))
     return x_inner + frac * (x_half - x_inner)
+
+
+def _write(path: str, text: str) -> None:
+    """Write a command's output file; a failure is an IOFailure (exit 3)."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError("IOFailure", f"cannot write {path}: {exc}", exit_code=3) from exc
 
 
 def _usable_cpus() -> int:
@@ -324,13 +335,7 @@ def cmd_sweep(args) -> int:
     else:
         rows = [_sweep_cell(c) for c in cells]
 
-    lines = [CSV_HEADER] + [row for row, _, _ in rows]
-    payload = "\n".join(lines) + "\n"
-    try:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(payload)
-    except OSError as exc:
-        raise CliError("IOFailure", f"cannot write {args.out}: {exc}", exit_code=3) from exc
+    _write(args.out, "\n".join([CSV_HEADER] + [row for row, _, _ in rows]) + "\n")
 
     n_cons = sum(1 for _, consistent, _ in rows if consistent)
     n_uncert = sum(1 for _, consistent, uncert in rows if uncert and not consistent)
@@ -376,12 +381,7 @@ def cmd_render(args) -> int:
         raise CliError("InvalidArgument", "--steps must be in [0, 10000]")
     tmap = triangle_map(tri)
     orbits = detect_period5(tmap).orbits
-    svg = figure_svg(tmap, args.steps, IdealPoint(args.start), orbits)
-    try:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(svg)
-    except OSError as exc:
-        raise CliError("IOFailure", f"cannot write {args.out}: {exc}", exit_code=3) from exc
+    _write(args.out, figure_svg(tmap, args.steps, IdealPoint(args.start), orbits))
     return 0
 
 

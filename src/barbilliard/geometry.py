@@ -158,17 +158,14 @@ def chord_through(p: DiskPoint, q: DiskPoint) -> Chord:
 def hyp_distance(p: DiskPoint, q: DiskPoint) -> float:
     """Hyperbolic distance between two disk points: the arcsinh of
 
-        sqrt(|q - p|^2 - (m x (q - p))^2) / sqrt((1 - |p|^2)(1 - |q|^2)),
+        sqrt(<m, m>) / sqrt((1 - |p|^2)(1 - |q|^2)),
 
-    m = (p + q)/2, which is cosh d = (1 - p.q)/sqrt((1 - |p|^2)(1 - |q|^2))
-    by Lagrange's identity.  The arccosh of cosh d would lose short
-    distances: cosh d rounds to 1 below d ~ 1e-8.  Swapping p and q negates
-    q - p and keeps m, so the result is symmetric bit for bit.
+    with <m, m> the norm of the line pq (:func:`_line_norm`).  By Lagrange's
+    identity its cosh is (1 - p.q)/sqrt((1 - |p|^2)(1 - |q|^2)), whose
+    arccosh would lose short distances: it rounds to 1 below d ~ 1e-8.
+    Swapping p and q keeps every rounded term: symmetric bit for bit.
     """
-    dx, dy = q.x - p.x, q.y - p.y
-    cross = 0.5 * ((p.x + q.x) * dy - (p.y + q.y) * dx)
-    num = math.sqrt(dx * dx + dy * dy - cross * cross)
-    return math.asinh(num / math.sqrt(_boundary_gap(p) * _boundary_gap(q)))
+    return math.asinh(math.sqrt(_line_norm(p, q)) / math.sqrt(_boundary_gap(p) * _boundary_gap(q)))
 
 
 def delta_n(d: float, n: int) -> float:
@@ -216,6 +213,17 @@ def _boundary_gap(p: DiskPoint) -> float:
                       -yh * yh, -2.0 * yh * yl, -yl * yl))
 
 
+def _line_norm(p: DiskPoint, q: DiskPoint) -> float:
+    """<m, m> = m1^2 + m2^2 - m3^2 of the line pq, m = (p, 1) x (q, 1), as
+    |d|^2 (1 - |c|^2) + (c . d)^2 with d = q - p, c = (p + q)/2 and 1 - |c|^2
+    = (1 - |p|^2 + 1 - |q|^2)/2 + |d|^2/4, which keeps a short pair near the
+    circle: c . d, the one signed sum, is rounded once."""
+    dx, dy = q.x - p.x, q.y - p.y
+    dd = dx * dx + dy * dy
+    cd = 0.5 * _exact_sum_of_products((p.x + q.x, dx), (p.y + q.y, dy))
+    return dd * (0.5 * (_boundary_gap(p) + _boundary_gap(q)) + 0.25 * dd) + cd * cd
+
+
 def foot_and_delta(p: DiskPoint, q: DiskPoint, r: DiskPoint) -> tuple[DiskPoint, float]:
     """Perpendicular foot of r on the line pq, and the drop's length.
 
@@ -227,10 +235,11 @@ def foot_and_delta(p: DiskPoint, q: DiskPoint, r: DiskPoint) -> tuple[DiskPoint,
 
     and the foot is the Lorentz projection X - (X . m / <m, m>) J m,
     dehomogenised.  X . m is rounded once, because it cancels for an
-    apex near the line.
+    apex near the line, and <m, m> is :func:`_line_norm`, which keeps a
+    short base near the circle.
     """
     m1, m2, m3 = p.y - q.y, q.x - p.x, p.x * q.y - p.y * q.x
-    mm = m1 * m1 + m2 * m2 - m3 * m3
+    mm = _line_norm(p, q)
     xm = _exact_sum_of_products(
         (r.x, p.y), (-r.x, q.y), (r.y, q.x), (-r.y, p.x), (p.x, q.y), (-p.y, q.x)
     )

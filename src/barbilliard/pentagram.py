@@ -56,12 +56,9 @@ class Pentagram(NamedTuple):
         if len(pts) != 5:
             raise PreconditionFailed("a pentagram needs exactly five points")
         for i in range(5):
-            img = tmap.eval_angle(pts[i].angle)
-            if angular_distance(img, pts[(i + 1) % 5].angle) > CLOSURE_TOL:
-                raise PreconditionFailed(
-                    f"orbit does not close: step {i} misses by "
-                    f"{angular_distance(img, pts[(i + 1) % 5].angle):.3e}"
-                )
+            miss = angular_distance(tmap.eval_angle(pts[i].angle), pts[(i + 1) % 5].angle)
+            if miss > CLOSURE_TOL:
+                raise PreconditionFailed(f"orbit does not close: step {i} misses by {miss:.3e}")
         angles = [p.angle for p in pts]
         rank = {i: r for r, i in enumerate(sorted(range(5), key=lambda i: angles[i]))}
         for i in range(5):
@@ -184,9 +181,11 @@ def ellipse_pentagram(t: float, v: float, side: str = "left") -> tuple[Triangle,
     """Closing configuration with the apex on the order-2 threshold ellipse.
 
     The apex is placed at height v on the ellipse of points whose
-    distance to the vertical base equals the order-2 threshold; the five
-    boundary points are built by successive chord crossings through the
-    base vertices and verified to close under the actual map.
+    distance to the vertical base equals the order-2 threshold.  The five
+    boundary points are built by chord crossings through the base vertices
+    p and q, and checked against :func:`ellipse_contact_xs`.  The map steps
+    them in construction order, a2 -> a3 -> a4 -> a5 -> a1 (the right-side
+    mirror reverses the cycle); ``Pentagram.build`` checks that it closes.
     """
     if not 0.0 < t < 1.0:
         raise OutOfRange(f"parameter must satisfy 0 < t < 1, got {t}")
@@ -221,17 +220,8 @@ def ellipse_pentagram(t: float, v: float, side: str = "left") -> tuple[Triangle,
         pts = [IdealPoint(wrap_turns(0.5 - a.angle)) for a in pts]
     r = DiskPoint(u_mag if mirror else -u_mag, v)
     tri = Triangle(p, q, r)
-    tmap = triangle_map(tri)
-
-    # follow the actual map through the constructed points to fix the order
-    start = pts[1]  # the horizontal-chord point (-s, v), mirrored if needed
-    seq = [start]
-    for img in tmap.orbit(start, 4)[1:]:
-        match = min(pts, key=lambda pt: angular_distance(pt.angle, img.angle))
-        if angular_distance(match.angle, img.angle) > 1e-7:
-            raise RuntimeError("constructed points are not an orbit of the map")
-        seq.append(match)
-    return tri, Pentagram.build(tmap, seq)
+    order = (1, 0, 4, 3, 2) if mirror else (1, 2, 3, 4, 0)
+    return tri, Pentagram.build(triangle_map(tri), [pts[i] for i in order])
 
 
 def detect_period5(tmap: TangentMap) -> OrbitSet:

@@ -158,6 +158,16 @@ class TestSweep:
         assert len(lines) == 2
         assert lines[1].startswith("0.9,-0.02,")
 
+    def test_ranges_without_steps_take_ten(self, tmp_path, capsys):
+        out = tmp_path / "ten.csv"
+        assert main(["sweep", "--t", "0.88:0.9", "--r=-0.03:-0.02", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 1 + 10 * 10
+        cells = [line.split(",")[:2] for line in lines[1:]]
+        assert len({t for t, _ in cells}) == len({r for _, r in cells}) == 10
+        assert cells[0] == ["0.88", "-0.03"] and cells[-1] == ["0.9", "-0.02"]
+        assert "rows=100" in capsys.readouterr().out
+
     def test_unwritable_path(self, capsys):
         code = main(
             [
@@ -306,12 +316,39 @@ class TestInputChecks:
         ["--t", "0.8:0.9:2:3", *R],
         ["--t", "0.92:0.88:2", *R],
         ["--t", "0.88:0.92:0", *R],
-    ], ids=["no-t", "no-r", "one-part", "four-parts", "t-lo-above-hi", "zero-steps"])
+        # the base length 2t underflows to 0, so no threshold interval exists
+        ["--t", "1e-300:1e-299:2", "--r", "0.1:0.9:2", "--r-mode", "relative_interval"],
+    ], ids=["no-t", "no-r", "one-part", "four-parts", "t-lo-above-hi", "zero-steps",
+            "relative-base-underflows"])
     def test_sweep_ranges(self, tmp_path, capsys, argv):
         out = tmp_path / "x.csv"
         assert main(["sweep", *argv, "--out", str(out)]) == 2
         assert json.loads(capsys.readouterr().out)["error"] == "InvalidArgument"
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["rho", "--t", "nan", "--r", "0.1"],
+        ["rho", "--t", "0.5", "--r", "inf"],
+        ["rho", "--t", "0.999999999", "--r=-0.1"],
+        ["rho", "--t", "1e-300", "--r=-0.5"],
+        ["rho", "--vertices=0.99999999,0,-0.5,0.5,-0.5,-0.5", "--iters", "20000"],
+        ["rho", "--vertices=0,0.99999999,-0.99999999,0,0,-0.99999999"],
+        ["rho", "--vertices=0,0.5,0,-0.5,1e-11,0", "--iters", "20000"],
+        ["render", "--t", "0.9", "--r=-0.05", "--start", "nan", "--out", "{out}"],
+        ["tau", "--pair=0,0.9,0,-0.9", "--point=-0.9999999995,0"],
+        ["tau", "--pair=0,0.5,0,0.5", "--point=0.1,0"],
+        ["sweep", "--t", "0.88:0.9:2", "--r", "nan:0.1:2", "--out", "{out}"],
+        ["sweep", "--t", "1e-300:1e-299:2", "--r", "0.1:0.9:2",
+         "--r-mode", "relative_interval", "--out", "{out}"],
+    ], ids=["t-nan", "r-inf", "t-near-1", "t-tiny", "vertex-near-circle",
+            "vertices-near-circle", "near-collinear", "render-start-nan",
+            "tau-point-near-circle", "tau-pair-coincident", "sweep-r-nan",
+            "sweep-relative-base-underflows"])
+    def test_edge_inputs_never_exit_4(self, tmp_path, capsys, argv):
+        """Extreme but well-formed inputs get a verdict or an input error,
+        never an internal one."""
+        out = str(tmp_path / "out")
+        assert main([out if a == "{out}" else a for a in argv]) in (0, 2)
 
 
 def test_sweep_reproduces_pinned_band_csv(tmp_path, capsys):

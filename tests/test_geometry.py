@@ -34,6 +34,17 @@ def near_boundary_points(rng, count, widest=-1.0):
             for g, a in zip(gaps, turns)]
 
 
+def short_boundary_pairs(rng, count):
+    """Pairs 1e-6 to 1e-2 apart along the circle, each point 10^-8.5 to
+    10^-1 inside it: the plain line norm |d|^2 - (p x q)^2 cancels there."""
+    gaps = 10.0 ** rng.uniform(-8.5, -1.0, (count, 2))
+    turns = rng.uniform(0.0, 2.0 * math.pi, count)
+    steps = 10.0 ** rng.uniform(-6.0, -2.0, count) * rng.choice([-1.0, 1.0], count)
+    return [(DiskPoint(float((1.0 - gp) * math.cos(a)), float((1.0 - gp) * math.sin(a))),
+             DiskPoint(float((1.0 - gq) * math.cos(a + s)), float((1.0 - gq) * math.sin(a + s))))
+            for (gp, gq), a, s in zip(gaps, turns, steps)]
+
+
 class TestDiskPoint:
     def test_interior_ok(self):
         p = DiskPoint(0.3, -0.4)
@@ -154,6 +165,19 @@ class TestHypDistance:
                 worst = max(worst, float(abs(hyp_distance(p, q) - ref) / ref))
         assert len(pairs) > 1500
         assert worst <= 1e-13
+
+    def test_short_near_boundary_pairs_match_50_digit_reference(self, rng):
+        mpmath = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mpmath.workdps(50):
+            for p, q in short_boundary_pairs(rng, 4000):
+                px, py, qx, qy = map(mpmath.mpf, (p.x, p.y, q.x, q.y))
+                ref = mpmath.acosh(
+                    (1 - px * qx - py * qy)
+                    / mpmath.sqrt((1 - px * px - py * py) * (1 - qx * qx - qy * qy))
+                )
+                worst = max(worst, float(abs(hyp_distance(p, q) - ref) / ref))
+        assert worst <= 1e-12
 
     def test_boundary_gap_is_the_exact_sum_of_products(self, rng):
         # both forms round the same exact real once, so the bits agree
@@ -281,6 +305,23 @@ class TestFootAndDelta:
                 assert abs(delta - ref) <= 1e-12 * ref
                 # the foot lies on the line pq
                 assert abs(fx * m1 + fy * m2 + m3) <= 1e-15 * mpmath.sqrt(m1 * m1 + m2 * m2)
+
+    def test_short_bases_near_the_circle_match_60_digit_reference(self, rng):
+        # where the plain line norm m1^2 + m2^2 - m3^2 loses digits
+        mpmath = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mpmath.workdps(60):
+            for (p, q), r in zip(short_boundary_pairs(rng, 3000),
+                                 random_disk_points(rng, 3000, rmax=0.9)):
+                _, delta = foot_and_delta(p, q, r)
+                px, py, qx, qy, rx, ry = map(mpmath.mpf, (p.x, p.y, q.x, q.y, r.x, r.y))
+                m1, m2, m3 = py - qy, qx - px, px * qy - py * qx
+                ref = mpmath.asinh(
+                    abs(rx * m1 + ry * m2 + m3)
+                    / mpmath.sqrt((1 - rx * rx - ry * ry) * (m1 * m1 + m2 * m2 - m3 * m3))
+                )
+                worst = max(worst, float(abs(delta - ref) / ref))
+        assert worst <= 1e-12
 
 
 class TestDeltaFromSides:

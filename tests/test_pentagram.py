@@ -5,6 +5,7 @@ import pytest
 
 from barbilliard import (
     ConvexBody,
+    DegenerateU,
     DiskPoint,
     IdealPoint,
     NotInArc,
@@ -159,6 +160,11 @@ class TestEllipsePentagram:
             ellipse_pentagram(1.1, 0.0, "left")
         with pytest.raises(OutOfRange):
             ellipse_pentagram(0.9, 0.0, "up")
+
+    def test_collapsed_abscissa(self):
+        # near t = 1 the apex abscissa (1 - t^2)^2 / (t^4 + 6 t^2 + 1) is ~5e-19
+        with pytest.raises(DegenerateU):
+            ellipse_pentagram(1.0 - 1e-9, 0.0)
 
     def test_domain_fuzz(self, rng):
         # the construction closes across the whole admissible domain
