@@ -3,9 +3,7 @@
 Convex bodies (points, segments, convex polygons) inside the unit circle
 induce a tangent-line circle homeomorphism; this package evaluates the
 map, estimates and certifies its rotation number, and checks the
-hyperbolic distance conditions governing the 1/3 and 2/5 regimes.  The
-checks of the paper's single proof steps are in ``barbilliard.lemmas``,
-which this package does not import.
+hyperbolic distance conditions governing the 1/3 and 2/5 regimes.
 """
 
 from .circlemap import (
@@ -22,8 +20,6 @@ from .errors import (
     InvalidRational,
     IterationBudgetExceeded,
     NonpositiveDistance,
-    NotInArc,
-    NoWitness,
     OutOfRange,
     OutOfTheoreticalRange,
     PointOnLine,

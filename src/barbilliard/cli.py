@@ -27,7 +27,7 @@ from .errors import (
     PointOnLine,
     PreconditionFailed,
 )
-from .geometry import DiskPoint, IdealPoint, Triangle, delta_n, fmt, hyp_distance
+from .geometry import EPS_BOUNDARY, DiskPoint, IdealPoint, Triangle, delta_n, fmt, hyp_distance
 from .pentagram import (
     conjecture_check,
     detect_period5,
@@ -269,12 +269,18 @@ def _uniforms(seed: int, n: int) -> list[float]:
 
 
 def _relative_radius(t: float, frac: float) -> float:
+    """The apex abscissa at ``frac`` of the way from the order-2 threshold
+    to half the order-1 threshold of the base (0, +-t)."""
     d = hyp_distance(DiskPoint(0.0, t), DiskPoint(0.0, -t))
-    if d <= 0.0:  # 2t below ~1e-162 squares to 0: no thresholds to interpolate
-        raise CliError("InvalidArgument", f"--t {t} is too small: the base length underflows")
-    x_inner = math.tanh(delta_n(d, 2))
-    x_half = math.tanh(0.5 * delta_n(d, 1))
-    return x_inner + frac * (x_half - x_inner)
+    # a base that underflows to 0 has infinite thresholds, whose tanh is 1
+    x = 1.0
+    if d > 0.0:
+        x_inner = math.tanh(delta_n(d, 2))
+        x = x_inner + frac * (math.tanh(0.5 * delta_n(d, 1)) - x_inner)
+    if not x * x < 1.0 - EPS_BOUNDARY:  # as DiskPoint would reject the apex
+        raise CliError("InvalidArgument",
+                       f"--t {t} with --r {frac} puts the apex on or outside the unit circle")
+    return x
 
 
 def _write(path: str, text: str) -> None:

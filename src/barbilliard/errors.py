@@ -41,13 +41,5 @@ class PointOnLine(BarBilliardError):
     """The query point lies on the base chord, so the count is undefined."""
 
 
-class NotInArc(BarBilliardError):
-    """The query point coincides with a periodic point; no gap contains it."""
-
-
 class PreconditionFailed(BarBilliardError):
     """A documented precondition does not hold for the given input."""
-
-
-class NoWitness(BarBilliardError):
-    """No boundary witness was found within tolerance."""

@@ -4,8 +4,7 @@ Points live in the open unit disk, hyperbolic lines are straight chords,
 and the boundary circle holds the ideal points.  Distances come from the
 log cross-ratio of a chord's ideal endpoints; the module also provides
 the derived threshold quantities and the perpendicular foot and drop
-(the hyperboloid model under the hood).  Disk isometries live in
-:mod:`barbilliard.lemmas`, which only the paper's proof steps use.
+(the hyperboloid model under the hood).
 
 Angles on the boundary circle are measured in turns (period 1), so lifts
 of circle maps live on the real line with integer deck transformations.
@@ -224,6 +223,33 @@ def _line_norm(p: DiskPoint, q: DiskPoint) -> float:
     return dd * (0.5 * (_boundary_gap(p) + _boundary_gap(q)) + 0.25 * dd) + cd * cd
 
 
+def _determinant(p: DiskPoint, q: DiskPoint, r: DiskPoint) -> float:
+    """X . m for X = (r, 1) and m = (p, 1) x (q, 1): the determinant of the
+    rows (p, 1), (q, 1), (r, 1), rounded once.  A cyclic relabeling keeps
+    the exact value, and so the rounded one."""
+    return _exact_sum_of_products(
+        (r.x, p.y), (-r.x, q.y), (r.y, q.x), (-r.y, p.x), (p.x, q.y), (-p.y, q.x)
+    )
+
+
+def _sides_and_drops(tri: Triangle) -> list[tuple[float, float]]:
+    """For each vertex k, the distance between vertices k + 1 and k + 2
+    (mod 3) and the drop from k onto their line: :func:`hyp_distance` and
+    the delta of :func:`foot_and_delta` on the points in that order, bit
+    for bit, from one line norm per side, one boundary gap per vertex and
+    the one determinant that all three labelings share."""
+    verts = tri.vertices
+    gaps = [_boundary_gap(v) for v in verts]
+    det = abs(_determinant(*verts))
+    out = []
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        mm = _line_norm(verts[i], verts[j])
+        out.append((math.asinh(math.sqrt(mm) / math.sqrt(gaps[i] * gaps[j])),
+                    math.asinh(det / math.sqrt(gaps[k] * mm))))
+    return out
+
+
 def foot_and_delta(p: DiskPoint, q: DiskPoint, r: DiskPoint) -> tuple[DiskPoint, float]:
     """Perpendicular foot of r on the line pq, and the drop's length.
 
@@ -240,9 +266,7 @@ def foot_and_delta(p: DiskPoint, q: DiskPoint, r: DiskPoint) -> tuple[DiskPoint,
     """
     m1, m2, m3 = p.y - q.y, q.x - p.x, p.x * q.y - p.y * q.x
     mm = _line_norm(p, q)
-    xm = _exact_sum_of_products(
-        (r.x, p.y), (-r.x, q.y), (r.y, q.x), (-r.y, p.x), (p.x, q.y), (-p.y, q.x)
-    )
+    xm = _determinant(p, q, r)
     k = xm / mm
     w = 1.0 + k * m3
     foot = DiskPoint((r.x - k * m1) / w, (r.y - k * m2) / w)

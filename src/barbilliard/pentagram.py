@@ -6,9 +6,7 @@ base) has rotation number 2/5, and its boundary orbits close into a
 pentagram winding twice around the circle.  This module builds the
 explicit closing orbits of the canonical families, detects period-5
 orbits of arbitrary triangles, counts chord incidences, and evaluates
-all the distance conditions that decide 1/3, 2/5, above or below.  The
-checks of single proof steps (chain ratios, contraction, the closing
-witness) live in :mod:`barbilliard.lemmas`.
+all the distance conditions that decide 1/3, 2/5, above or below.
 """
 
 from __future__ import annotations
@@ -23,11 +21,10 @@ from .geometry import (
     DiskPoint,
     IdealPoint,
     Triangle,
+    _sides_and_drops,
     angular_distance,
     chord_through,
     delta_n,
-    foot_and_delta,
-    hyp_distance,
     wrap_turns,
 )
 from .rotation import MAX_Q, RotationResult, _circle_zeros, classify_rho, scan_winding_zeros
@@ -292,14 +289,11 @@ def tau_n(p1: DiskPoint, p2: DiskPoint, pt: DiskPoint, n: int) -> TauResult:
 
 def condition_report(tri: Triangle) -> ConditionReport:
     """Evaluate every distance condition for all three vertex labelings."""
-    verts = tri.vertices
     # each side is the base of one labeling and a leg of the other two
-    opposite = [hyp_distance(verts[1], verts[2]), hyp_distance(verts[2], verts[0]),
-                hyp_distance(verts[0], verts[1])]
+    opposite, drops = zip(*_sides_and_drops(tri))
     labelings = []
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        base, side_ik, side_jk = opposite[k], opposite[j], opposite[i]
-        _, delta = foot_and_delta(verts[i], verts[j], verts[k])
+        base, side_ik, side_jk, delta = opposite[k], opposite[j], opposite[i], drops[k]
         d1 = delta_n(base, 1)
         d2 = delta_n(base, 2)
         half1 = 0.5 * d1

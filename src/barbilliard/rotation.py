@@ -165,7 +165,7 @@ def _circle_zeros(pieces: list[Piece], levels: Sequence[int],
             shift = x - x % 1.0
             c = round((x - shift) / _CELL) * _CELL
             lo, hi = max(c - _CELL, xs[j] - shift), min(c + _CELL, xs[j + 2] - shift)
-            x, v = golden_min(lambda u: s * f(u), lo, hi, xtol=1e-12)
+            x, v = golden_min(lambda u: s * f(u), lo, hi)
             v *= s
         else:
             v = f(x)

@@ -18,23 +18,22 @@ from typing import Callable
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+#: the interval width at which golden section stops, absolute
+_GOLDEN_XTOL = 1e-12
+
 #: smallest relative tolerance Brent's bracket test can honour (4 ulp at 1)
 _RTOL = 4.0 * sys.float_info.epsilon
 
 
-def golden_min(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    xtol: float = 1e-12,
-) -> tuple[float, float]:
-    """Minimize a unimodal f on [lo, hi] to an absolute interval width xtol."""
+def golden_min(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+    """Minimize a unimodal f on [lo, hi] to an absolute interval width
+    ``_GOLDEN_XTOL``."""
     a, b = lo, hi
     h = b - a
     c = b - _INV_PHI * h
     d = a + _INV_PHI * h
     fc, fd = f(c), f(d)
-    while h > xtol:
+    while h > _GOLDEN_XTOL:
         if fc < fd:
             b, d, fd = d, c, fc
             h = b - a

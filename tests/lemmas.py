@@ -4,8 +4,8 @@ The verdicts (1/3, 2/5, above or below) need only the map, its pieces,
 the distance thresholds and the drop.  The proofs behind them also use
 disk isometries, the six-step chain of the canonical triangle with its
 distance ratios, the contraction of the fifth iterate and the closing
-witness of a pentagram.  They live here, so that no command imports
-them: neither :mod:`barbilliard.cli` nor the package imports this module.
+witness of a pentagram.  No command needs them, so they live with the
+tests that check them, next to the oracles of ``conftest``.
 
 An isometry is the SU(1,1) pair (a, b) that :mod:`barbilliard.circlemap`
 composes for its pieces: the Mobius map z -> (a z + b)/(conj(b) z +
@@ -22,9 +22,9 @@ import math
 from cmath import phase, rect
 from typing import Optional
 
-from .circlemap import _compose, second_intersection
-from .errors import CoincidentPoints, NotInArc, NoWitness, OutOfRange, PreconditionFailed
-from .geometry import (
+from barbilliard.circlemap import _compose, second_intersection
+from barbilliard.errors import CoincidentPoints, OutOfRange, PreconditionFailed
+from barbilliard.geometry import (
     TWO_PI,
     DiskPoint,
     IdealPoint,
@@ -38,7 +38,7 @@ from .geometry import (
     foot_and_delta,
     hyp_distance,
 )
-from .pentagram import (
+from barbilliard.pentagram import (
     CLOSURE_TOL,
     Pentagram,
     _chord_distance,
@@ -156,7 +156,7 @@ def contraction_check(t: float, v: IdealPoint) -> bool:
     a_angles = sorted(pt.angle for pt in pent.points)
     for ang in a_angles:
         if angular_distance(v.angle, ang) <= 1e-12:
-            raise NotInArc("point coincides with a closing orbit point")
+            raise ValueError("point coincides with a closing orbit point")
     below = [ang for ang in a_angles if ang <= v.angle]
     left = below[-1] if below else a_angles[-1]
     w = tmap.orbit(v, 5)[-1].angle
@@ -194,5 +194,5 @@ def pentagram_witness(p: DiskPoint, q: DiskPoint, r: DiskPoint) -> IdealPoint:
     w = second_intersection(w2, q)
     x = _line_intersection(ch.a.xy, w2.xy, ch.b.xy, second_intersection(w, p).xy)
     if x is None or math.hypot(x[0] - r.x, x[1] - r.y) > 1e-8:
-        raise NoWitness("no boundary witness reproduces the apex within tolerance")
+        raise ValueError("no boundary witness reproduces the apex within tolerance")
     return w

@@ -318,8 +318,12 @@ class TestInputChecks:
         ["--t", "0.88:0.92:0", *R],
         # the base length 2t underflows to 0, so no threshold interval exists
         ["--t", "1e-300:1e-299:2", "--r", "0.1:0.9:2", "--r-mode", "relative_interval"],
+        # the thresholds put the interpolated apex within rounding of the circle
+        ["--t", "1e-20:1e-20:1", "--r", "0.5:0.5:1", "--r-mode", "relative_interval"],
+        ["--t", "1e-12:1e-12:1", "--r", "0.5:0.5:1", "--r-mode", "relative_interval"],
     ], ids=["no-t", "no-r", "one-part", "four-parts", "t-lo-above-hi", "zero-steps",
-            "relative-base-underflows"])
+            "relative-base-underflows", "relative-apex-on-circle-1e-20",
+            "relative-apex-on-circle-1e-12"])
     def test_sweep_ranges(self, tmp_path, capsys, argv):
         out = tmp_path / "x.csv"
         assert main(["sweep", *argv, "--out", str(out)]) == 2
@@ -536,25 +540,15 @@ def test_cli_import_loads_no_scipy():
     process pool, which only a sweep of several chunks at ``--jobs N``
     with N > 1 uses.  Nor the figure code, which only ``render`` uses.
     Nor dataclasses or the inspect module it loads, which cost most of
-    the package's own import.  Nor the proof-step checks, which no
-    command uses."""
+    the package's own import."""
     code = ("import sys, barbilliard.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')"
             " or m in ('concurrent.futures.process', 'barbilliard.svgfig', 'dataclasses',"
-            " 'inspect', 'barbilliard.lemmas')))")
+            " 'inspect')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
-
-
-def test_package_import_loads_no_lemmas():
-    """A bare ``import barbilliard`` leaves the proof-step checks unloaded."""
-    code = "import sys, barbilliard; print('barbilliard.lemmas' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=src_env())
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
 
 
 #: a child Python in which ``import numpy`` fails runs ``cli.main`` on its arguments

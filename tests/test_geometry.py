@@ -16,9 +16,9 @@ from barbilliard import (
     foot_and_delta,
     hyp_distance,
 )
-from barbilliard.geometry import _boundary_gap, _exact_sum_of_products
-from barbilliard.lemmas import normalize_pair
+from barbilliard.geometry import _boundary_gap, _exact_sum_of_products, _sides_and_drops
 from conftest import delta_from_sides, equidistant_x, random_disk_points, random_triangle
+from lemmas import normalize_pair
 
 SQRT5 = math.sqrt(5.0)
 D_EQUILATERAL = math.log((SQRT5 + 1.0) / (SQRT5 - 1.0))
@@ -322,6 +322,22 @@ class TestFootAndDelta:
                 )
                 worst = max(worst, float(abs(delta - ref) / ref))
         assert worst <= 1e-12
+
+    def test_sides_and_drops_are_distance_and_delta_bit_for_bit(self, rng):
+        """``condition_report``'s one-pass sides and drops are those of
+        ``hyp_distance`` and ``foot_and_delta``, on generic triangles, on
+        apexes near a side and on short sides near the circle."""
+        cases = [random_triangle(rng).vertices for _ in range(300)]
+        cases += [near_line_apex(rng, gap) for gap in (1e-3, 1e-6) for _ in range(100)]
+        cases += [(p, q, r) for (p, q), r in zip(short_boundary_pairs(rng, 300),
+                                                 random_disk_points(rng, 300, rmax=0.9))]
+        for vertices in cases:
+            tri = Triangle(*vertices)
+            v = tri.vertices
+            for k, (side, drop) in enumerate(_sides_and_drops(tri)):
+                i, j = (k + 1) % 3, (k + 2) % 3
+                assert side == hyp_distance(v[i], v[j])
+                assert drop == foot_and_delta(v[i], v[j], v[k])[1]
 
 
 class TestDeltaFromSides:

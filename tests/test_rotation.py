@@ -1,9 +1,11 @@
 import cmath
+import csv
 import importlib.util
 import json
 import math
 import os
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,7 +40,7 @@ from barbilliard.rotation import (
     _dedupe_cyclic,
     scan_winding_zeros,
 )
-from conftest import random_convex_polygon, random_disk_points
+from conftest import random_convex_polygon, random_disk_points, random_triangle
 
 
 def canonical_triangle(t, r):
@@ -181,6 +183,61 @@ class TestClassifyRho:
         )
         with pytest.raises(PreconditionFailed):
             classify_rho(seg)
+
+
+def _side_and_certificate(tri):
+    """classify_rho's side of 2/5 (-1 below, 0 equals, 1 above) and its
+    certified p/q, or None."""
+    res = classify_rho(triangle_map(tri), n=2000)
+    side = 0 if res.comparison is None else {"less": -1, "greater": 1}[res.comparison.relation]
+    cert = res.certificate
+    return side, cert and Fraction(cert.p, cert.q)
+
+
+def _nested_pairs(rng):
+    """(A, B) with the triangle A inside B: canonical triangles with t <= t'
+    and |r| <= |r'| of one sign, then random triangles B with A shrunk
+    toward B's centroid."""
+    pairs = []
+    for _ in range(50):
+        t, t2 = sorted(rng.uniform(0.75, 0.97, 2))
+        r, r2 = sorted(10.0 ** rng.uniform(-3, -0.7, 2))
+        sign = rng.choice([-1.0, 1.0])
+        pairs.append((canonical_triangle(t, sign * r), canonical_triangle(t2, sign * r2)))
+    for _ in range(50):
+        big = random_triangle(rng)
+        k = rng.uniform(0.3, 0.999)
+        cx, cy = (sum(c) / 3.0 for c in zip(*(v.xy for v in big.vertices)))
+        pairs.append((Triangle(*(DiskPoint(cx + k * (v.x - cx), cy + k * (v.y - cy))
+                                 for v in big.vertices)), big))
+    return pairs
+
+
+class TestOrderUnderInclusion:
+    """A triangle inside another has the larger rotation number: the
+    larger triangle's supporting chords end no further counterclockwise,
+    so its lift lies below (Katok and Hasselblatt, 1995, Prop. 11.1.9)."""
+
+    def test_verdict_does_not_rise_from_inner_to_outer(self):
+        for inner, outer in _nested_pairs(np.random.default_rng(21)):
+            (side_a, cert_a), (side_b, cert_b) = map(_side_and_certificate, (inner, outer))
+            assert side_b <= side_a
+            if cert_a and cert_b:
+                assert cert_b <= cert_a
+
+    def test_pinned_band_csv_is_ordered_in_t_and_abs_r(self):
+        path = os.path.join(os.path.dirname(__file__), "data", "sweep_band_4x4_seed3.csv")
+        with open(path, newline="") as fh:
+            cells = [(float(row["t"]), float(row["r"]), float(row["rho_estimate"]),
+                      row["rho_q"] and Fraction(int(row["rho_p"]), int(row["rho_q"])))
+                     for row in csv.DictReader(fh)]
+        slack = 2.0 / 2000  # the pinned sweep's --iters
+        for t, r, est, cert in cells:
+            for t2, r2, est2, cert2 in cells:
+                if t <= t2 and abs(r) <= abs(r2) and (r < 0) == (r2 < 0):
+                    assert est2 <= est + slack
+                    if cert and cert2:
+                        assert cert2 <= cert
 
 
 class TestCertificateSemiStable:

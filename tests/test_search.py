@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from barbilliard.search import brentq
+from barbilliard.search import brentq, golden_min
 
 scipy_optimize = pytest.importorskip("scipy.optimize")
 
@@ -73,3 +73,12 @@ def test_returns_plain_float_for_numpy_bounds():
 def test_nan_value_rejected():
     with pytest.raises(ValueError, match="NaN"):
         brentq(lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0, xtol=1e-13)
+
+
+@pytest.mark.parametrize("lo, hi, c", [(0.0, 1.0, 0.3141592653589793), (0.0, 1.0, 0.9),
+                                       (-0.25, 0.5, 0.4999), (2.0, 3.5, 2.000001)])
+def test_golden_min_locates_a_corner_minimum(lo, hi, c):
+    """A corner, where no derivative vanishes, off the bracket's centre."""
+    x, v = golden_min(lambda u: abs(u - c), lo, hi)
+    assert abs(x - c) <= 1e-12
+    assert v == abs(x - c)

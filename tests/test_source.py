@@ -1,7 +1,8 @@
 """The package source parses as Python 3.10, the oldest version that
 ``pyproject.toml`` allows, whichever interpreter runs the suite, it
-names each operation once, only tests import the proof-step checks, and
-only the zero scan reads the pieces' critical points."""
+names each operation once, every module is loaded by an entry point,
+every error class is raised somewhere, and only the zero scan reads the
+pieces' critical points."""
 
 import ast
 import importlib
@@ -11,6 +12,7 @@ import pathlib
 import pytest
 
 import barbilliard
+from barbilliard import errors
 
 MODULES = sorted(pathlib.Path(barbilliard.__file__).parent.glob("*.py"))
 
@@ -36,13 +38,42 @@ def _imported_modules(tree: ast.Module) -> set:
     return names
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "lemmas"],
-                         ids=lambda p: p.name)
-def test_only_tests_import_lemmas(path):
-    """No module of the package imports ``barbilliard.lemmas``, so no
-    command compiles the proof-step checks."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    assert "barbilliard.lemmas" not in _imported_modules(tree)
+def _reached() -> set:
+    """Dotted names of the package modules that the imports of
+    ``__init__``, ``cli`` and ``__main__`` load, nested imports included,
+    followed through every module they reach."""
+    paths = {f"barbilliard.{p.stem}": p for p in MODULES}
+    todo = ["barbilliard.__init__", "barbilliard.cli", "barbilliard.__main__"]
+    seen = set()
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            tree = ast.parse(paths[name].read_text(), filename=str(paths[name]))
+            todo += [m for m in _imported_modules(tree) if m in paths]
+    return seen
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_is_reached_by_an_entry_point(path):
+    """The package or a command loads every module: code that only tests
+    reach belongs under ``tests/``."""
+    assert f"barbilliard.{path.stem}" in _reached()
+
+
+def test_every_error_class_is_raised():
+    """Each error class has a ``raise`` site in the package, so no
+    exported class names a failure that cannot happen."""
+    classes = {name for name, value in vars(errors).items()
+               if inspect.isclass(value) and issubclass(value, errors.BarBilliardError)
+               and value is not errors.BarBilliardError}
+    raised = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    assert sorted(classes - raised) == []
 
 
 def test_only_rotation_reads_critical_points():

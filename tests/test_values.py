@@ -23,8 +23,8 @@ from barbilliard import (
     tau_n,
     triangle_map,
 )
-from barbilliard.lemmas import normalize_pair
 from barbilliard.rotation import scan_winding_zeros
+from lemmas import normalize_pair
 
 P, Q = DiskPoint(0.0, 0.9), DiskPoint(0.0, -0.9)
 #: the sandwich triangle (t, r) = (0.9, -0.02): rho = 2/5
