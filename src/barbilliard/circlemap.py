@@ -39,6 +39,7 @@ from .geometry import (
     TWO_PI,
     DiskPoint,
     IdealPoint,
+    _signed_area2,
     _validated,
     angular_distance,
     ccw_gap,
@@ -97,11 +98,7 @@ def _ccw_convex(vertices: tuple[DiskPoint, ...]) -> tuple[DiskPoint, ...]:
     if area2 < 0.0:
         vertices = vertices[::-1]
     for i in range(n):
-        a = vertices[i]
-        b = vertices[(i + 1) % n]
-        c = vertices[(i + 2) % n]
-        cross = (b.x - a.x) * (c.y - b.y) - (b.y - a.y) * (c.x - b.x)
-        if cross <= 1e-12:
+        if _signed_area2(vertices[i], vertices[(i + 1) % n], vertices[(i + 2) % n]) <= 1e-12:
             raise InvalidBody("polygon is not strictly convex in CCW order")
     return vertices
 

@@ -179,7 +179,10 @@ def _sweep_cell(cell: tuple[float, float, int, int]) -> tuple[str, bool, bool]:
     t, r, iters, q_max = cell
     apex = DiskPoint(r, 0.0)
     tri = Triangle(DiskPoint(0.0, t), DiskPoint(0.0, -t), apex)
-    verdict = conjecture_check(tri, n=iters, q_max=q_max)
+    try:
+        verdict = conjecture_check(tri, n=iters, q_max=q_max)
+    except PreconditionFailed as err:
+        raise PreconditionFailed(f"cell t={fmt(t)} r={fmt(r)}: {err}") from err
     # Triangle may swap q and r, so find the labeling by the apex's position
     k = tri.vertices.index(apex)
     base = next(l for l in verdict.report.labelings if l.apex == k)

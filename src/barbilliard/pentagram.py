@@ -224,19 +224,19 @@ def ellipse_pentagram(t: float, v: float, side: str = "left") -> tuple[Triangle,
 def detect_period5(tmap: TangentMap) -> OrbitSet:
     """Find every period-5, winding-2 boundary orbit of a triangle map:
     the zeros of F^5 - id - 2 from its Mobius pieces, grouped by orbit.
+    Each orbit is walked from the first unclaimed zero, the only one it
+    polishes, and claims each zero whose stretch holds one of its points.
     Raises PreconditionFailed where that scan cannot resolve."""
     if tmap.body.kind != "polygon" or len(tmap.body.vertices) != 3:
         raise PreconditionFailed("period-5 detection applies to triangle bodies")
     scan = scan_winding_zeros(tmap, 2, 5)
-    zeros = [scan.polish(z) for z in scan.roots]
-    remaining = list(zeros)
+    remaining = list(scan.roots)
     orbits = []
     while remaining:
-        pts = tmap.orbit(IdealPoint(remaining.pop(0)), 4)
-        remaining = [z for z in remaining
-                     if all(angular_distance(z, p.angle) > 1e-7 for p in pts[1:])]
+        pts = tmap.orbit(IdealPoint(scan.polish(remaining.pop(0))), 4)
+        remaining = [z for z in remaining if not any(z.holds(p.angle) for p in pts)]
         orbits.append(Pentagram.build(tmap, pts))
-    return OrbitSet(orbits=tuple(orbits), zero_count=len(zeros))
+    return OrbitSet(orbits=tuple(orbits), zero_count=len(scan.roots))
 
 
 def _chord_distance(pt: DiskPoint, w: float, b: float) -> float:

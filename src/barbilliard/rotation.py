@@ -76,13 +76,19 @@ def estimate_rho(tmap: TangentMap, n: int = 100_000) -> RotationResult:
 class Zero(NamedTuple):
     """A zero of f as located, at angle x in [-MERGE_TOL, 1 - MERGE_TOL).
     A tangency is final, with f there as its residual.  A sign change sits
-    unpolished at its piece's fixed point; ``span`` holds that point
-    unwrapped and the span (lo, hi) where f changes sign once."""
+    unpolished at its piece's fixed point.  ``span`` holds the zero
+    unwrapped and its stretch (lo, hi), the arc between the extrema either
+    side of it, in the same lifted coordinates."""
 
     x: float
     kind: str  # "sign_change" | "tangency"
+    span: tuple[float, float, float]
     residual: Optional[float] = None
-    span: tuple[float, ...] = ()
+
+    def holds(self, angle: float) -> bool:
+        """Whether the zero's stretch holds an angle, half-open and mod 1."""
+        _, lo, hi = self.span
+        return (angle - lo) % 1.0 < hi - lo
 
 
 class ZeroScan(NamedTuple):
@@ -129,7 +135,7 @@ def _circle_zeros(pieces: list[Piece], levels: Sequence[int],
     other level crossed between two extrema is one sign change, located
     at the fixed point in that span and left for ``ZeroScan.polish``.
     Zeros are located in [-MERGE_TOL, 1 - MERGE_TOL) and merged within
-    MERGE_TOL.
+    MERGE_TOL.  Each carries its stretch; with one level no two share one.
 
     This is every scan's one resolution check: a critical point within
     SNAP of its piece's ends is read on the wrong arc or rounded past the
@@ -160,17 +166,18 @@ def _circle_zeros(pieces: list[Piece], levels: Sequence[int],
     for j, (x, r, s) in enumerate(ext):
         if round(r) not in levels or abs(r - round(r)) > _SCREEN:
             continue
+        # the stretch between the neighbouring extrema, lifted with x
+        shift = x - x % 1.0 if s else 0.0
+        lo, hi = xs[j] - shift, xs[j + 2] - shift
         if s:  # golden section on the two cells around the nearest multiple
-            # of _CELL, inside the neighbouring extrema
-            shift = x - x % 1.0
+            # of _CELL, inside the stretch
             c = round((x - shift) / _CELL) * _CELL
-            lo, hi = max(c - _CELL, xs[j] - shift), min(c + _CELL, xs[j + 2] - shift)
-            x, v = golden_min(lambda u: s * f(u), lo, hi)
+            x, v = golden_min(lambda u: s * f(u), max(c - _CELL, lo), min(c + _CELL, hi))
             v *= s
         else:
             v = f(x)
         if abs(v) <= TANGENCY_TOL:
-            roots.append(Zero(_wrap(x), "tangency", float(v)))
+            roots.append(Zero(_wrap(x), "tangency", (x, lo, hi), float(v)))
             touched.add(j)
 
     for j in range(n):
@@ -183,7 +190,7 @@ def _circle_zeros(pieces: list[Piece], levels: Sequence[int],
                 # point in the span is this crossing
                 guess = [y for y in fixed if xa <= y <= xb]
                 x = guess[0] if guess else 0.5 * (xa + xb)
-                roots.append(Zero(_wrap(x), "sign_change", span=(x, xa, xb)))
+                roots.append(Zero(_wrap(x), "sign_change", (x, xa, xb)))
 
     if roots:
         return ZeroScan(tuple(_dedupe_cyclic(roots, MERGE_TOL)), 0, f)
@@ -202,7 +209,7 @@ def _polish(f: Callable[[float], float], x: float, lo: float, hi: float) -> floa
         if fa == 0.0 or fb == 0.0:
             return a if fa == 0.0 else b
         if (fa < 0.0) != (fb < 0.0):
-            return brentq(f, a, b, xtol=1e-13, rtol=8.9e-16)
+            return brentq(f, a, b)
     return x  # f does not confirm the crossing: keep the closed form
 
 

@@ -5,15 +5,15 @@ coarse for corner-shaped extremes (the map's iterates are only
 one-sided differentiable at breakpoints).  Golden-section with an
 absolute interval tolerance localizes those to machine precision.
 
-Both serve the zero engine of ``rotation``: golden section refines each
-tangency inside ``_circle_zeros``, and Brent's method polishes a located
-transverse zero when a caller reads it (``ZeroScan.polish``).
+Both serve the zero engine of ``rotation`` alone, at fixed tolerances:
+golden section refines each tangency inside ``_circle_zeros``, and
+Brent's method polishes the zero that a witness or an orbit starts from
+(``ZeroScan.polish``).
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from typing import Callable
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -21,8 +21,9 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 #: the interval width at which golden section stops, absolute
 _GOLDEN_XTOL = 1e-12
 
-#: smallest relative tolerance Brent's bracket test can honour (4 ulp at 1)
-_RTOL = 4.0 * sys.float_info.epsilon
+#: Brent's absolute and relative bracket widths (the relative one just above
+#: 4 ulp at 1, the least its bracket test honours) and its step cap
+_BRENT_XTOL, _BRENT_RTOL, _BRENT_MAXITER = 1e-13, 8.9e-16, 100
 
 
 def golden_min(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
@@ -48,21 +49,14 @@ def golden_min(f: Callable[[float], float], lo: float, hi: float) -> tuple[float
     return x, min(fc, fd)
 
 
-def brentq(
-    f: Callable[[float], float],
-    xa: float,
-    xb: float,
-    xtol: float,
-    rtol: float = _RTOL,
-    maxiter: int = 100,
-) -> float:
+def brentq(f: Callable[[float], float], xa: float, xb: float) -> float:
     """Zero of f in [xa, xb], where f(xa) and f(xb) differ in sign.
 
     Brent's method (Brent, 1973, ch. 4), step for step as the classic C
     ``brentq`` routine, so it returns the same floats to the bit.  The
-    bracket shrinks to within ``xtol + rtol*|x|`` of the zero.  Raises
-    ``ValueError`` for a same-sign bracket or a NaN value and
-    ``RuntimeError`` when maxiter steps do not converge.
+    bracket shrinks to within ``_BRENT_XTOL + _BRENT_RTOL*|x|`` of the
+    zero.  Raises ``ValueError`` for a same-sign bracket or a NaN value and
+    ``RuntimeError`` when ``_BRENT_MAXITER`` steps do not converge.
     """
 
     def fval(x: float) -> float:
@@ -81,14 +75,14 @@ def brentq(
     # f values are nonzero and not NaN from here on, so `< 0` is the sign bit
     if (fpre < 0.0) == (fcur < 0.0):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -113,4 +107,4 @@ def brentq(
         else:
             xcur += delta if sbis > 0.0 else -delta
         fcur = fval(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations, value is {xcur}")

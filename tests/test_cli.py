@@ -46,6 +46,15 @@ class TestRho:
         assert len(out["orbits"]) >= 1
         assert len(out["orbits"][0]) == 5
 
+    def test_semi_stable_orbit_printed_once(self, capsys):
+        # an ellipse-threshold triangle whose walked orbit misses its own
+        # located tangency zeros by about 1.2e-7: one orbit, five zeros
+        v = ("0.0,0.9217245505040526,0.0,-0.9217245505040526,"
+             "0.002795080579365428,-0.5389184701775002")
+        assert main(["rho", f"--vertices={v}"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (len(out["orbits"]), out["zero_count"]) == (1, 5)
+
     def test_equilateral_third(self, capsys):
         v = "-0.25,0.4330127018922193,-0.25,-0.4330127018922193,0.5,0"
         code = main(["rho", f"--vertices={v}", "--iters", "20000"])
@@ -328,6 +337,20 @@ class TestInputChecks:
         out = tmp_path / "x.csv"
         assert main(["sweep", *argv, "--out", str(out)]) == 2
         assert json.loads(capsys.readouterr().out)["error"] == "InvalidArgument"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_names_the_cell_whose_scan_was_refused(self, tmp_path, capsys,
+                                                         monkeypatch, jobs):
+        # ten cells are two chunks, so --jobs 2 runs a two-worker pool; the
+        # five t = 1e-9 cells put an extremum of F^5 within SNAP of a cut
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--t", "1e-9:0.9:2", "--r", "0.5:0.5:5", "--r-mode",
+                     "relative_interval", "--jobs", jobs, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "PreconditionFailed"
+        assert err["message"].startswith("cell t=1e-09 r=-0.999999999: an extremum at ")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

@@ -215,6 +215,11 @@ class TestDetectPeriod5:
             lambda: standard_pentagram(0.5)[0],
             lambda: ellipse_pentagram(0.9, 0.0, "left")[0],
             lambda: ellipse_pentagram(0.5, 0.2, "left")[0],
+            # benchmark threshold maps whose walks miss their own located
+            # tangencies by 1.1e-7 to 1.4e-7 turns
+            lambda: ellipse_pentagram(0.9217245505040526, -0.5389184701775002, "right")[0],
+            lambda: ellipse_pentagram(0.8865221686856675, -0.2049373320260136, "left")[0],
+            lambda: ellipse_pentagram(0.9485933974263254, -0.6732258533251608, "left")[0],
         ):
             found = detect_period5(triangle_map(build()))
             assert len(found.orbits) == 1

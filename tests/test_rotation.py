@@ -672,12 +672,13 @@ class TestPolishOnlyTheWitness:
             calls.clear()
             cert, _ = _certify(tmap, 2, 5)
             assert (cert and cert.kind, len(calls)) == (kind, polishes)
-        # detect_period5 reads every zero, so it polishes every one
+        # detect_period5 polishes the zero each orbit starts from, and
+        # claims the other four by their stretches
         calls.clear()
         orbits = detect_period5(sandwich)
         scan = scan_winding_zeros(sandwich, 2, 5)
         assert [z.kind for z in scan.roots] == ["sign_change"] * 10
-        assert orbits.zero_count == len(calls) == 10
+        assert (orbits.zero_count, len(orbits.orbits), len(calls)) == (10, 2, 2)
 
 
 def _benchmark_verdict_maps(seed):

@@ -2,7 +2,7 @@
 ``pyproject.toml`` allows, whichever interpreter runs the suite, it
 names each operation once, every module is loaded by an entry point,
 every error class is raised somewhere, and only the zero scan reads the
-pieces' critical points."""
+pieces' critical points and calls the searches that refine its zeros."""
 
 import ast
 import importlib
@@ -76,15 +76,26 @@ def test_every_error_class_is_raised():
     assert sorted(classes - raised) == []
 
 
+def _callers(*names) -> set:
+    """The package modules that call a function or method of these names."""
+    return {path.stem for path in MODULES
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) in names}
+
+
 def test_only_rotation_reads_critical_points():
     """``rotation._circle_zeros`` places the pieces' critical points and
     checks their resolution; no other module calls ``.critical_points()``,
     so no caller keeps a resolution pass of its own."""
-    callers = {path.stem for path in MODULES
-               for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-               and node.func.attr == "critical_points"}
-    assert callers == {"rotation"}
+    assert _callers("critical_points") == {"rotation"}
+
+
+def test_only_rotation_calls_the_searches():
+    """The zero engine alone refines tangencies (``golden_min``) and
+    polishes located zeros (``brentq``), so no caller grows a polish of
+    its own."""
+    assert _callers("brentq", "golden_min") == {"rotation"}
 
 
 def test_newer_syntax_is_rejected():
