@@ -14,12 +14,7 @@ from .circlemap import (
 )
 from .errors import (
     BarBilliardError,
-    CoincidentPoints,
-    DegenerateU,
     InvalidBody,
-    InvalidRational,
-    IterationBudgetExceeded,
-    NonpositiveDistance,
     OutOfRange,
     OutOfTheoreticalRange,
     PointOnLine,

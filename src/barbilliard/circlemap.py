@@ -34,8 +34,9 @@ from cmath import phase, rect
 from itertools import cycle, islice
 from typing import NamedTuple
 
-from .errors import InvalidBody, IterationBudgetExceeded
+from .errors import InvalidBody, OutOfRange
 from .geometry import (
+    SNAP,
     TWO_PI,
     DiskPoint,
     IdealPoint,
@@ -45,9 +46,6 @@ from .geometry import (
     ccw_gap,
     chord_through,
 )
-
-#: angles this close to a breakpoint (in turns) snap onto it (left-closed arcs)
-SNAP = 1e-12
 
 #: hard cap on orbit/estimate iteration counts
 ITERATION_BUDGET = 10_000_000
@@ -295,7 +293,7 @@ class TangentMap:
         evaluation per step as before.
         """
         if n < 0 or n > ITERATION_BUDGET:
-            raise IterationBudgetExceeded(f"lift iteration count {n} out of budget")
+            raise OutOfRange(f"lift iteration count {n} out of budget")
         eval_angle = self.eval_angle
         a = x % 1.0
         total = 0.0
@@ -330,7 +328,7 @@ class TangentMap:
         itinerary.
         """
         if n < 1 or n > ITERATION_BUDGET:
-            raise IterationBudgetExceeded(f"piece order {n} out of budget")
+            raise OutOfRange(f"piece order {n} out of budget")
         bps, verts = self._bp_angles, self._arc_verts
         images = sorted((self.eval_angle(a), k) for k, a in enumerate(bps))
         image_angles = [a for a, _ in images]
@@ -357,7 +355,7 @@ class TangentMap:
     def orbit(self, v: IdealPoint, n: int) -> list[IdealPoint]:
         """Iterates [v, map(v), ..., map^n(v)]."""
         if n < 0 or n > ITERATION_BUDGET:
-            raise IterationBudgetExceeded(f"orbit length {n} out of budget")
+            raise OutOfRange(f"orbit length {n} out of budget")
         pts = [v]
         a = v.angle
         for _ in range(n):

@@ -20,9 +20,7 @@ from typing import Optional
 from .circlemap import ITERATION_BUDGET
 from .errors import (
     BarBilliardError,
-    CoincidentPoints,
     InvalidBody,
-    InvalidRational,
     OutOfRange,
     PointOnLine,
     PreconditionFailed,
@@ -177,12 +175,12 @@ def _sweep_cell(cell: tuple[float, float, int, int]) -> tuple[str, bool, bool]:
     """One CSV row, then whether the cell is consistent and whether it is
     uncertified: the two values the sweep summary counts."""
     t, r, iters, q_max = cell
-    apex = DiskPoint(r, 0.0)
-    tri = Triangle(DiskPoint(0.0, t), DiskPoint(0.0, -t), apex)
     try:
+        apex = DiskPoint(r, 0.0)
+        tri = Triangle(DiskPoint(0.0, t), DiskPoint(0.0, -t), apex)
         verdict = conjecture_check(tri, n=iters, q_max=q_max)
-    except PreconditionFailed as err:
-        raise PreconditionFailed(f"cell t={fmt(t)} r={fmt(r)}: {err}") from err
+    except BarBilliardError as err:
+        raise type(err)(f"cell t={fmt(t)} r={fmt(r)}: {err}") from err
     # Triangle may swap q and r, so find the labeling by the apex's position
     k = tri.vertices.index(apex)
     base = next(l for l in verdict.report.labelings if l.apex == k)
@@ -460,9 +458,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except CliError as err:
         return _emit_error(err)
-    except (InvalidBody, CoincidentPoints) as err:
+    except InvalidBody as err:
         return _emit_error(CliError("DegenerateBody", str(err)))
-    except (OutOfRange, InvalidRational, PointOnLine, PreconditionFailed) as err:
+    except (OutOfRange, PointOnLine, PreconditionFailed) as err:
         return _emit_error(CliError(type(err).__name__, str(err)))
     except OSError as err:
         return _emit_error(CliError("IOFailure", str(err), exit_code=3))

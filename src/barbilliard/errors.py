@@ -1,40 +1,26 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules: one class per outcome the
+command line reports."""
 
 
 class BarBilliardError(Exception):
     """Base class for every error raised by this package."""
 
 
-class CoincidentPoints(BarBilliardError):
-    """Two points expected to be distinct coincide (within tolerance)."""
-
-
-class NonpositiveDistance(BarBilliardError):
-    """A threshold was requested for a distance that is not positive."""
-
-
 class InvalidBody(BarBilliardError):
-    """A convex body is degenerate, non-convex or touches the boundary."""
+    """A convex body is degenerate, non-convex or touches the boundary, or
+    two points that must be distinct coincide (a chord's ends, a line's
+    two points)."""
 
 
 class OutOfRange(BarBilliardError):
-    """A scalar parameter lies outside its admissible interval."""
-
-
-class IterationBudgetExceeded(BarBilliardError):
-    """An orbit or estimate would exceed the hard iteration budget."""
-
-
-class InvalidRational(BarBilliardError):
-    """p/q is not a reduced rational in the supported range."""
+    """A parameter lies outside its admissible range: a scalar outside its
+    interval, an iteration count outside [1, budget], a p/q that is not
+    reduced or not in range, a nonpositive distance, or an ellipse
+    parameter t so close to 1 that no off-axis apex exists."""
 
 
 class OutOfTheoreticalRange(BarBilliardError):
     """A computed rotation number escaped [1/3, 1/2); signals a bug."""
-
-
-class DegenerateU(BarBilliardError):
-    """The ellipse abscissa collapsed to zero; no off-axis apex exists."""
 
 
 class PointOnLine(BarBilliardError):

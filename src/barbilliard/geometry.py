@@ -15,15 +15,18 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import CoincidentPoints, InvalidBody, NonpositiveDistance, OutOfRange
+from .errors import InvalidBody, OutOfRange
 
 TWO_PI = 2.0 * math.pi
 
 #: points closer than this to the boundary are rejected; numerics degrade there
 EPS_BOUNDARY = 1e-9
 
-#: two angles closer than this (in turns) are treated as the same ideal point
-EPS_ANGLE = 1e-12
+#: angular resolution in turns: two angles closer than this are one ideal
+#: point.  A chord's ends must be farther apart; the circle map snaps angles
+#: onto its breakpoints and merges its cuts within it, and the zero scan
+#: refuses an extremum within it of a cut.
+SNAP = 1e-12
 
 
 def _validated(name: str, fields: list[tuple[str, type]]) -> type:
@@ -106,8 +109,8 @@ class Chord(_validated("Chord", [("a", IdealPoint), ("b", IdealPoint)])):
     __slots__ = ()
 
     def __new__(cls, a: IdealPoint, b: IdealPoint):
-        if angular_distance(a.angle, b.angle) <= EPS_ANGLE:
-            raise CoincidentPoints("chord endpoints coincide")
+        if angular_distance(a.angle, b.angle) <= SNAP:
+            raise InvalidBody("chord endpoints coincide")
         return super().__new__(cls, a, b)
 
 
@@ -141,7 +144,7 @@ def chord_through(p: DiskPoint, q: DiskPoint) -> Chord:
     dx, dy = q.x - p.x, q.y - p.y
     dd = dx * dx + dy * dy
     if dd <= 1e-24:
-        raise CoincidentPoints("cannot draw a chord through coincident points")
+        raise InvalidBody("cannot draw a chord through coincident points")
     # |p + s d|^2 = 1, solved with the numerically stable quadratic form
     b = p.x * dx + p.y * dy
     c = p.x * p.x + p.y * p.y - 1.0
@@ -173,7 +176,7 @@ def delta_n(d: float, n: int) -> float:
     Strictly decreasing in both arguments and divergent as d -> 0.
     """
     if d <= 0.0:
-        raise NonpositiveDistance(f"threshold needs a positive distance, got {d}")
+        raise OutOfRange(f"threshold needs a positive distance, got {d}")
     if n < 1:
         raise OutOfRange(f"threshold order must be a positive integer, got {n}")
     # (e^x + 1)/(e^x - 1) = 1 + 2/(e^x - 1): no log of a number near 1

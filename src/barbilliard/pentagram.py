@@ -15,7 +15,7 @@ import math
 from typing import NamedTuple
 
 from .circlemap import ConvexBody, TangentMap, second_intersection
-from .errors import DegenerateU, OutOfRange, PointOnLine, PreconditionFailed
+from .errors import OutOfRange, PointOnLine, PreconditionFailed
 from .geometry import (
     Chord,
     DiskPoint,
@@ -194,7 +194,7 @@ def ellipse_pentagram(t: float, v: float, side: str = "left") -> tuple[Triangle,
     t2 = t * t
     u_mag = s * (1.0 - t2) * (1.0 - t2) / (t2 * t2 + 6.0 * t2 + 1.0)
     if u_mag <= 1e-15:
-        raise DegenerateU("ellipse abscissa collapsed to zero")
+        raise OutOfRange(f"ellipse abscissa collapsed to zero: t={t} is too close to 1")
     mirror = side == "right"
 
     p = DiskPoint(0.0, t)

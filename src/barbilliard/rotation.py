@@ -13,14 +13,10 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .circlemap import ITERATION_BUDGET, SNAP, Piece, TangentMap, _dedupe_cyclic
+from .circlemap import ITERATION_BUDGET, Piece, TangentMap, _dedupe_cyclic
 from .search import brentq, golden_min
-from .errors import (
-    InvalidRational,
-    IterationBudgetExceeded,
-    OutOfTheoreticalRange,
-    PreconditionFailed,
-)
+from .errors import OutOfRange, OutOfTheoreticalRange, PreconditionFailed
+from .geometry import SNAP
 
 #: |g(witness)| below this counts as a (semi-stable) tangency zero
 TANGENCY_TOL = 1e-9
@@ -66,9 +62,9 @@ def estimate_rho(tmap: TangentMap, n: int = 100_000) -> RotationResult:
     orbits are stepped and cost one map evaluation per step.
     """
     if n < 1:
-        raise IterationBudgetExceeded(f"estimate needs n >= 1, got {n}")
+        raise OutOfRange(f"estimate needs n >= 1, got {n}")
     if n > ITERATION_BUDGET:
-        raise IterationBudgetExceeded(f"estimate length {n} exceeds the budget")
+        raise OutOfRange(f"estimate length {n} exceeds the budget")
     total = tmap.lift_iter(0.0, n) / n
     return RotationResult(estimate=total % 1.0, n_iters=n, error_bound=1.0 / n)
 
@@ -243,7 +239,7 @@ def _certify(
 ) -> tuple[Optional[RationalCertificate], Optional[RationalComparison]]:
     """The certificate of rho = p/q, or else the strict side of p/q."""
     if not (1 <= p < q <= MAX_Q) or math.gcd(p, q) != 1:
-        raise InvalidRational(f"{p}/{q} is not a reduced rational with 1<=p<q<={MAX_Q}")
+        raise OutOfRange(f"{p}/{q} is not a reduced rational with 1<=p<q<={MAX_Q}")
     scan = scan_winding_zeros(tmap, p, q)
 
     # sign changes before tangencies, and the lowest-angle zero of that

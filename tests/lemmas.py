@@ -23,7 +23,7 @@ from cmath import phase, rect
 from typing import Optional
 
 from barbilliard.circlemap import _compose, second_intersection
-from barbilliard.errors import CoincidentPoints, OutOfRange, PreconditionFailed
+from barbilliard.errors import InvalidBody, OutOfRange, PreconditionFailed
 from barbilliard.geometry import (
     TWO_PI,
     DiskPoint,
@@ -93,7 +93,7 @@ def normalize_pair(p: DiskPoint, q: DiskPoint) -> tuple[KleinIsometry, float]:
     symmetric about the origin.
     """
     if p.euclid_to(q) <= 1e-12:
-        raise CoincidentPoints("cannot normalize a coincident pair")
+        raise InvalidBody("cannot normalize a coincident pair")
     # the midpoint of the hyperboloid lifts (p, 1) / wp and (q, 1) / wq
     wp, wq = math.sqrt(_boundary_gap(p)), math.sqrt(_boundary_gap(q))
     mz = 1.0 / wp + 1.0 / wq

@@ -10,7 +10,7 @@ from barbilliard import (
     DiskPoint,
     IdealPoint,
     InvalidBody,
-    IterationBudgetExceeded,
+    OutOfRange,
     Triangle,
     ellipse_pentagram,
     second_intersection,
@@ -421,7 +421,7 @@ class TestLift:
         lambda tmap: tmap.pieces(0),
     ], ids=["lift-negative", "lift-over-budget", "pieces-zero"])
     def test_counts_out_of_budget_rejected(self, call, eval_calls):
-        with pytest.raises(IterationBudgetExceeded):
+        with pytest.raises(OutOfRange, match="out of budget"):
             call(fig_triangle_map())
         assert eval_calls[0] == 0
 
@@ -465,7 +465,7 @@ class TestOrbit:
 
     def test_budget_enforced(self):
         tmap = fig_triangle_map()
-        with pytest.raises(IterationBudgetExceeded):
+        with pytest.raises(OutOfRange, match="orbit length .* out of budget"):
             tmap.orbit(IdealPoint(0.0), 10_000_001)
 
     def test_ideal_endpoint_orbit_stays_on_circle(self, ex31_map):

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from barbilliard import (
     OutOfTheoreticalRange,
     TangentMap,
     cli,
+    errors,
     pentagram,
 )
 from barbilliard.cli import CSV_HEADER, main
@@ -94,6 +97,32 @@ class TestRho:
             "error": "OutOfTheoreticalRange",
             "message": "estimate escapes [1/3, 1/2); this is a bug",
         }
+
+    #: the JSON error name and exit code of each package error class
+    OUTCOMES = {
+        "InvalidBody": ("DegenerateBody", 2),
+        "OutOfRange": ("OutOfRange", 2),
+        "PointOnLine": ("PointOnLine", 2),
+        "PreconditionFailed": ("PreconditionFailed", 2),
+        "OutOfTheoreticalRange": ("OutOfTheoreticalRange", 4),
+    }
+    CLASSES = sorted(name for name, value in vars(errors).items()
+                     if inspect.isclass(value) and issubclass(value, errors.BarBilliardError)
+                     and value is not errors.BarBilliardError)
+
+    def test_every_error_class_has_an_outcome(self):
+        assert sorted(self.OUTCOMES) == self.CLASSES
+
+    @pytest.mark.parametrize("name", CLASSES)
+    def test_exit_code_of_each_error_class(self, capsys, monkeypatch, name):
+        def fail(*args, **kwargs):
+            raise getattr(errors, name)("the check refused")
+
+        monkeypatch.setattr(cli, "conjecture_check", fail)
+        error, code = self.OUTCOMES[name]
+        assert main(["verify", "--t", "0.9", "--r=-0.02"]) == code
+        assert json.loads(capsys.readouterr().out) == {
+            "error": error, "message": "the check refused"}
 
 
 class TestSweep:
@@ -351,6 +380,19 @@ class TestInputChecks:
         err = json.loads(capsys.readouterr().out)
         assert err["error"] == "PreconditionFailed"
         assert err["message"].startswith("cell t=1e-09 r=-0.999999999: an extremum at ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_names_the_cell_whose_triangle_is_degenerate(self, tmp_path, capsys,
+                                                               monkeypatch, jobs):
+        # the r = 0 apex lies on the base; ten cells run a two-worker pool
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--t", "0.5:0.6:2", "--r=-0.1:0.1:5", "--iters", "1500",
+                     "--jobs", jobs, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "DegenerateBody"
+        assert err["message"] == "cell t=0.5 r=0: triangle is degenerate (collinear vertices)"
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

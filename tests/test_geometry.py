@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from barbilliard import (
-    CoincidentPoints,
     DiskPoint,
     IdealPoint,
     InvalidBody,
-    NonpositiveDistance,
     OutOfRange,
     Triangle,
     chord_through,
@@ -93,7 +91,7 @@ class TestChordThrough:
         assert ch.b.xy[1] == pytest.approx(-1.0, abs=1e-12)
 
     def test_coincident_rejected(self):
-        with pytest.raises(CoincidentPoints):
+        with pytest.raises(InvalidBody, match="chord through coincident points"):
             chord_through(DiskPoint(0.1, 0.1), DiskPoint(0.1, 0.1))
 
 
@@ -228,9 +226,9 @@ class TestDeltaN:
             delta_n(1.0, 0)
 
     def test_nonpositive_distance_rejected(self):
-        with pytest.raises(NonpositiveDistance):
+        with pytest.raises(OutOfRange, match="needs a positive distance"):
             delta_n(0.0, 1)
-        with pytest.raises(NonpositiveDistance):
+        with pytest.raises(OutOfRange, match="needs a positive distance"):
             delta_n(-1.0, 2)
 
 
@@ -417,7 +415,7 @@ class TestNormalizePair:
             ) == pytest.approx(hyp_distance(p, q), abs=1e-10)
 
     def test_coincident_rejected(self):
-        with pytest.raises(CoincidentPoints):
+        with pytest.raises(InvalidBody, match="coincident pair"):
             normalize_pair(DiskPoint(0.2, 0.2), DiskPoint(0.2, 0.2))
 
 
