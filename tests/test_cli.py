@@ -5,8 +5,6 @@ import os
 import subprocess
 import sys
 
-import inspect
-
 import numpy as np
 import pytest
 
@@ -106,9 +104,7 @@ class TestRho:
         "PreconditionFailed": ("PreconditionFailed", 2),
         "OutOfTheoreticalRange": ("OutOfTheoreticalRange", 4),
     }
-    CLASSES = sorted(name for name, value in vars(errors).items()
-                     if inspect.isclass(value) and issubclass(value, errors.BarBilliardError)
-                     and value is not errors.BarBilliardError)
+    CLASSES = sorted(cls.__name__ for cls in errors.BarBilliardError.__subclasses__())
 
     def test_every_error_class_has_an_outcome(self):
         assert sorted(self.OUTCOMES) == self.CLASSES
