@@ -32,7 +32,6 @@ from .pentagram import (
     tau_n,
     triangle_map,
 )
-from .rotation import MAX_Q
 
 
 def _round12(x: float) -> float:
@@ -51,14 +50,12 @@ def _emit_error(err: CliError) -> int:
     return err.exit_code
 
 
-def _check_budget(iters: int, q_max: int) -> None:
-    """Reject --iters and --qmax values no run could honour, before any work."""
+def _check_budget(iters: int) -> None:
+    """Reject an --iters value no run could honour, before any work."""
     if not 1 <= iters <= ITERATION_BUDGET:
         raise CliError(
             "InvalidArgument", f"--iters must be in [1, {ITERATION_BUDGET}], got {iters}"
         )
-    if not 2 <= q_max <= MAX_Q:
-        raise CliError("InvalidArgument", f"--qmax must be in [2, {MAX_Q}], got {q_max}")
 
 
 def _number(text: str, flag: str, kind=float):
@@ -137,9 +134,9 @@ def _report_dict(report) -> dict:
 
 def cmd_verdict(args) -> int:
     """``verify`` prints the verdict; ``rho`` adds the triangle and its 2/5 orbits."""
-    _check_budget(args.iters, args.qmax)
+    _check_budget(args.iters)
     tri, t, r = _triangle_from_args(args)
-    verdict = conjecture_check(tri, n=args.iters, q_max=args.qmax)
+    verdict = conjecture_check(tri, n=args.iters)
     out = {
         "condition": verdict.condition,
         "rho_verdict": verdict.rho_verdict,
@@ -171,14 +168,14 @@ CSV_HEADER = (
 CHUNK = 8
 
 
-def _sweep_cell(cell: tuple[float, float, int, int]) -> tuple[str, bool, bool]:
+def _sweep_cell(cell: tuple[float, float, int]) -> tuple[str, bool, bool]:
     """One CSV row, then whether the cell is consistent and whether it is
     uncertified: the two values the sweep summary counts."""
-    t, r, iters, q_max = cell
+    t, r, iters = cell
     try:
         apex = DiskPoint(r, 0.0)
         tri = Triangle(DiskPoint(0.0, t), DiskPoint(0.0, -t), apex)
-        verdict = conjecture_check(tri, n=iters, q_max=q_max)
+        verdict = conjecture_check(tri, n=iters)
     except BarBilliardError as err:
         raise type(err)(f"cell t={fmt(t)} r={fmt(r)}: {err}") from err
     # Triangle may swap q and r, so find the labeling by the apex's position
@@ -314,7 +311,7 @@ def cmd_sweep(args) -> int:
         raise CliError("InvalidArgument", "sweep needs --iters >= 1000")
     if args.seed is not None and args.seed < 0:
         raise CliError("InvalidArgument", f"--seed must be >= 0, got {args.seed}")
-    _check_budget(args.iters, args.qmax)
+    _check_budget(args.iters)
 
     if args.seed is not None:
         jitter = _uniforms(args.seed, t_steps + r_steps)
@@ -328,7 +325,7 @@ def cmd_sweep(args) -> int:
     for t in ts:
         for rv in rs:
             r = -_relative_radius(t, rv) if args.r_mode == "relative_interval" else rv
-            cells.append((t, r, args.iters, args.qmax))
+            cells.append((t, r, args.iters))
 
     # a worker beyond the chunk count would get no cells, one beyond the
     # usable CPUs would only share a CPU
@@ -408,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     verdict_flags = argparse.ArgumentParser(add_help=False)
     _add_triangle_flags(verdict_flags)
     verdict_flags.add_argument("--iters", type=int, default=100_000)
-    verdict_flags.add_argument("--qmax", type=int, default=64)
 
     p_rho = subs.add_parser("rho", help="analyze one triangle (JSON report)",
                             parents=[verdict_flags])
@@ -422,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--r-mode", type=str, default="absolute",
                          choices=("absolute", "relative_interval"))
     p_sweep.add_argument("--iters", type=int, default=2000)
-    p_sweep.add_argument("--qmax", type=int, default=64)
     p_sweep.add_argument("--seed", type=int, default=None, help="jitter seed")
     p_sweep.add_argument("--jobs", type=int, default=1,
                          help="worker processes, capped at the usable CPUs and at "

@@ -1,10 +1,10 @@
 """Hyperbolic geometry in the Beltrami-Klein disk.
 
 Points live in the open unit disk, hyperbolic lines are straight chords,
-and the boundary circle holds the ideal points.  Distances come from the
-log cross-ratio of a chord's ideal endpoints; the module also provides
-the derived threshold quantities and the perpendicular foot and drop
-(the hyperboloid model under the hood).
+and the boundary circle holds the ideal points.  The distance of p and q
+is asinh(sqrt(<m, m>) / sqrt((1 - |p|^2)(1 - |q|^2))) for m the line pq;
+the module also provides the derived threshold quantities and the
+perpendicular foot and drop (the hyperboloid model under the hood).
 
 Angles on the boundary circle are measured in turns (period 1), so lifts
 of circle maps live on the real line with integer deck transformations.

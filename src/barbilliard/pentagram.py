@@ -328,15 +328,16 @@ def condition_report(tri: Triangle) -> ConditionReport:
     )
 
 
-def conjecture_check(tri: Triangle, n: int = 100_000, q_max: int = 64) -> ConjectureVerdict:
+def conjecture_check(tri: Triangle, n: int = 100_000) -> ConjectureVerdict:
     """Compare the sandwich condition with the certified rotation number.
 
     ``classify_rho`` scans 2/5 first and carries its comparison exactly
     when 2/5 is not certified, so the verdict is "equals" without one and
-    otherwise reads its side.  The verdict is the same for every n.
+    otherwise reads its side.  The verdict is the same for every n, the
+    only setting: the candidates' denominators stop at rotation's MAX_Q.
     """
     report = condition_report(tri)
-    rotation = classify_rho(triangle_map(tri), n=n, q_max=q_max)
+    rotation = classify_rho(triangle_map(tri), n=n)
     comp = rotation.comparison
     verdict = "equals" if comp is None else {"less": "below", "greater": "above"}[comp.relation]
     condition = report.two_fifths_sandwich

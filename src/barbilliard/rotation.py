@@ -257,14 +257,14 @@ def _certify(
     return None, RationalComparison(p, q, "greater" if scan.sign > 0 else "less")
 
 
-def classify_rho(tmap: TangentMap, n: int = 100_000, q_max: int = 64) -> RotationResult:
+def classify_rho(tmap: TangentMap, n: int = 100_000) -> RotationResult:
     """Estimate rho for a triangle, place it against 2/5 and try to pin it
     to a rational.
 
-    2/5 is scanned first, for every q_max: its certificate, or else the
-    side of 2/5 its scan proves (the comparison), is the verdict.  Only
-    then are the p/q with |q est - p| <= q/n, q <= q_max, on that side
-    scanned by increasing q; the first to certify is the certificate.
+    2/5 is scanned first: its certificate, or else the side of 2/5 its
+    scan proves (the comparison), is the verdict.  Only then are the p/q
+    with |q est - p| <= q/n, q <= MAX_Q, on that side scanned by
+    increasing q; the first to certify is the certificate.
     A candidate whose scan is beyond float resolution is not certified,
     and the next is tried; a refused 2/5 scan raises PreconditionFailed.
     The range [1/3, 1/2) is asserted on the estimate and the certificate.
@@ -281,7 +281,7 @@ def classify_rho(tmap: TangentMap, n: int = 100_000, q_max: int = 64) -> Rotatio
     certificate, comparison = _certify(tmap, 2, 5)
     if comparison is not None:
         side = 1 if comparison.relation == "greater" else -1
-        for q in range(2, q_max + 1):
+        for q in range(2, MAX_Q + 1):
             p = round(q * est.estimate)
             if (1 <= p < q and math.gcd(p, q) == 1 and (5 * p - 2 * q) * side > 0
                     and abs(q * est.estimate - p) <= q / n + 1e-6):

@@ -14,6 +14,7 @@ from barbilliard import (
     ConvexBody,
     DiskPoint,
     OutOfRange,
+    OutOfTheoreticalRange,
     PreconditionFailed,
     TangentMap,
     Triangle,
@@ -34,6 +35,7 @@ from barbilliard.rotation import (
     MAX_Q,
     MERGE_TOL,
     TANGENCY_TOL,
+    RationalCertificate,
     _certify,
     _circle_zeros,
     _dedupe_cyclic,
@@ -182,6 +184,25 @@ class TestClassifyRho:
         )
         with pytest.raises(PreconditionFailed):
             classify_rho(seg)
+
+    @pytest.mark.parametrize("estimate", [1.0 / 3.0 - 0.002, 0.5 + 0.002])
+    def test_estimate_outside_the_range_is_a_bug(self, monkeypatch, estimate):
+        """An estimate beyond [1/3 - 2/n, 1/2 + 2/n] breaks the theorem."""
+        real = rotation.estimate_rho
+        monkeypatch.setattr(rotation, "estimate_rho",
+                            lambda tmap, n: real(tmap, n)._replace(estimate=estimate))
+        tmap = triangle_map(canonical_triangle(0.9, -0.02))
+        with pytest.raises(OutOfTheoreticalRange, match="^estimate .* escapes"):
+            classify_rho(tmap, n=2000)
+
+    def test_certificate_outside_the_range_is_a_bug(self, monkeypatch):
+        def three_fifths(tmap, p, q):
+            return RationalCertificate(3, 5, 0.0, 0.0, "sign_change"), None
+
+        monkeypatch.setattr(rotation, "_certify", three_fifths)
+        tmap = triangle_map(canonical_triangle(0.9, -0.02))
+        with pytest.raises(OutOfTheoreticalRange, match="certified 3/5 escapes"):
+            classify_rho(tmap, n=2000)
 
 
 def _side_and_certificate(tri):
