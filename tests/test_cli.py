@@ -249,7 +249,7 @@ class TestResourceFlags:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--jobs", "0"], ["--jobs", "-3"], ["--iters", "20000000"]],
+        [["--jobs", "0"], ["--jobs", "-3"], ["--iters", "0"], ["--iters", "20000000"]],
     )
     def test_sweep_rejects_out_of_range(self, tmp_path, capsys, flags):
         out = tmp_path / "x.csv"
