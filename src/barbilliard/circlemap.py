@@ -23,7 +23,9 @@ Scaled by its known 1/sqrt(1 - |P|^2) and by i, the matrix lies in
 SU(1,1): [[a, b], [conj(b), conj(a)]] with |a|^2 - |b|^2 = 1, kept as the
 pair (a, b).  Products of such pairs stay in that form, so the n-fold map
 is one Mobius map on each arc between the cuts F^{-j}(breakpoint), j < n
-(:meth:`TangentMap.pieces`).
+(:meth:`TangentMap.pieces`).  Crossing the cut F^{-j}(bp_i) changes only
+the j-th factor of that product, so the cuts' (j, i) tags give every
+piece's itinerary.
 """
 
 from __future__ import annotations
@@ -321,35 +323,70 @@ class TangentMap:
     def pieces(self, n: int) -> list[Piece]:
         """The n-fold map as Mobius pieces, in angle order from the first cut.
 
-        The cuts, F^{-j}(breakpoint) for j < n merged within SNAP, are
-        stepped back a half-turn at a time: F^{-1} on the image arc
-        [F(bp_k), F(bp_k+1)) is arc k's half-turn, its own inverse.  A
-        piece's map is the product of the half-turns along its midpoint's
+        The cuts F^{-j}(bp_i), j < n, are stepped back a half-turn at a
+        time (F^{-1} on the image arc [F(bp_k), F(bp_k+1)) is arc k's
+        half-turn, its own inverse), tagged (j, i) and merged within SNAP,
+        each merged cut keeping its tags.  A piece's map is the product of
+        the half-turns along its itinerary.  Crossing the cut tagged (j, i)
+        counterclockwise moves the j-th iterate into arc i, so each piece
+        takes arc i's half-turn as step j for each tag of the cut it starts
+        at, and recomposes its prefix products from the lowest level that
+        cut changed, in the order a walk of its midpoint would compose them.
+        No midpoint is walked: one lap of the tags gives the first piece's
         itinerary.
         """
         if n < 1 or n > ITERATION_BUDGET:
             raise OutOfRange(f"piece order {n} out of budget")
-        bps, verts = self._bp_angles, self._arc_verts
+        bps, verts, m = self._bp_angles, self._arc_verts, len(self._bp_angles)
         images = sorted((self.eval_angle(a), k) for k, a in enumerate(bps))
         image_angles = [a for a, _ in images]
-        level, cuts = list(bps), list(bps)
+        image_verts = [verts[k] for _, k in images]
+        level, flat = list(bps), list(bps)  # flat[j * m + i] is F^{-j}(bp_i)
         for _ in range(n - 1):
-            level = [_turn(verts[images[bisect_right(image_angles, y) - 1][1]], y) % 1.0
+            level = [_turn(image_verts[bisect_right(image_angles, y) - 1], y) % 1.0
                      for y in level]
-            cuts.extend(level)
+            flat.extend(level)
         # a cut within SNAP of the wrap point is put on it, so a zero there
-        # reads 0 rather than 1 - ulp
-        cuts = _dedupe_cyclic([0.0 if min(c, 1.0 - c) <= SNAP else c for c in cuts], SNAP)
+        # reads 0 rather than 1 - ulp; a cut's tags stay in angle order
+        keys = [c - 1.0 if 1.0 - c <= SNAP else c for c in flat]
+        cuts, tags = [], []
+        for k in sorted(range(len(keys)), key=keys.__getitem__):
+            c = 0.0 if -SNAP <= keys[k] <= SNAP else keys[k]
+            if not cuts or c - cuts[-1] > SNAP:
+                cuts.append(c)
+                tags.append([])
+            tags[-1].append(k)
+        if len(cuts) > 1 and cuts[0] + 1.0 - cuts[-1] <= SNAP:
+            cuts.pop()
+            tags[0][:0] = tags.pop()
+        # a cut merged with a breakpoint lands on it: from there on its chain
+        # is the breakpoint's but for rounding, which F^{-1} may spread past
+        # SNAP, so its tags cross where the breakpoint chain's cuts do
+        lands = {k: min(g) for g in tags if len(g) > 1 and min(g) < m for k in g if k >= m}
+        if lands:
+            rep = list(range(len(flat)))
+            for k in range(m, len(flat)):
+                r = rep[k - m] + m
+                rep[k] = rep[r] if r < k else lands.get(k, k)
+            where = {k: p for p, g in enumerate(tags) for k in g}
+            tags = [[] for _ in tags]
+            for k in where:
+                tags[where[rep[k]]].append(k)
         ends = cuts + [cuts[0] + 1.0] if cuts else [0.0, 1.0]
         turns = [_half_turn(P) for P in verts]
-        pieces = []
-        for lo, hi in zip(ends, ends[1:]):
-            m, a = (1.0 + 0j, 0j), (0.5 * (lo + hi)) % 1.0
-            for _ in range(n):
-                k = bisect_right(bps, a) - 1  # no SNAP: the midpoint is inside its piece
-                a = _turn(verts[k], a) % 1.0
-                m = _compose(turns[k], m)
-            pieces.append(Piece(lo, hi, *m))
+        # steps[j] is the half-turn of the j-th iterate's arc; one lap of the
+        # tags sets each step, as every level has cuts (a point body has one
+        # arc and none), and leaves them as they are on the last piece
+        steps = [turns[-1]] * n
+        for k in (k for g in tags for k in g):
+            steps[k // m] = turns[k % m]
+        prefix, pieces = [(1.0 + 0j, 0j)] * (n + 1), []
+        for p, g in enumerate(tags or [[]]):
+            for k in g:
+                steps[k // m] = turns[k % m]
+            for j in range(min(g, default=m * n) // m if p else 0, n):
+                prefix[j + 1] = _compose(steps[j], prefix[j])
+            pieces.append(Piece(ends[p], ends[p + 1], *prefix[n]))
         return pieces
 
     def orbit(self, v: IdealPoint, n: int) -> list[IdealPoint]:

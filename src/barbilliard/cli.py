@@ -59,11 +59,15 @@ def _check_budget(iters: int) -> None:
 
 
 def _number(text: str, flag: str, kind=float):
-    """One number of a flag's value; a malformed one is an InvalidArgument."""
+    """One finite number of a flag's value; a malformed one, nan or inf is
+    an InvalidArgument."""
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError as exc:
         raise CliError("InvalidArgument", f"{flag}: not a number: {text!r}") from exc
+    if not math.isfinite(value):
+        raise CliError("InvalidArgument", f"{flag}: not a finite number: {text!r}")
+    return value
 
 
 def _numbers(text: str, flag: str, shape: str) -> list[float]:

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -12,13 +13,26 @@ from barbilliard import (
     InvalidBody,
     OutOfRange,
     Triangle,
+    circlemap,
+    cli,
     ellipse_pentagram,
     second_intersection,
     standard_pentagram,
 )
-from barbilliard.circlemap import ITERATION_BUDGET, TangentMap
-from barbilliard.geometry import angular_distance, ccw_gap
-from conftest import random_convex_polygon, random_disk_points
+from barbilliard.circlemap import (
+    ITERATION_BUDGET,
+    Piece,
+    TangentMap,
+    _compose,
+    _dedupe_cyclic,
+    _half_turn,
+    _turn,
+)
+from barbilliard.errors import PreconditionFailed
+from barbilliard.geometry import SNAP, angular_distance, ccw_gap
+from barbilliard.pentagram import triangle_map
+from barbilliard.rotation import _certify
+from conftest import random_convex_polygon, random_disk_points, random_triangle
 
 SQRT7 = math.sqrt(7.0)
 
@@ -477,3 +491,165 @@ class TestOrbit:
 def test_standard_pentagram_lift_example():
     tri, pent = standard_pentagram(0.9)
     assert pent.points[0].angle == pytest.approx(0.0, abs=1e-12)
+
+
+def walked_pieces(tmap, n):
+    """The pieces of F^n as first built, kept as the reference for
+    :meth:`TangentMap.pieces`: the same cuts, and every piece's map
+    the product of the half-turns along its own midpoint's itinerary."""
+    bps, verts = tmap._bp_angles, tmap._arc_verts
+    images = sorted((tmap.eval_angle(a), k) for k, a in enumerate(bps))
+    image_angles = [a for a, _ in images]
+    level, cuts = list(bps), list(bps)
+    for _ in range(n - 1):
+        level = [_turn(verts[images[bisect_right(image_angles, y) - 1][1]], y) % 1.0
+                 for y in level]
+        cuts.extend(level)
+    # a cut within SNAP of the wrap point is put on it, so a zero there
+    # reads 0 rather than 1 - ulp
+    cuts = _dedupe_cyclic([0.0 if min(c, 1.0 - c) <= SNAP else c for c in cuts], SNAP)
+    ends = cuts + [cuts[0] + 1.0] if cuts else [0.0, 1.0]
+    turns = [_half_turn(P) for P in verts]
+    pieces = []
+    for lo, hi in zip(ends, ends[1:]):
+        m, a = (1.0 + 0j, 0j), (0.5 * (lo + hi)) % 1.0
+        for _ in range(n):
+            k = bisect_right(bps, a) - 1  # no SNAP: the midpoint is inside its piece
+            a = _turn(verts[k], a) % 1.0
+            m = _compose(turns[k], m)
+        pieces.append(Piece(lo, hi, *m))
+    return pieces
+
+
+def band_maps(seed):
+    """The maps of the criterion-9 band sweep, t in (0.85, 0.95) and apex
+    abscissa in (-0.04, -0.006) on a 20x20 grid jittered by ``seed``, built
+    as ``barbilliard sweep`` builds its cells."""
+    jitter = cli._uniforms(seed, 40)
+    ts = cli._grid_values(0.85, 0.95, 20, jitter[:20])
+    rs = cli._grid_values(-0.04, -0.006, 20, jitter[20:])
+    return [triangle_map(Triangle(DiskPoint(0.0, t), DiskPoint(0.0, -t), DiskPoint(r, 0.0)))
+            for t in ts for r in rs]
+
+
+def threshold_maps(kind):
+    """Triangles on a threshold of 2/5: the standard family over t, or
+    seeded apexes on the order-2 ellipse."""
+    if kind == "standard":
+        return [triangle_map(standard_pentagram(t)[0]) for t in np.linspace(0.3, 0.95, 30)]
+    rng = np.random.default_rng(25)
+    maps = []
+    for _ in range(30):
+        t = float(rng.uniform(0.3, 0.95))
+        v = float(rng.uniform(-0.9 * t, 0.9 * t))
+        maps.append(triangle_map(ellipse_pentagram(t, v, ("left", "right")[len(maps) % 2])[0]))
+    return maps
+
+
+def triangle_maps():
+    """Seeded random triangles with vertices within radius 0.92."""
+    rng = np.random.default_rng(26)
+    return [triangle_map(random_triangle(rng)) for _ in range(60)]
+
+
+def tau_segment_maps():
+    """The segment maps of ``tau_n``: the base (0, t), (0, -t)."""
+    return [TangentMap(ConvexBody.segment(DiskPoint(0.0, t), DiskPoint(0.0, -t)))
+            for t in (0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99)]
+
+
+@pytest.fixture
+def turn_calls(monkeypatch):
+    """A one-item list counting circlemap._turn calls."""
+    turn = circlemap._turn
+    calls = [0]
+
+    def counted(P, a):
+        calls[0] += 1
+        return turn(P, a)
+
+    monkeypatch.setattr(circlemap, "_turn", counted)
+    return calls
+
+
+#: map families the tagged tables are checked on, by name
+MAP_SETS = {
+    "band-seed-21": lambda: band_maps(21),
+    "standard-threshold": lambda: threshold_maps("standard"),
+    "ellipse-threshold": lambda: threshold_maps("ellipse"),
+    "random-triangles": triangle_maps,
+}
+
+
+class TestPiecesFromTaggedCuts:
+    """``TangentMap.pieces`` recomposes each piece from the cuts' tags, and
+    equals the piece-by-piece walk wherever floats resolve the cuts."""
+
+    @pytest.mark.parametrize("name", MAP_SETS)
+    def test_tables_are_the_walk_up_to_13(self, name):
+        for tmap in MAP_SETS[name]():
+            for q in range(1, 14):
+                assert tmap.pieces(q) == walked_pieces(tmap, q)
+
+    @pytest.mark.parametrize("name, q", [
+        (name, q) for q in (21, 34, 64) for name in MAP_SETS
+        if (name, q) != ("standard-threshold", 64)])
+    def test_wide_pieces_are_the_walk(self, name, q):
+        """Past q = 13 a piece narrower than 1e-11 turns may read another
+        itinerary; no wider one does.  On the standard threshold maps at
+        q = 64 the walk's own rounding moves wide pieces' maps by up to
+        1.6e-8 turns at their midpoints against an 80-digit walk, where the
+        tagged maps stay within 4e-11, so there the scans are compared."""
+        maps = MAP_SETS[name]()
+        for tmap in maps[::10] if name == "band-seed-21" else maps:
+            tagged, walked = tmap.pieces(q), walked_pieces(tmap, q)
+            assert [pc[:2] for pc in tagged] == [pc[:2] for pc in walked]
+            for a, b in zip(tagged, walked):
+                if b.hi - b.lo >= 1e-11:
+                    assert a == b
+
+    def test_standard_threshold_scans_agree_at_64(self, monkeypatch):
+        """Every 25/64 and 27/64 scan of a standard threshold map reads the
+        same certificate, comparison or refusal from either table."""
+
+        def verdicts():
+            out = []
+            for tmap in threshold_maps("standard"):
+                for p in (25, 27):
+                    try:
+                        out.append(_certify(tmap, p, 64))
+                    except PreconditionFailed as err:
+                        out.append(str(err))
+            return out
+
+        tagged = verdicts()
+        monkeypatch.setattr(TangentMap, "pieces", walked_pieces)
+        assert verdicts() == tagged
+
+    def test_tau_segment_tables_are_the_walk(self):
+        for tmap in tau_segment_maps():
+            for q in range(2, 65, 2):
+                assert tmap.pieces(q) == walked_pieces(tmap, q)
+
+    def test_point_body_is_one_piece(self):
+        tmap = TangentMap(ConvexBody.point(DiskPoint(0.3, -0.2)))
+        for q in (1, 2, 5, 64):
+            pieces = tmap.pieces(q)
+            assert pieces == walked_pieces(tmap, q)
+            assert [(pc.lo, pc.hi) for pc in pieces] == [(0.0, 1.0)]
+
+    def test_half_turns_only_in_the_pullback(self, rng, turn_calls):
+        """The pullback makes m (q - 1) half-turns for m breakpoints, within
+        the bound (m + 1) q, against m (q - 1) + P q for a walk of all P
+        pieces: 87 on the sandwich triangle at q = 5."""
+        sandwich = TangentMap(ConvexBody.polygon(Triangle(
+            DiskPoint(0.0, 0.9), DiskPoint(0.0, -0.9), DiskPoint(-0.02, 0.0)).vertices))
+        turn_calls[0] = 0
+        assert len(sandwich.pieces(5)) == 15
+        assert turn_calls[0] <= 4 * 5
+        for tmap in [sandwich] + assorted_maps(rng)[::3] + band_maps(21)[::50]:
+            m = len(tmap.breakpoints)
+            for q in (1, 2, 5, 8, 13, 34):
+                turn_calls[0] = 0
+                tmap.pieces(q)
+                assert turn_calls[0] <= (m + 1) * q

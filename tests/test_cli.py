@@ -373,6 +373,40 @@ class TestInputChecks:
         assert json.loads(capsys.readouterr().out)["error"] == "InvalidArgument"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, flag, text", [
+        (["rho", "--vertices=nan,0.5,-0.5,0,0,-0.5"], "--vertices", "nan"),
+        (["verify", "--vertices=0,0.5,-0.5,inf,0,-0.5"], "--vertices", "inf"),
+        (["tau", "--pair=0,0.9,0,-inf", "--point=-0.02,0"], "--pair", "-inf"),
+        (["tau", "--pair=0,0.9,0,-0.9", "--point=nan,0"], "--point", "nan"),
+    ])
+    def test_flag_numbers_must_be_finite(self, capsys, argv, flag, text):
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "InvalidArgument", "message": f"{flag}: not a finite number: {text!r}"}
+
+    @pytest.mark.parametrize("r_mode", ["absolute", "relative_interval"])
+    @pytest.mark.parametrize("flag, value, text", [
+        ("--t", "nan:0.9:2", "nan"),
+        ("--t", "0.8:inf:2", "inf"),
+        ("--r", "nan:nan:1", "nan"),
+        ("--r", "-0.02:nan:2", "nan"),
+        ("--r", "-inf:0.1:2", "-inf"),
+        ("--r", "0.1:inf", "inf"),
+    ])
+    def test_sweep_ranges_must_be_finite(self, tmp_path, capsys, monkeypatch, r_mode, flag,
+                                         value, text):
+        """A non-finite range end is refused before any cell runs."""
+        cells = []
+        monkeypatch.setattr(cli, "_sweep_cell", cells.append)
+        ranges = {"--t": "0.88:0.9:2", "--r": "-0.03:-0.01:2", flag: value}
+        out = tmp_path / "x.csv"
+        assert main(["sweep", f"--t={ranges['--t']}", f"--r={ranges['--r']}",
+                     "--r-mode", r_mode, "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "InvalidArgument", "message": f"{flag}: not a finite number: {text!r}"}
+        assert cells == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_sweep_names_the_cell_whose_scan_was_refused(self, tmp_path, capsys,
                                                          monkeypatch, jobs):
