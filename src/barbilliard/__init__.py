@@ -8,7 +8,6 @@ hyperbolic distance conditions governing the 1/3 and 2/5 regimes.
 
 from .circlemap import (
     ConvexBody,
-    OneSidedDerivative,
     TangentMap,
     second_intersection,
 )

@@ -6,8 +6,9 @@ body this is the chord through the point; for a segment or a convex
 polygon the supporting vertex switches at finitely many breakpoints,
 namely the ideal endpoints of the edge lines.  Between breakpoints the
 map coincides with the chord map of the active vertex, which makes the
-breakpoint table the whole story: evaluation, one-sided derivatives and
-the lift all read from it.
+breakpoint table the whole story: evaluation, the lift and the pieces
+all read from it, and slopes, one-sided at a breakpoint, are read from
+the pieces of :meth:`TangentMap.pieces` by :meth:`Piece.slope`.
 
 The chord map of a vertex P is the boundary action of the hyperbolic
 half-turn about P.  With P's Klein coordinate and the boundary point z
@@ -44,7 +45,6 @@ from .geometry import (
     IdealPoint,
     _signed_area2,
     _validated,
-    angular_distance,
     ccw_gap,
     chord_through,
 )
@@ -101,13 +101,6 @@ def _ccw_convex(vertices: tuple[DiskPoint, ...]) -> tuple[DiskPoint, ...]:
         if _signed_area2(vertices[i], vertices[(i + 1) % n], vertices[(i + 2) % n]) <= 1e-12:
             raise InvalidBody("polygon is not strictly convex in CCW order")
     return vertices
-
-
-class OneSidedDerivative(NamedTuple):
-    """Left and right derivatives of the map at a boundary point."""
-
-    left: float
-    right: float
 
 
 def second_intersection(v: IdealPoint, p: DiskPoint) -> IdealPoint:
@@ -243,12 +236,6 @@ class TangentMap:
     def __repr__(self) -> str:
         return f"TangentMap(body={self.body!r}, breakpoints={self.breakpoints!r})"
 
-    def active_vertex_index(self, angle: float) -> int:
-        """Index of the tangency vertex for the arc containing the angle."""
-        if not self.breakpoints:
-            return 0
-        return self.breakpoints[bisect_right(self._bp_angles, (angle + SNAP) % 1.0) - 1][1]
-
     def eval_angle(self, a: float) -> float:
         """Image angle (turns in [0,1)) of the boundary point at angle a."""
         P = self._arc_verts[bisect_right(self._bp_angles, (a + SNAP) % 1.0) - 1]
@@ -264,20 +251,6 @@ class TangentMap:
         """:meth:`gap_angle` of each angle, reduced mod 1.  Its only caller
         is the benchmark tracer, which binds it by name."""
         return [self.gap_angle(float(a) % 1.0) for a in angles]
-
-    def derivative(self, v: IdealPoint) -> OneSidedDerivative:
-        """One-sided derivatives at v: the :meth:`Piece.slope`, (1 - |P|^2) /
-        |v - P|^2, of the half-turns about the active vertices P either side;
-        by the power of the point, the chord ratio |P w|/|v P|."""
-        a = v.angle
-        k = bisect_right(self._bp_angles, (a + SNAP) % 1.0) - 1
-        left = right = self._arc_verts[k]
-        if self._bp_angles and angular_distance(a, self._bp_angles[k]) <= SNAP:
-            left = self._arc_verts[k - 1]  # at the breakpoint opening the arc
-        return OneSidedDerivative(
-            left=Piece(a, a, *_half_turn(left)).slope(a),
-            right=Piece(a, a, *_half_turn(right)).slope(a),
-        )
 
     def lift_iter(self, x: float, n: int) -> float:
         """n-fold lift F^n(x) of the map, accumulating the winding gap per
@@ -356,9 +329,6 @@ class TangentMap:
                 cuts.append(c)
                 tags.append([])
             tags[-1].append(k)
-        if len(cuts) > 1 and cuts[0] + 1.0 - cuts[-1] <= SNAP:
-            cuts.pop()
-            tags[0][:0] = tags.pop()
         # a cut merged with a breakpoint lands on it: from there on its chain
         # is the breakpoint's but for rounding, which F^{-1} may spread past
         # SNAP, so its tags cross where the breakpoint chain's cuts do

@@ -79,12 +79,13 @@ def _numbers(text: str, flag: str, shape: str) -> list[float]:
 
 
 def _triangle_from_args(args) -> tuple[Triangle, Optional[float], Optional[float]]:
+    given = (args.vertices is not None, args.t is not None, args.r is not None)
+    if given not in ((True, False, False), (False, True, True)):
+        raise CliError("InvalidArgument", "give either --vertices or both --t and --r")
     if args.vertices is not None:
         v = _numbers(args.vertices, "--vertices", "x1,y1,x2,y2,x3,y3")
         return Triangle(*(DiskPoint(*v[i:i + 2]) for i in (0, 2, 4))), None, None
-    if args.t is None or args.r is None:
-        raise CliError("InvalidArgument", "give either --vertices or both --t and --r")
-    t, r = args.t, args.r
+    t, r = _number(args.t, "--t"), _number(args.r, "--r")
     if not 0.0 < t < 1.0:
         raise CliError("InvalidArgument", f"--t must be in (0, 1), got {t}")
     tri = Triangle(DiskPoint(0.0, t), DiskPoint(0.0, -t), DiskPoint(r, 0.0))
@@ -387,15 +388,17 @@ def cmd_render(args) -> int:
     tri, _, _ = _triangle_from_args(args)
     if args.steps < 0 or args.steps > 10_000:
         raise CliError("InvalidArgument", "--steps must be in [0, 10000]")
+    start = IdealPoint(_number(args.start, "--start"))
     tmap = triangle_map(tri)
     orbits = detect_period5(tmap).orbits
-    _write(args.out, figure_svg(tmap, args.steps, IdealPoint(args.start), orbits))
+    _write(args.out, figure_svg(tmap, args.steps, start, orbits))
     return 0
 
 
 def _add_triangle_flags(sub) -> None:
-    sub.add_argument("--t", type=float, default=None, help="base half-height in (0,1)")
-    sub.add_argument("--r", type=float, default=None, help="apex abscissa (nonzero)")
+    # read by _number in the command, so a bad value is a JSON InvalidArgument
+    sub.add_argument("--t", type=str, default=None, help="base half-height in (0,1)")
+    sub.add_argument("--r", type=str, default=None, help="apex abscissa (nonzero)")
     sub.add_argument("--vertices", type=str, default=None,
                      help="x1,y1,x2,y2,x3,y3 triangle vertices")
 
@@ -438,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_render = subs.add_parser("render", help="SVG figure of a triangle system")
     _add_triangle_flags(p_render)
     p_render.add_argument("--steps", type=int, default=0, help="trajectory chords")
-    p_render.add_argument("--start", type=float, default=0.0,
+    p_render.add_argument("--start", type=str, default="0",
                           help="trajectory start angle in turns")
     p_render.add_argument("--out", type=str, required=True)
     p_render.set_defaults(func=cmd_render)

@@ -17,7 +17,6 @@ from typing import NamedTuple
 from .circlemap import ConvexBody, TangentMap, second_intersection
 from .errors import OutOfRange, PointOnLine, PreconditionFailed
 from .geometry import (
-    Chord,
     DiskPoint,
     IdealPoint,
     Triangle,
@@ -37,14 +36,13 @@ CLOSURE_TOL = 1e-9
 
 
 class Pentagram(NamedTuple):
-    """A period-5 boundary orbit in traversal order, with its 5 chords."""
+    """A period-5 boundary orbit in traversal order."""
 
     points: tuple[IdealPoint, ...]
-    edges: tuple[Chord, ...]
 
     @classmethod
     def build(cls, tmap: TangentMap, points) -> "Pentagram":
-        """Validate the orbit against the map and wire up the edges.
+        """Validate the orbit against the map.
 
         The map must send each point to the next within the closure
         tolerance, and sorted-by-angle positions must advance by 2 mod 5.
@@ -61,8 +59,7 @@ class Pentagram(NamedTuple):
         for i in range(5):
             if rank[(i + 1) % 5] != (rank[i] + 2) % 5:
                 raise PreconditionFailed("orbit does not advance by 2 mod 5")
-        edges = tuple(Chord(pts[i], pts[(i + 1) % 5]) for i in range(5))
-        return cls(pts, edges)
+        return cls(pts)
 
 
 class OrbitSet(NamedTuple):

@@ -19,12 +19,14 @@ P / (1 + sqrt(1 - |P|^2)) and back through w -> 2w / (1 + |w|^2)
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from cmath import phase, rect
 from typing import Optional
 
-from barbilliard.circlemap import _compose, second_intersection
+from barbilliard.circlemap import TangentMap, _compose, second_intersection
 from barbilliard.errors import InvalidBody, OutOfRange, PreconditionFailed
 from barbilliard.geometry import (
+    SNAP,
     TWO_PI,
     DiskPoint,
     IdealPoint,
@@ -107,10 +109,25 @@ def normalize_pair(p: DiskPoint, q: DiskPoint) -> tuple[KleinIsometry, float]:
 
 
 def edge_incidence(pent: Pentagram, c: DiskPoint) -> int:
-    """Number of pentagram edges whose supporting line passes through c."""
+    """Number of pentagram edges, the chords from each point to the next,
+    whose supporting line passes through c."""
+    pts = pent.points
     return sum(
-        _chord_distance(c, e.a.angle, e.b.angle) <= CLOSURE_TOL for e in pent.edges
+        _chord_distance(c, pts[i].angle, pts[(i + 1) % 5].angle) <= CLOSURE_TOL
+        for i in range(5)
     )
+
+
+def one_sided_slopes(tmap: TangentMap, a: float) -> tuple[float, float]:
+    """Left and right slopes of the map at angle a, read from its pieces:
+    the piece ending at a gives the left one, the piece holding a the
+    right one.  Within SNAP of a cut the angle counts as on it, as
+    ``eval_angle`` does; off the cuts both slopes are the holding piece's."""
+    pieces = tmap.pieces(1)
+    k = bisect_right([pc.lo for pc in pieces], (a + SNAP) % 1.0) - 1
+    right = pieces[k]
+    left = pieces[k - 1] if angular_distance(a, right.lo) <= SNAP else right
+    return left.slope(a), right.slope(a)
 
 
 def ideal_chain(t: float) -> list[IdealPoint]:

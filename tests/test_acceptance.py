@@ -31,7 +31,7 @@ from barbilliard import (
 from barbilliard.geometry import angular_distance
 from barbilliard.pentagram import ellipse_contact_xs, triangle_map
 from conftest import delta_from_sides, random_convex_polygon, random_triangle, src_env
-from lemmas import ideal_chain, normalize_pair, orbit_derivative_product
+from lemmas import ideal_chain, normalize_pair, one_sided_slopes, orbit_derivative_product
 from test_pentagram import brute_tau_signs
 
 SQRT5 = math.sqrt(5.0)
@@ -327,7 +327,7 @@ def test_criterion_8_property_suites():
             if bps and min(angular_distance(a, b) for b in bps) < 1e-3:
                 continue
             fd = (tmap.lift_iter(a + h, 1) - tmap.lift_iter(a - h, 1)) / (2.0 * h)
-            dv = tmap.derivative(IdealPoint(a)).right
+            dv = one_sided_slopes(tmap, a)[1]
             worst_fd = max(worst_fd, abs(fd - dv) / dv)
     checks["derivative-vs-fd"] = worst_fd <= 1e-4
 

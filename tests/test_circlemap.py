@@ -33,6 +33,7 @@ from barbilliard.geometry import SNAP, angular_distance, ccw_gap
 from barbilliard.pentagram import triangle_map
 from barbilliard.rotation import _certify
 from conftest import random_convex_polygon, random_disk_points, random_triangle
+from lemmas import one_sided_slopes
 
 SQRT7 = math.sqrt(7.0)
 
@@ -179,10 +180,15 @@ class TestEvaluate:
             assert angular_distance(img.angle, tri_pts[(i + 1) % 5].angle) < 1e-12
 
     def test_breakpoint_uses_incoming_arc_vertex(self):
-        # left-closed arcs: at a breakpoint the next edge's far vertex serves
+        # left-closed arcs: at a breakpoint the next edge's far vertex serves,
+        # in the map and in the piece that the breakpoint opens
         tmap = fig_triangle_map()
+        opens = {pc.lo: pc for pc in tmap.pieces(1)}
         for u, k in tmap.breakpoints:
-            assert tmap.active_vertex_index(u.angle) == k
+            v = tmap.body.vertices[k]
+            P = complex(v.x, v.y)
+            assert tmap.eval_angle(u.angle) == _turn(P, u.angle) % 1.0
+            assert (opens[u.angle].a, opens[u.angle].b) == _half_turn(P)
 
     def test_ccw_gap_in_unit_interval(self, rng):
         tmap = fig_triangle_map()
@@ -204,8 +210,11 @@ class TestEvaluate:
 def chord_construction(tmap, a):
     """Reference step in the Klein model: the second intersection w of the
     circle with the line from v (at angle a) through the active vertex P,
-    as an angle in turns, and the chord ratio |P w| / |v P|."""
-    p = tmap.body.vertices[tmap.active_vertex_index(a)]
+    as an angle in turns, and the chord ratio |P w| / |v P|.  P opens the
+    last breakpoint at or before a (within SNAP), as ``eval_angle`` reads."""
+    bps = tmap.breakpoints
+    k = bps[bisect_right([u.angle for u, _ in bps], (a + SNAP) % 1.0) - 1][1] if bps else 0
+    p = tmap.body.vertices[k]
     t = 2.0 * math.pi * a
     vx, vy = math.cos(t), math.sin(t)
     dx, dy = p.x - vx, p.y - vy
@@ -248,8 +257,8 @@ class TestHalfTurn:
             angles += [u.angle for u, _ in tmap.breakpoints]
             for a in angles:
                 _, ratio = chord_construction(tmap, a)
-                d = tmap.derivative(IdealPoint(a))
-                assert d.right == pytest.approx(ratio, rel=1e-12)
+                _, right = one_sided_slopes(tmap, a)
+                assert right == pytest.approx(ratio, rel=1e-12)
 
     def test_lift_iter_sums_one_eval_per_step(self, rng, eval_calls):
         for tmap in assorted_maps(rng)[::4]:
@@ -343,15 +352,15 @@ def first_repeat(tmap, x, n):
 class TestDerivative:
     def test_fig_triangle_value(self):
         tmap = fig_triangle_map()
-        d = tmap.derivative(IdealPoint.from_xy(1.0, 0.0))
-        assert d.left == pytest.approx(0.6, abs=1e-12)
-        assert d.right == pytest.approx(0.6, abs=1e-12)
+        left, right = one_sided_slopes(tmap, IdealPoint.from_xy(1.0, 0.0).angle)
+        assert left == pytest.approx(0.6, abs=1e-12)
+        assert right == pytest.approx(0.6, abs=1e-12)
 
     def test_point_at_center_unit(self):
         tmap = TangentMap(ConvexBody.point(DiskPoint(0.0, 0.0)))
-        d = tmap.derivative(IdealPoint(0.3))
-        assert d.left == pytest.approx(1.0, abs=1e-12)
-        assert d.right == pytest.approx(1.0, abs=1e-12)
+        left, right = one_sided_slopes(tmap, 0.3)
+        assert left == pytest.approx(1.0, abs=1e-12)
+        assert right == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_finite_difference(self, rng):
         h = 1e-6
@@ -371,9 +380,9 @@ class TestDerivative:
                 if bps and min(angular_distance(a, b) for b in bps) < 1e-3:
                     continue
                 fd = (tmap.lift_iter(a + h, 1) - tmap.lift_iter(a - h, 1)) / (2.0 * h)
-                d = tmap.derivative(IdealPoint(a))
-                assert d.left == pytest.approx(d.right, rel=1e-9)
-                assert fd == pytest.approx(d.right, rel=1e-4)
+                left, right = one_sided_slopes(tmap, a)
+                assert left == pytest.approx(right, rel=1e-9)
+                assert fd == pytest.approx(right, rel=1e-4)
                 checked += 1
             assert checked > 50
 
@@ -385,17 +394,17 @@ class TestDerivative:
         u1 = theta  # diameter endpoint nearer p
         u2 = (theta + 0.5) % 1.0
         rising = [(u2 + f * 0.499) % 1.0 for f in np.linspace(0.001, 0.999, 40)]
-        vals = [tmap.derivative(IdealPoint(a)).right for a in rising]
+        vals = [one_sided_slopes(tmap, a)[1] for a in rising]
         assert all(x < y for x, y in zip(vals, vals[1:]))
         falling = [(u1 + f * 0.499) % 1.0 for f in np.linspace(0.001, 0.999, 40)]
-        vals = [tmap.derivative(IdealPoint(a)).right for a in falling]
+        vals = [one_sided_slopes(tmap, a)[1] for a in falling]
         assert all(x > y for x, y in zip(vals, vals[1:]))
 
     def test_corner_left_exceeds_right(self, rng):
         for tmap in (fig_triangle_map(), canonical_map(0.9)):
             for u, _ in tmap.breakpoints:
-                d = tmap.derivative(u)
-                assert d.left > d.right
+                left, right = one_sided_slopes(tmap, u.angle)
+                assert left > right
 
 
 class TestLift:

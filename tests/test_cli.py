@@ -69,10 +69,18 @@ class TestRho:
         assert "orbits" not in out
 
     def test_degenerate_vertices(self, capsys):
-        code = main(["rho", "--vertices", "0,0.5,0,-0.5,0,0"])
-        out = json.loads(capsys.readouterr().out)
-        assert code == 2
-        assert out["error"] == "DegenerateBody"
+        # collinear vertices, and an apex so near the base that two
+        # breakpoints fall 0.95e-12 turns apart
+        for argv, message in [
+            (["rho", "--vertices", "0,0.5,0,-0.5,0,0"],
+             "triangle is degenerate (collinear vertices)"),
+            (["rho", "--t", "0.5", "--r=1.5e-12"],
+             "breakpoints collide; body is numerically degenerate"),
+        ]:
+            code = main(argv)
+            out = json.loads(capsys.readouterr().out)
+            assert code == 2
+            assert out == {"error": "DegenerateBody", "message": message}
 
     def test_missing_triangle_spec(self, capsys):
         code = main(["rho", "--t", "0.9"])
@@ -265,11 +273,14 @@ class TestResourceFlags:
             ["tau", "--pair=0,0.9,0,-0.9", "--point=x,0"],
             ["sweep", "--t", "0.8:0.9:x", "--r=-0.03:-0.01:2", "--iters", "1500"],
             [*SWEEP, "--seed", "-1"],
+            ["rho", "--t", "abc", "--r=-0.02"],
+            ["verify", "--t", "0.9", "--r=-0.0.2"],
+            ["render", "--t", "0.9", "--r=-0.05", "--start", "x"],
         ],
     )
     def test_malformed_numbers_rejected(self, tmp_path, capsys, argv):
         out = tmp_path / "x.csv"
-        code = main([*argv, "--out", str(out)] if argv[0] == "sweep" else argv)
+        code = main([*argv, "--out", str(out)] if argv[0] in ("sweep", "render") else argv)
         assert code == 2
         assert json.loads(capsys.readouterr().out)["error"] == "InvalidArgument"
         assert not out.exists()
@@ -352,6 +363,18 @@ class TestInputChecks:
         assert main(argv) == 2
         assert json.loads(capsys.readouterr().out)["error"] == "InvalidArgument"
 
+    @pytest.mark.parametrize("command", ["rho", "verify", "render"])
+    @pytest.mark.parametrize("flags", [["--t", "0.9"], ["--r=-0.02"], ["--t", "0.9", "--r=-0.02"]],
+                             ids=["t", "r", "t-and-r"])
+    def test_vertices_exclude_t_and_r(self, tmp_path, capsys, command, flags):
+        """A triangle given both ways is refused, not read from --vertices alone."""
+        out = tmp_path / "x.svg"
+        argv = [command, "--vertices=-0.25,0.433,-0.25,-0.433,0.5,0", *flags]
+        assert main(argv + (["--out", str(out)] if command == "render" else [])) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "InvalidArgument", "message": "give either --vertices or both --t and --r"}
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["--r=-0.03:-0.01:2", "--iters", "1500"],
         ["--t", "0.88:0.92:2", "--iters", "1500"],
@@ -378,11 +401,20 @@ class TestInputChecks:
         (["verify", "--vertices=0,0.5,-0.5,inf,0,-0.5"], "--vertices", "inf"),
         (["tau", "--pair=0,0.9,0,-inf", "--point=-0.02,0"], "--pair", "-inf"),
         (["tau", "--pair=0,0.9,0,-0.9", "--point=nan,0"], "--point", "nan"),
+        (["rho", "--t", "0.9", "--r=nan"], "--r", "nan"),
+        (["verify", "--t", "inf", "--r=-0.02"], "--t", "inf"),
+        (["rho", "--t", "0.9", "--r=-inf"], "--r", "-inf"),
+        (["render", "--t", "0.9", "--r=-0.05", "--start", "inf", "--out", "{out}"],
+         "--start", "inf"),
+        (["render", "--t", "0.9", "--r=-0.05", "--start", "nan", "--out", "{out}"],
+         "--start", "nan"),
     ])
-    def test_flag_numbers_must_be_finite(self, capsys, argv, flag, text):
-        assert main(argv) == 2
+    def test_flag_numbers_must_be_finite(self, tmp_path, capsys, argv, flag, text):
+        out = tmp_path / "x.svg"
+        assert main([str(out) if a == "{out}" else a for a in argv]) == 2
         assert json.loads(capsys.readouterr().out) == {
             "error": "InvalidArgument", "message": f"{flag}: not a finite number: {text!r}"}
+        assert not out.exists()
 
     @pytest.mark.parametrize("r_mode", ["absolute", "relative_interval"])
     @pytest.mark.parametrize("flag, value, text", [

@@ -1,8 +1,10 @@
 """The package source parses as Python 3.10, the oldest version that
 ``pyproject.toml`` allows, whichever interpreter runs the suite, it
 names each operation once, every module is loaded by an entry point,
-every error class is raised somewhere, and only the zero scan reads the
-pieces' critical points and calls the searches that refine its zeros."""
+every public function, class and method is used in the package or
+called by the benchmark, every error class is raised somewhere, and
+only the zero scan reads the pieces' critical points and calls the
+searches that refine its zeros."""
 
 import ast
 import importlib
@@ -59,6 +61,50 @@ def test_module_is_reached_by_an_entry_point(path):
     """The package or a command loads every module: code that only tests
     reach belongs under ``tests/``."""
     assert f"barbilliard.{path.stem}" in _reached()
+
+
+#: the public names that no package module uses, each with the benchmark
+#: file that calls it; a name leaves the list when the benchmark stops
+#: calling it and the package drops it
+BENCHMARK_ONLY = {
+    "certify_rational": "benchmark/workloads.py",
+    "standard_pentagram": "benchmark/workloads.py",
+    "ellipse_pentagram": "benchmark/workloads.py",
+    "foot_and_delta": "benchmark/tracing.py",
+    "TangentMap.gap_angles": "benchmark/tracing.py",
+}
+
+
+def _unreferenced() -> set:
+    """The public module-level functions and classes, and the public methods
+    of those classes (``Class.method``), whose name no module but
+    ``__init__`` mentions outside the definition itself."""
+    defs, refs = [], []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defs.append((node.name, node, path))
+                if isinstance(node, ast.ClassDef):
+                    defs += [(f"{node.name}.{sub.name}", sub, path) for sub in node.body
+                             if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")]
+        if path.name != "__init__.py":
+            refs += [(path, node.id if isinstance(node, ast.Name) else node.attr, node.lineno)
+                     for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))]
+    return {qual for qual, node, path in defs
+            if not any(name == qual.rpartition(".")[2]
+                       and not (where == path and node.lineno <= line <= node.end_lineno)
+                       for where, name, line in refs)}
+
+
+def test_no_public_name_goes_unused():
+    """Code that no command runs is deleted, not kept for tests: a public
+    name that nothing in the package uses must be one the benchmark calls,
+    and the list of those is exact, so it cannot go stale either way."""
+    assert _unreferenced() == set(BENCHMARK_ONLY)
+    repo = pathlib.Path(__file__).resolve().parents[1]
+    for qual, caller in BENCHMARK_ONLY.items():
+        assert qual.rpartition(".")[2] in (repo / caller).read_text(), (qual, caller)
 
 
 def test_every_error_class_is_raised():

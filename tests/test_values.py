@@ -46,7 +46,6 @@ VALUES = {
     "KleinIsometry": lambda: normalize_pair(DiskPoint(0.1, 0.2), DiskPoint(-0.3, 0.1))[0],
     "ConvexBody": lambda: ConvexBody.polygon(TRI.vertices),
     "TangentMap": lambda: triangle_map(TRI),
-    "OneSidedDerivative": lambda: triangle_map(TRI).derivative(IdealPoint(0.3)),
     "Piece": lambda: triangle_map(TRI).pieces(5)[0],
     "RationalCertificate": lambda: certify_rational(triangle_map(TRI), 2, 5).certificate,
     "RationalComparison": lambda: certify_rational(triangle_map(TRI), 1, 3).comparison,
