@@ -222,7 +222,7 @@ def detect_period5(tmap: TangentMap) -> OrbitSet:
     """Find every period-5, winding-2 boundary orbit of a triangle map:
     the zeros of F^5 - id - 2 from its Mobius pieces, grouped by orbit.
     Each orbit is walked from the first unclaimed zero, the only one it
-    polishes, and claims each zero whose stretch holds one of its points.
+    reads, and claims each zero whose stretch holds one of its points.
     Raises PreconditionFailed where that scan cannot resolve."""
     if tmap.body.kind != "polygon" or len(tmap.body.vertices) != 3:
         raise PreconditionFailed("period-5 detection applies to triangle bodies")
@@ -230,7 +230,7 @@ def detect_period5(tmap: TangentMap) -> OrbitSet:
     remaining = list(scan.roots)
     orbits = []
     while remaining:
-        pts = tmap.orbit(IdealPoint(scan.polish(remaining.pop(0))), 4)
+        pts = tmap.orbit(IdealPoint(scan.read(remaining.pop(0))[0]), 4)
         remaining = [z for z in remaining if not any(z.holds(p.angle) for p in pts)]
         orbits.append(Pentagram.build(tmap, pts))
     return OrbitSet(orbits=tuple(orbits), zero_count=len(scan.roots))
@@ -254,9 +254,10 @@ def tau_n(p1: DiskPoint, p2: DiskPoint, pt: DiskPoint, n: int) -> TauResult:
     the chord distance.
 
     n runs from 1 to MAX_Q // 2, the piece engine's range.  The cuts of
-    F^{2n} are the base line's ends, and the residual's extrema close in
-    on them geometrically in n, so from some n the scan's resolution
-    check raises PreconditionFailed (see ``rotation._circle_zeros``).
+    F^{2n} are the base line's ends.  F^{2n} is steep there, so a root
+    near them is accurate in angle, not in residual.  The residual's
+    extrema close in on them geometrically in n, so from some n the scan's
+    resolution check raises PreconditionFailed (see ``_circle_zeros``).
     """
     if not 1 <= n <= MAX_Q // 2:
         raise OutOfRange(f"fold order must be an integer in [1, {MAX_Q // 2}], got {n}")
@@ -280,7 +281,7 @@ def tau_n(p1: DiskPoint, p2: DiskPoint, pt: DiskPoint, n: int) -> TauResult:
         return math.copysign(_chord_distance(pt, u, b), w - u - round(w - u))
 
     scan = _circle_zeros(pieces, range(1, 2 * n + 1), lambda u: image(u)[1] - u, h)
-    roots = tuple(IdealPoint(scan.polish(z)) for z in scan.roots)
+    roots = tuple(IdealPoint(scan.read(z)[0]) for z in scan.roots)
     return TauResult(n=n, count=len(roots), roots=roots)
 
 

@@ -90,16 +90,29 @@ class Zero(NamedTuple):
 class ZeroScan(NamedTuple):
     """The zeros of f on the circle as located, sorted by angle, and the
     sign of f when there are none (+1 or -1; 0 when there are zeros).
-    A caller polishes the zeros it reads."""
+    A caller reads the zeros it needs."""
 
     roots: tuple[Zero, ...]
     sign: int
     f: Callable[[float], float]
 
-    def polish(self, zero: Zero) -> float:
-        """A located zero's angle: a sign change polished on its span, then
-        wrapped.  No residual is computed; ``_certify`` reads its witness's."""
-        return zero.x if zero.kind == "tangency" else _wrap(_polish(self.f, *zero.span))
+    def read(self, zero: Zero) -> tuple[float, float]:
+        """A located zero's angle and f there.  A tangency as located.  A
+        sign change is polished by brentq on the first bracket where f
+        changes sign, its _CELL-turn cell inside its stretch, then the
+        stretch; with neither it keeps its closed form.  The fixed cell keeps
+        its bits free of the closed form's.  f is read there, then x wrapped."""
+        if zero.kind == "tangency":
+            return zero.x, zero.residual
+        x, lo, hi = zero.span
+        base = math.floor(x)
+        c, lo, hi = math.floor((x - base) / _CELL) * _CELL, lo - base, hi - base
+        for a, b in ((max(c, lo), min(c + _CELL, hi)), (lo, hi)):
+            fa, fb = self.f(a), self.f(b)
+            if fa == 0.0 or fb == 0.0 or (fa < 0.0) != (fb < 0.0):
+                x = a if fa == 0.0 else b if fb == 0.0 else brentq(self.f, a, b)
+                break
+        return _wrap(x), float(self.f(x))
 
 
 def _wrap(x: float) -> float:
@@ -129,7 +142,7 @@ def _circle_zeros(pieces: list[Piece], levels: Sequence[int],
     a near-circle complex pair) is one tangency when f there,
     golden-polished unless at a corner, is within TANGENCY_TOL.  Each
     other level crossed between two extrema is one sign change, located
-    at the fixed point in that span and left for ``ZeroScan.polish``.
+    at the fixed point in that span and left for ``ZeroScan.read``.
     Zeros are located in [-MERGE_TOL, 1 - MERGE_TOL) and merged within
     MERGE_TOL.  Each carries its stretch; with one level no two share one.
 
@@ -193,25 +206,9 @@ def _circle_zeros(pieces: list[Piece], levels: Sequence[int],
     return ZeroScan((), 1 if f(pieces[0].lo) > 0.0 else -1, f)
 
 
-def _polish(f: Callable[[float], float], x: float, lo: float, hi: float) -> float:
-    """The zero of f near x by brentq: on the cell of _CELL turns holding x,
-    within the span [lo, hi] where f changes sign once, or else on the span.
-    A fixed cell keeps the zero's bits free of the closed form's last bits.
-    ``ZeroScan.polish`` calls it on one located sign change."""
-    base = math.floor(x)
-    c, lo, hi = math.floor((x - base) / _CELL) * _CELL, lo - base, hi - base
-    for a, b in ((max(c, lo), min(c + _CELL, hi)), (lo, hi)):
-        fa, fb = f(a), f(b)
-        if fa == 0.0 or fb == 0.0:
-            return a if fa == 0.0 else b
-        if (fa < 0.0) != (fb < 0.0):
-            return brentq(f, a, b)
-    return x  # f does not confirm the crossing: keep the closed form
-
-
 def scan_winding_zeros(tmap: TangentMap, p: int, q: int) -> ZeroScan:
     """Every zero of g = F^q - id - p on the circle, from the pieces of F^q,
-    as located: the caller polishes the zeros it reads.
+    as located: the caller reads the zeros it needs.
 
     A zero is a fixed point of a piece's Mobius map whose lift winds p
     times; by Katok & Hasselblatt (1995), 11.1, g > 0 everywhere exactly
@@ -242,18 +239,12 @@ def _certify(
         raise OutOfRange(f"{p}/{q} is not a reduced rational with 1<=p<q<={MAX_Q}")
     scan = scan_winding_zeros(tmap, p, q)
 
-    # sign changes before tangencies, and the lowest-angle zero of that
-    # kind: the residuals are float noise and cannot rank the zeros.  Only
-    # the witness is polished, its residual read at the polished point
-    # before it is wrapped; the others are read as located.
+    # sign changes first, then the lowest-angle zero of that kind as
+    # located (residuals are float noise and cannot rank): only it is read
     for kind in ("sign_change", "tangency"):
         roots = [z for z in scan.roots if z.kind == kind]
         if roots:
-            z = min(roots)
-            if kind == "tangency":
-                return RationalCertificate(p, q, z.x, z.residual, kind), None
-            x = _polish(scan.f, *z.span)
-            return RationalCertificate(p, q, _wrap(x), float(scan.f(x)), kind), None
+            return RationalCertificate(p, q, *scan.read(min(roots)), kind), None
     return None, RationalComparison(p, q, "greater" if scan.sign > 0 else "less")
 
 

@@ -7,8 +7,8 @@ absolute interval tolerance localizes those to machine precision.
 
 Both serve the zero engine of ``rotation`` alone, at fixed tolerances:
 golden section refines each tangency inside ``_circle_zeros``, and
-Brent's method polishes the zero that a witness or an orbit starts from
-(``ZeroScan.polish``).
+Brent's method polishes each sign change that a caller reads, in the
+one place a located zero is read (``ZeroScan.read``).
 """
 
 from __future__ import annotations

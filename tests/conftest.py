@@ -49,6 +49,37 @@ def equidistant_x(k, y):
     return math.sqrt(1.0 - y * y) * math.tanh(k)
 
 
+def mp_turn(P, a):
+    """The half-turn about the Klein point P (an mpmath complex) of the
+    boundary point at angle a, in turns, at mpmath's working precision."""
+    import mpmath
+
+    z = mpmath.expjpi(2 * a)
+    return mpmath.arg((P - z) / (1 - mpmath.conj(P) * z)) / (2 * mpmath.pi)
+
+
+def mp_lift(vertices, a, n):
+    """F^n(a) lifted, for the body with these vertices, at mpmath's working
+    precision.  Each step takes the least counterclockwise gap over the
+    vertices' half-turns, the first chord that touches the body: no
+    breakpoint table, so no rounding is shared with the package."""
+    import mpmath
+
+    ps = [mpmath.mpc(v.x, v.y) for v in vertices]
+    a = mpmath.mpf(a)
+    for _ in range(n):
+        a += min((mp_turn(P, a) - a) % 1 for P in ps)
+    return a
+
+
+def disk_xy(rng, radius):
+    """A point uniform in the disk of this radius, by rejection."""
+    while True:
+        x, y = rng.uniform(-radius, radius), rng.uniform(-radius, radius)
+        if x * x + y * y < radius * radius:
+            return x, y
+
+
 def random_disk_points(rng, count, rmax=0.92):
     pts = []
     while len(pts) < count:

@@ -1,5 +1,7 @@
 import math
+import random
 from bisect import bisect_right
+from cmath import phase, rect
 
 import numpy as np
 import pytest
@@ -29,10 +31,10 @@ from barbilliard.circlemap import (
     _turn,
 )
 from barbilliard.errors import PreconditionFailed
-from barbilliard.geometry import SNAP, angular_distance, ccw_gap
+from barbilliard.geometry import SNAP, TWO_PI, angular_distance, ccw_gap
 from barbilliard.pentagram import triangle_map
 from barbilliard.rotation import _certify
-from conftest import random_convex_polygon, random_disk_points, random_triangle
+from conftest import disk_xy, mp_lift, random_convex_polygon, random_disk_points, random_triangle
 from lemmas import one_sided_slopes
 
 SQRT7 = math.sqrt(7.0)
@@ -616,6 +618,46 @@ class TestPiecesFromTaggedCuts:
             for a, b in zip(tagged, walked):
                 if b.hi - b.lo >= 1e-11:
                     assert a == b
+
+    @pytest.mark.parametrize("name, q, tagged_bound, walked_least", [
+        ("standard-threshold", 64, 4e-11, 1e-8),
+        ("random-segments", 34, 1e-10, 1e-10),
+        ("random-segments", 64, 2e-7, 0.1),
+    ])
+    def test_differing_wide_pieces_against_an_80_digit_walk(
+            self, name, q, tagged_bound, walked_least):
+        """Where a piece at least 1e-11 wide differs from the float walk,
+        its midpoint is walked at 80 digits.  The tagged map read there
+        stays within the bound (measured: 3.6e-11 on the standard
+        threshold maps at q = 64; 6.9e-11 and 1.1e-7 on 20 random segments
+        off the axis at q = 34 and 64), while the walked map is off by at
+        least the second figure (measured: 1.6e-8, 3.4e-10 and 0.42)."""
+        mpmath = pytest.importorskip("mpmath")
+        if name == "random-segments":
+            rng = random.Random(3)
+            maps = [TangentMap(ConvexBody.segment(DiskPoint(*disk_xy(rng, 0.9)),
+                                                  DiskPoint(*disk_xy(rng, 0.9))))
+                    for _ in range(20)]
+        else:
+            maps = MAP_SETS[name]()
+
+        def off(pc, x, ref):
+            """Turns between the piece's image of x and the reference."""
+            z = rect(1.0, TWO_PI * x)
+            w = phase((pc.a * z + pc.b) / (pc.b.conjugate() * z + pc.a.conjugate())) / TWO_PI
+            return abs(float((w - ref + 0.5) % 1 - 0.5))
+
+        tagged_err = walked_err = 0.0
+        with mpmath.workdps(80):
+            for tmap in maps:
+                for a, b in zip(tmap.pieces(q), walked_pieces(tmap, q)):
+                    if a != b and b.hi - b.lo >= 1e-11:
+                        x = 0.5 * (a.lo + a.hi)
+                        ref = mp_lift(tmap.body.vertices, x, q)
+                        tagged_err = max(tagged_err, off(a, x, ref))
+                        walked_err = max(walked_err, off(b, x, ref))
+        assert tagged_err <= tagged_bound
+        assert walked_err >= walked_least
 
     def test_standard_threshold_scans_agree_at_64(self, monkeypatch):
         """Every 25/64 and 27/64 scan of a standard threshold map reads the

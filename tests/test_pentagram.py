@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from barbilliard import (
     ConvexBody,
     DiskPoint,
     IdealPoint,
+    InvalidBody,
     OutOfRange,
     Pentagram,
     PointOnLine,
@@ -27,7 +29,8 @@ from barbilliard import (
 )
 from barbilliard.geometry import angular_distance, ccw_gap
 from barbilliard.pentagram import ellipse_contact_xs, triangle_map
-from conftest import random_triangle
+from barbilliard.rotation import _certify
+from conftest import disk_xy, mp_lift, mp_turn, random_triangle
 from lemmas import (
     contraction_check,
     edge_incidence,
@@ -361,6 +364,33 @@ class TestTau:
         assert counts[:7] == [2] * 7  # n = 2..8
         assert set(counts) <= {2, None}
 
+    def test_roots_are_80_digit_roots_in_angle(self):
+        """Near the base ends F^{2n} is steep, so a root's residual
+        H(F^{2n}(u)) - u can read far from 0 (H the half-turn about the
+        point) while its angle is right.  Each root returned for n <= 4 on
+        60 random off-axis triples has the 80-digit residual change sign
+        within 1e-12 turns of it (measured: within 1e-13).  Both sides read
+        within a quarter turn, so the change is a crossing of 0, not the
+        wrap at a half turn."""
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(3)
+        triples = [[DiskPoint(*disk_xy(rng, r)) for r in (0.9, 0.9, 0.5)] for _ in range(60)]
+        checked = 0
+        with mpmath.workdps(80):
+            for p1, p2, pt in triples:
+                Q = mpmath.mpc(pt.x, pt.y)
+
+                def residual(u, n):
+                    w = mp_turn(Q, mp_lift((p1, p2), u, 2 * n))
+                    return (w - u + mpmath.mpf(0.5)) % 1 - mpmath.mpf(0.5)
+
+                for n in range(1, 5):
+                    for w in tau_n(p1, p2, pt, n).roots:
+                        lo, hi = (residual(w.angle + d, n) for d in (-1e-12, 1e-12))
+                        assert lo * hi <= 0 and max(abs(lo), abs(hi)) < 0.25
+                        checked += 1
+        assert checked == 286
+
     @pytest.mark.parametrize("n", [0, -1, 33, 100_000_000])
     def test_fold_order_bounded(self, n):
         with pytest.raises(OutOfRange):
@@ -606,6 +636,83 @@ class TestConjectureRandomTriangles:
             v = conjecture_check(tri, n=20_000)
             assert v.rho_verdict == "equals" and v.consistent
         assert checked >= 3
+
+
+def scaled(verts, s):
+    """The vertices (x, y) scaled by s about their centroid."""
+    cx, cy = (sum(c) / 3.0 for c in zip(*verts))
+    return [(cx + s * (x - cx), cy + s * (y - cy)) for x, y in verts]
+
+
+def scaled_triangle(verts, s):
+    return Triangle(*(DiskPoint(*v) for v in scaled(verts, s)))
+
+
+class TestEdgeProbe:
+    """Where the 2/5 region ends along the scales of a triangle about its
+    centroid.  A larger body has no larger rho (order under inclusion),
+    so bisection finds the scale where the 2/5 scan stops certifying, in
+    each direction, and the sandwich must flip there too.  Nothing proves
+    the sandwich monotone along the ray, so it is also checked at every
+    scale the scan's bisection samples."""
+
+    #: the bisection's resolution in scale
+    RESOLUTION = 1e-10
+
+    #: the two edges' widest gap, in scale: 1.17e-8 measured on these 40
+    GAP = 2e-8
+
+    @classmethod
+    def _edge(cls, inside, outside, holds):
+        """The scale between inside (holds) and outside (does not) where
+        holds flips, to the resolution."""
+        while abs(outside - inside) > cls.RESOLUTION:
+            mid = 0.5 * (inside + outside)
+            inside, outside = (mid, outside) if holds(mid) else (inside, mid)
+        return 0.5 * (inside + outside)
+
+    def test_scan_and_sandwich_end_together(self):
+        rng, triangles = random.Random(11), []
+        while len(triangles) < 40:
+            verts = [disk_xy(rng, 0.9) for _ in range(3)]
+            try:
+                tmap = triangle_map(scaled_triangle(verts, 1.0))
+            except InvalidBody:
+                continue
+            if _certify(tmap, 2, 5)[0] is not None:
+                triangles.append(verts)
+        edges = 0
+        for verts in triangles:
+            samples = []
+
+            def certified(s):
+                tri = scaled_triangle(verts, s)
+                cert = _certify(triangle_map(tri), 2, 5)[0] is not None
+                samples.append((s, cert, condition_report(tri).two_fifths_sandwich))
+                return cert
+
+            def sandwich(s):
+                return condition_report(scaled_triangle(verts, s)).two_fifths_sandwich
+
+            assert certified(1.0) and not certified(0.05)
+            outside = [0.05]
+            # grow until the scan stops certifying, inside radius 0.999
+            grow = 0.01
+            while max(math.hypot(*v) for v in scaled(verts, 1.0 + grow)) < 0.999:
+                if not certified(1.0 + grow):
+                    outside.append(1.0 + grow)
+                    break
+                grow *= 2.0
+            gaps = []
+            for out in outside:
+                scan, flip = self._edge(1.0, out, certified), self._edge(1.0, out, sandwich)
+                assert abs(scan - flip) <= self.GAP
+                gaps.append(sorted((scan, flip)))
+            edges += len(gaps)
+            for s, cert, sand in samples:
+                if not any(lo - self.RESOLUTION <= s <= hi + self.RESOLUTION for lo, hi in gaps):
+                    assert cert == sand
+        assert edges == 79  # one triangle still certifies where it meets radius 0.999
 
 
 class TestPeriodicEquivalences:

@@ -412,16 +412,10 @@ def _zeros(pieces, level):
 
 
 def _polished(scan):
-    """Every zero of a scan as (x, residual, kind), each one polished: a
-    sign change's residual is read at the polished point before it is
-    wrapped, as ``_certify`` reads its witness's."""
-    zeros = []
-    for z in scan.roots:
-        residual = z.residual
-        if z.kind == "sign_change":
-            residual = float(scan.f(rotation._polish(scan.f, *z.span)))
-        zeros.append((scan.polish(z), residual, z.kind))
-    return zeros
+    """Every zero of a scan as (x, residual, kind), each one read as
+    ``_certify`` reads its witness: a sign change polished, its residual
+    read at the polished point before it is wrapped."""
+    return [(*scan.read(z), z.kind) for z in scan.roots]
 
 
 class TestFindZeros:
