@@ -126,23 +126,6 @@ def _compose(m: tuple[complex, complex], n: tuple[complex, complex]) -> tuple[co
     return m[0] * n[0] + m[1] * n[1].conjugate(), m[0] * n[1] + m[1] * n[0].conjugate()
 
 
-def _dedupe_cyclic(items, tol: float) -> list:
-    """Sorted items, dropping each within tol of the last kept one, and the
-    last kept one if it is within tol of the first across 1.  Items are
-    angles in turns, or tuples that lead with one."""
-
-    def angle(item) -> float:
-        return item[0] if isinstance(item, tuple) else item
-
-    kept: list = []
-    for item in sorted(items):
-        if not kept or angle(item) - angle(kept[-1]) > tol:
-            kept.append(item)
-    if len(kept) > 1 and angle(kept[0]) + 1.0 - angle(kept[-1]) <= tol:
-        kept.pop()
-    return kept
-
-
 class Piece(NamedTuple):
     """An arc [lo, hi) of angles (turns; hi may pass 1) on which a circle
     map is one Mobius map z -> (a z + b)/(conj(b) z + conj(a))."""

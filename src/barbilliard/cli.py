@@ -211,66 +211,6 @@ def _grid_values(lo: float, hi: float, steps: int, jitter: Optional[list[float]]
     return [lo + (i + jitter[i]) * (hi - lo) / steps for i in range(steps)]
 
 
-_MASK32 = 0xFFFFFFFF
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-_MASK128 = (1 << 128) - 1
-#: PCG64's 128-bit LCG multiplier
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hasher(const: int, mult: int):
-    """SeedSequence's 32-bit hash, whose constant moves on at every call."""
-
-    def hashmix(value: int) -> int:
-        nonlocal const
-        value ^= const
-        const = const * mult & _MASK32
-        value = value * const & _MASK32
-        return value ^ value >> 16
-
-    return hashmix
-
-
-def _seed_words(seed: int) -> list[int]:
-    """Four 64-bit words from ``seed`` by NumPy's SeedSequence: the seed's
-    32-bit words (least significant first) are hashed into a pool of four,
-    the pool is mixed, and the pool is hashed out to eight 32-bit words."""
-
-    def mix(x: int, y: int) -> int:
-        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
-        return result ^ result >> 16
-
-    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(w) for w in (words + [0, 0, 0])[:4]]
-    for i_src in range(4):
-        for i_dst in range(4):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for word in words[4:]:
-        pool = [mix(p, hashmix(word)) for p in pool]
-    out = _hasher(0x8B51F9DD, 0x58F38DED)
-    state = [out(pool[i % 4]) for i in range(8)]
-    return [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
-
-
-def _uniforms(seed: int, n: int) -> list[float]:
-    """NumPy's ``default_rng(seed).random(n)``, bit for bit: PCG64, the
-    128-bit LCG with the XSL-RR output (O'Neill, PCG, 2014), seeded through
-    :func:`_seed_words`, each draw's top 53 bits scaled into [0, 1)."""
-    w = _seed_words(seed)
-    inc = ((w[2] << 64 | w[3]) << 1 | 1) & _MASK128
-    state = (inc + (w[0] << 64 | w[1])) * _PCG_MULT + inc & _MASK128
-    out = []
-    for _ in range(n):
-        state = state * _PCG_MULT + inc & _MASK128
-        x = (state >> 64 ^ state) & _MASK64
-        rot = state >> 122
-        x = (x >> rot | x << (64 - rot)) & _MASK64
-        out.append((x >> 11) * 2.0**-53)
-    return out
-
-
 def _relative_radius(t: float, frac: float) -> float:
     """The apex abscissa at ``frac`` of the way from the order-2 threshold
     to half the order-1 threshold of the base (0, +-t)."""
@@ -319,8 +259,11 @@ def cmd_sweep(args) -> int:
     _check_budget(args.iters)
 
     if args.seed is not None:
-        jitter = _uniforms(args.seed, t_steps + r_steps)
-        t_jit, r_jit = jitter[:t_steps], jitter[t_steps:]
+        import random
+
+        rng = random.Random(args.seed)
+        t_jit = [rng.random() for _ in range(t_steps)]
+        r_jit = [rng.random() for _ in range(r_steps)]
     else:
         t_jit = r_jit = None
     ts = _grid_values(t_lo, t_hi, t_steps, t_jit)
@@ -425,7 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--r-mode", type=str, default="absolute",
                          choices=("absolute", "relative_interval"))
     p_sweep.add_argument("--iters", type=int, default=2000)
-    p_sweep.add_argument("--seed", type=int, default=None, help="jitter seed")
+    p_sweep.add_argument("--seed", type=int, default=None,
+                         help="jitter each grid value within its step by Python's "
+                              "random.Random(seed), t values first (>= 0)")
     p_sweep.add_argument("--jobs", type=int, default=1,
                          help="worker processes, capped at the usable CPUs and at "
                               f"one per {CHUNK} cells")

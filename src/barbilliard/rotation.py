@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .circlemap import ITERATION_BUDGET, Piece, TangentMap, _dedupe_cyclic
+from .circlemap import ITERATION_BUDGET, Piece, TangentMap
 from .search import brentq, golden_min
 from .errors import OutOfRange, OutOfTheoreticalRange, PreconditionFailed
 from .geometry import SNAP
@@ -120,6 +120,23 @@ def _wrap(x: float) -> float:
     zero at 0."""
     x %= 1.0
     return x - 1.0 if x > 1.0 - MERGE_TOL else x
+
+
+def _dedupe_cyclic(items, tol: float) -> list:
+    """Sorted items, dropping each within tol of the last kept one, and the
+    last kept one if it is within tol of the first across 1.  Items are
+    angles in turns, or tuples that lead with one."""
+
+    def angle(item) -> float:
+        return item[0] if isinstance(item, tuple) else item
+
+    kept: list = []
+    for item in sorted(items):
+        if not kept or angle(item) - angle(kept[-1]) > tol:
+            kept.append(item)
+    if len(kept) > 1 and angle(kept[0]) + 1.0 - angle(kept[-1]) <= tol:
+        kept.pop()
+    return kept
 
 
 #: width in turns of the cell a zero is polished on

@@ -26,14 +26,13 @@ from barbilliard.circlemap import (
     Piece,
     TangentMap,
     _compose,
-    _dedupe_cyclic,
     _half_turn,
     _turn,
 )
 from barbilliard.errors import PreconditionFailed
 from barbilliard.geometry import SNAP, TWO_PI, angular_distance, ccw_gap
 from barbilliard.pentagram import triangle_map
-from barbilliard.rotation import _certify
+from barbilliard.rotation import _certify, _dedupe_cyclic
 from conftest import disk_xy, mp_lift, random_convex_polygon, random_disk_points, random_triangle
 from lemmas import one_sided_slopes
 
@@ -534,9 +533,10 @@ def walked_pieces(tmap, n):
 
 def band_maps(seed):
     """The maps of the criterion-9 band sweep, t in (0.85, 0.95) and apex
-    abscissa in (-0.04, -0.006) on a 20x20 grid jittered by ``seed``, built
-    as ``barbilliard sweep`` builds its cells."""
-    jitter = cli._uniforms(seed, 40)
+    abscissa in (-0.04, -0.006) on a 20x20 grid jittered by numpy's
+    ``default_rng(seed)``, built as ``barbilliard sweep`` builds its cells
+    from a jitter."""
+    jitter = np.random.default_rng(seed).random(40).tolist()
     ts = cli._grid_values(0.85, 0.95, 20, jitter[:20])
     rs = cli._grid_values(-0.04, -0.006, 20, jitter[20:])
     return [triangle_map(Triangle(DiskPoint(0.0, t), DiskPoint(0.0, -t), DiskPoint(r, 0.0)))

@@ -4,7 +4,9 @@ import concurrent.futures
 import hashlib
 import json
 import os
+import random
 import re
+import shlex
 import subprocess
 import sys
 
@@ -22,6 +24,7 @@ from barbilliard import (
     pentagram,
 )
 from barbilliard.cli import CSV_HEADER, build_parser, main
+from barbilliard.geometry import fmt
 from barbilliard.svgfig import figure_svg
 from conftest import SRC, src_env
 
@@ -491,14 +494,30 @@ class TestInputChecks:
         assert main([out if a == "{out}" else a for a in argv]) in (0, 2)
 
 
-def test_sweep_reproduces_pinned_band_csv(tmp_path, capsys):
-    """A 4x4 criterion-9-band sweep, byte for byte as first committed."""
-    out = tmp_path / "band.csv"
-    code = main(["sweep", "--t", "0.85:0.95:4", "--r=-0.04:-0.006:4",
-                 "--iters", "2000", "--seed", "3", "--out", str(out)])
-    assert code == 0
+def test_sweep_reproduces_pinned_band_csv():
+    """The 4x4 criterion-9-band cells of the pinned CSV, byte for byte as
+    first committed.  Its cells were jittered by numpy's ``default_rng(3)``,
+    so they are rebuilt from that stream; each row is the cell's own."""
+    jitter = np.random.default_rng(3).random(8).tolist()
+    ts = cli._grid_values(0.85, 0.95, 4, jitter[:4])
+    rs = cli._grid_values(-0.04, -0.006, 4, jitter[4:])
+    rows = [cli._sweep_cell((t, r, 2000))[0] for t in ts for r in rs]
     with open(os.path.join(DATA, "sweep_band_4x4_seed3.csv"), "rb") as fh:
-        assert out.read_bytes() == fh.read()
+        assert "\n".join([CSV_HEADER] + rows).encode() + b"\n" == fh.read()
+
+
+@pytest.mark.parametrize("seed, t_steps, r_steps", [(0, 1, 1), (3, 4, 4), (22, 3, 5)])
+def test_sweep_jitter_draws_t_then_r_from_random(tmp_path, capsys, seed, t_steps, r_steps):
+    """A seeded sweep's cells: the t values take the first t_steps draws of
+    ``random.Random(seed)``, the r values the next r_steps."""
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--t", f"0.85:0.95:{t_steps}", f"--r=-0.04:-0.006:{r_steps}",
+                 "--seed", str(seed), "--out", str(out)]) == 0
+    rng = random.Random(seed)
+    ts = cli._grid_values(0.85, 0.95, t_steps, [rng.random() for _ in range(t_steps)])
+    rs = cli._grid_values(-0.04, -0.006, r_steps, [rng.random() for _ in range(r_steps)])
+    cells = [line.split(",")[:2] for line in out.read_text().splitlines()[1:]]
+    assert cells == [[fmt(t), fmt(r)] for t in ts for r in rs]
 
 
 with open(os.path.join(DATA, "cli_pinned.json")) as _fh:
@@ -671,17 +690,32 @@ def test_verify_json_is_rho_json_restricted(capsys):
     assert {"triangle", "t", "r", "orbits", "zero_count"} <= set(rho)
 
 
+def _readme_command_section() -> str:
+    with open(os.path.join(os.path.dirname(SRC), "README.md")) as fh:
+        return fh.read().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+
+
 def test_readme_documents_exactly_the_parsers_flags():
     """The README's command-line section names every option of every
     subcommand, and no option the parser does not register."""
-    with open(os.path.join(os.path.dirname(SRC), "README.md")) as fh:
-        readme = fh.read()
-    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    section = _readme_command_section()
     documented = set(re.findall(r"--[a-z](?:[a-z-]*[a-z])?", section))
     subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     registered = {opt for sub in subs.choices.values() for action in sub._actions
                   for opt in action.option_strings} - {"-h", "--help"}
     assert documented == registered
+
+
+def test_readme_commands_run(tmp_path, capsys):
+    """Every ``barbilliard`` line of the README's command block runs and
+    exits 0, with its ``--out`` file written under tmp_path."""
+    block = _readme_command_section().split("```", 2)[1].replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("barbilliard ")]
+    assert commands and len(commands) == block.count("barbilliard ")
+    for argv in commands:
+        argv = [str(tmp_path / a) if flag == "--out" else a for flag, a in zip([""] + argv, argv)]
+        assert main(argv) == 0, argv
 
 
 def test_cli_import_loads_no_scipy():
@@ -714,36 +748,25 @@ NO_NUMPY = ("import sys; sys.modules['numpy'] = None; "
         (["render", "--t", "0.9", "--r=-0.052631578947", "--steps", "5"],
          "render_t09_steps5.svg"),
         (["sweep", "--t", "0.85:0.95:4", "--r=-0.04:-0.006:4", "--iters", "2000",
-          "--seed", "3"], "sweep_band_4x4_seed3.csv"),
+          "--seed", "3"], None),
     ],
     ids=["rho", "verify", "tau", "render", "sweep"],
 )
-def test_cli_runs_without_numpy(argv, pinned_file, tmp_path):
-    """Every subcommand, with numpy blocked, prints or writes its pinned bytes."""
+def test_cli_runs_without_numpy(argv, pinned_file, tmp_path, capsys):
+    """Every subcommand, with numpy blocked, prints or writes its pinned
+    bytes; the sweep writes the bytes of the same command run here."""
     out = tmp_path / "out"
-    flags = ["--out", str(out)] if pinned_file else []
+    flags = ["--out", str(out)] if argv[0] in ("render", "sweep") else []
     proc = subprocess.run([sys.executable, "-c", NO_NUMPY, *argv, *flags],
                           capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
-    if pinned_file:
+    if argv[0] == "sweep":
+        here = tmp_path / "here"
+        assert main(argv + ["--out", str(here)]) == 0
+        assert proc.stdout == capsys.readouterr().out
+        assert out.read_bytes() == here.read_bytes()
+    elif pinned_file:
         with open(os.path.join(DATA, pinned_file), "rb") as fh:
             assert out.read_bytes() == fh.read()
     else:
         assert proc.stdout == next(c["stdout"] for c in PINNED if c["argv"] == argv)
-
-
-class TestUniforms:
-    """``cli._uniforms``, the sweep jitter, against numpy's PCG64 stream."""
-
-    def test_matches_default_rng(self):
-        # 2**128 + 1 has five 32-bit words, one past SeedSequence's pool of four
-        for seed in [*range(200), 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 + 1]:
-            for n in range(1, 41):
-                assert cli._uniforms(seed, n) == np.random.default_rng(seed).random(n).tolist()
-
-    @pytest.mark.parametrize("t, r", [(1, 1), (4, 4), (20, 20), (3, 17), (40, 1)])
-    def test_one_call_splits_like_two(self, t, r):
-        for seed in (0, 3, 21, 22, 2**64):
-            rng = np.random.default_rng(seed)
-            both = rng.random(t).tolist() + rng.random(r).tolist()
-            assert cli._uniforms(seed, t + r) == both

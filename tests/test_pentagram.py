@@ -715,6 +715,43 @@ class TestEdgeProbe:
         assert edges == 79  # one triangle still certifies where it meets radius 0.999
 
 
+class TestOneThirdEdgeProbe:
+    """Where the 1/3 region ends as a triangle shrinks about its centroid.
+    The paper proves ``one_third`` (delta >= delta_1) sufficient for
+    rho = 1/3, so at every sampled scale the condition implies a 1/3
+    certificate, and the scan certifies at least as far down as the
+    condition holds.  The scan reaches past the condition's edge by a
+    tangency certificate inside ``TANGENCY_TOL``, by a gap bounded here."""
+
+    #: the edges' widest gap, in scale: 4.6e-9 measured on these 30
+    GAP = 6e-9
+
+    def test_condition_implies_a_certificate_down_to_its_edge(self):
+        rng, triangles = random.Random(11), []
+        while len(triangles) < 30:
+            verts = [disk_xy(rng, 0.9) for _ in range(3)]
+            try:
+                if condition_report(scaled_triangle(verts, 1.0)).one_third:
+                    triangles.append(verts)
+            except InvalidBody:
+                continue
+        for verts in triangles:
+            samples = {}
+
+            def sample(s):
+                if s not in samples:
+                    tri = scaled_triangle(verts, s)
+                    samples[s] = (_certify(triangle_map(tri), 1, 3)[0] is not None,
+                                  condition_report(tri).one_third)
+                return samples[s]
+
+            assert sample(1.0) == (True, True) and sample(0.05) == (False, False)
+            scan = TestEdgeProbe._edge(1.0, 0.05, lambda s: sample(s)[0])
+            flip = TestEdgeProbe._edge(1.0, 0.05, lambda s: sample(s)[1])
+            assert flip - self.GAP <= scan <= flip + TestEdgeProbe.RESOLUTION
+            assert all(cert for cert, one_third in samples.values() if one_third)
+
+
 class TestPeriodicEquivalences:
     def test_period_five_chain(self):
         # a closing point, winding 2 per five steps, sorted shift by 2:

@@ -1,10 +1,10 @@
 """The package source parses as Python 3.10, the oldest version that
 ``pyproject.toml`` allows, whichever interpreter runs the suite, it
 names each operation once, every module is loaded by an entry point,
-every public function, class and method is used in the package or
-called by the benchmark, every error class is raised somewhere, and
-only the zero scan reads the pieces' critical points and calls the
-searches that refine its zeros."""
+every public function, class and method is used in the package, called
+by the benchmark or listed as library API, every error class is raised
+somewhere, and only the zero scan reads the pieces' critical points and
+calls the searches that refine its zeros."""
 
 import ast
 import importlib
@@ -74,14 +74,26 @@ BENCHMARK_ONLY = {
     "TangentMap.gap_angles": "benchmark/tracing.py",
 }
 
+#: library API that no command runs and the benchmark does not call, each
+#: with a test file that relies on it: a point body's map is the closed-form
+#: oracle of the rotation, circle-map, value-type and figure tests
+LIBRARY_API = {
+    "ConvexBody.point": "tests/test_rotation.py",
+}
 
-def _unreferenced() -> set:
+
+def _unreferenced(sources=None) -> set:
     """The public module-level functions and classes, and the public methods
-    of those classes (``Class.method``), whose name no module but
-    ``__init__`` mentions outside the definition itself."""
+    of those classes (``Class.method``), that no module but ``__init__``
+    uses outside the definition itself.  A function or class is used where
+    its name is read, bare or as an attribute; a method only where it is
+    read as an attribute of something other than the parsed flags
+    ``args``, so a local variable or a flag of the same name does not
+    count.  ``sources`` maps each module path to its text (default: the
+    package as installed)."""
     defs, refs = [], []
-    for path in MODULES:
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for path, text in (sources or {p: p.read_text() for p in MODULES}).items():
+        tree = ast.parse(text, filename=str(path))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 defs.append((node.name, node, path))
@@ -89,22 +101,39 @@ def _unreferenced() -> set:
                     defs += [(f"{node.name}.{sub.name}", sub, path) for sub in node.body
                              if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")]
         if path.name != "__init__.py":
-            refs += [(path, node.id if isinstance(node, ast.Name) else node.attr, node.lineno)
-                     for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))]
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    refs.append((path, node.id, node.lineno, False))
+                elif isinstance(node, ast.Attribute):
+                    flag = isinstance(node.value, ast.Name) and node.value.id == "args"
+                    refs.append((path, node.attr, node.lineno, not flag))
     return {qual for qual, node, path in defs
-            if not any(name == qual.rpartition(".")[2]
+            if not any(name == qual.rpartition(".")[2] and (method_read or "." not in qual)
                        and not (where == path and node.lineno <= line <= node.end_lineno)
-                       for where, name, line in refs)}
+                       for where, name, line, method_read in refs)}
 
 
 def test_no_public_name_goes_unused():
     """Code that no command runs is deleted, not kept for tests: a public
-    name that nothing in the package uses must be one the benchmark calls,
-    and the list of those is exact, so it cannot go stale either way."""
-    assert _unreferenced() == set(BENCHMARK_ONLY)
+    name that nothing in the package uses must be one the benchmark calls
+    or listed library API, and both lists are exact, so they cannot go
+    stale either way."""
+    assert _unreferenced() == set(BENCHMARK_ONLY) | set(LIBRARY_API)
+    assert not set(BENCHMARK_ONLY) & set(LIBRARY_API)
     repo = pathlib.Path(__file__).resolve().parents[1]
-    for qual, caller in BENCHMARK_ONLY.items():
-        assert qual.rpartition(".")[2] in (repo / caller).read_text(), (qual, caller)
+    for qual, user in {**BENCHMARK_ONLY, **LIBRARY_API}.items():
+        assert qual.rpartition(".")[2] in (repo / user).read_text(), (qual, user)
+
+
+def test_a_method_named_like_a_flag_is_still_unused():
+    """``args.point`` and cli's local ``point`` do not use a method named
+    ``point``: one planted on ``TangentMap`` is reported."""
+    sources = {p: p.read_text() for p in MODULES}
+    path = next(p for p in MODULES if p.name == "circlemap.py")
+    head, sep, tail = sources[path].partition("class TangentMap")
+    body, sep2, rest = tail.partition("\n    def ")
+    sources[path] = head + sep + body + "\n    def point(self):\n        return 0\n" + sep2 + rest
+    assert "TangentMap.point" in _unreferenced(sources)
 
 
 def test_every_error_class_is_raised():

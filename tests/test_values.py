@@ -1,6 +1,7 @@
 """The contract of the public value types: immutable, hashable by value,
-and preserved by pickle and deepcopy.  Maps are shared with worker
-processes, so a round-tripped map must evaluate bit for bit alike."""
+and preserved by pickle and deepcopy.  Sweep workers receive plain
+``(t, r, iters)`` cells, not maps, but a map a caller sends to another
+process must still evaluate bit for bit alike after the round trip."""
 
 import copy
 import pickle
