@@ -24,7 +24,6 @@ from .geometry import (
     angular_distance,
     chord_through,
     delta_n,
-    wrap_turns,
 )
 from .rotation import MAX_Q, RotationResult, _circle_zeros, classify_rho, scan_winding_zeros
 
@@ -154,11 +153,8 @@ def standard_pentagram(t: float) -> tuple[Triangle, Pentagram]:
 
 
 def ellipse_contact_xs(t: float, v: float) -> tuple[float, float, float, float, float]:
-    """Closed-form abscissas of the five contact points (apex on the left).
-
-    Only the first coordinates are trustworthy in closed form; the
-    ordinates are reconstructed geometrically instead.
-    """
+    """Closed-form abscissas of the five contact points (apex on the left),
+    the cross-check for the points that :func:`ellipse_pentagram` walks."""
     s = math.sqrt(1.0 - v * v)
     t2 = t * t
     t4 = t2 * t2
@@ -175,11 +171,10 @@ def ellipse_pentagram(t: float, v: float, side: str = "left") -> tuple[Triangle,
     """Closing configuration with the apex on the order-2 threshold ellipse.
 
     The apex is placed at height v on the ellipse of points whose
-    distance to the vertical base equals the order-2 threshold.  The five
-    boundary points are built by chord crossings through the base vertices
-    p and q, and checked against :func:`ellipse_contact_xs`.  The map steps
-    them in construction order, a2 -> a3 -> a4 -> a5 -> a1 (the right-side
-    mirror reverses the cycle); ``Pentagram.build`` checks that it closes.
+    distance to the vertical base equals the order-2 threshold.  The map
+    walks the boundary orbit from the contact point at height v on the
+    apex's side, and ``Pentagram.build`` checks that the five points kept
+    close; :func:`ellipse_contact_xs` gives their abscissas in closed form.
     """
     if not 0.0 < t < 1.0:
         raise OutOfRange(f"parameter must satisfy 0 < t < 1, got {t}")
@@ -192,30 +187,13 @@ def ellipse_pentagram(t: float, v: float, side: str = "left") -> tuple[Triangle,
     u_mag = s * (1.0 - t2) * (1.0 - t2) / (t2 * t2 + 6.0 * t2 + 1.0)
     if u_mag <= 1e-15:
         raise OutOfRange(f"ellipse abscissa collapsed to zero: t={t} is too close to 1")
-    mirror = side == "right"
-
-    p = DiskPoint(0.0, t)
-    q = DiskPoint(0.0, -t)
-    a2 = IdealPoint.from_xy(-s, v)
-    a1 = second_intersection(a2, p)
-    a3 = second_intersection(a2, q)
-    a4 = second_intersection(a3, p)
-    a5 = second_intersection(a1, q)
-    pts = [a1, a2, a3, a4, a5]
-
-    for x_pt, x_formula in zip(pts, ellipse_contact_xs(t, v)):
-        if abs(x_pt.xy[0] - x_formula) > 1e-9:
-            raise RuntimeError(
-                f"contact-point abscissa disagrees with its closed form: "
-                f"{x_pt.xy[0]} vs {x_formula}"
-            )
-
-    if mirror:
-        pts = [IdealPoint(wrap_turns(0.5 - a.angle)) for a in pts]
-    r = DiskPoint(u_mag if mirror else -u_mag, v)
-    tri = Triangle(p, q, r)
-    order = (1, 0, 4, 3, 2) if mirror else (1, 2, 3, 4, 0)
-    return tri, Pentagram.build(triangle_map(tri), [pts[i] for i in order])
+    sign = 1.0 if side == "right" else -1.0
+    tri = Triangle(DiskPoint(0.0, t), DiskPoint(0.0, -t), DiskPoint(sign * u_mag, v))
+    tmap = triangle_map(tri)
+    # the two steps back into the contact point stretch by up to 1e4 each
+    # as t nears 1, so a walk that closes through them misses CLOSURE_TOL;
+    # the five points from the third step on close through shrinking steps
+    return tri, Pentagram.build(tmap, tmap.orbit(IdealPoint.from_xy(sign * s, v), 7)[3:])
 
 
 def detect_period5(tmap: TangentMap) -> OrbitSet:

@@ -76,9 +76,11 @@ BENCHMARK_ONLY = {
 
 #: library API that no command runs and the benchmark does not call, each
 #: with a test file that relies on it: a point body's map is the closed-form
-#: oracle of the rotation, circle-map, value-type and figure tests
+#: oracle of the rotation, circle-map, value-type and figure tests, and the
+#: contact abscissas that of the ellipse pentagram the map walks
 LIBRARY_API = {
     "ConvexBody.point": "tests/test_rotation.py",
+    "ellipse_contact_xs": "tests/test_pentagram.py",
 }
 
 
