@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from cmath import phase, rect
-from itertools import cycle, islice
 from typing import NamedTuple
 
 from .errors import InvalidBody, OutOfRange
@@ -163,6 +162,31 @@ class Piece(NamedTuple):
         return Piece(self.lo, self.hi, *_compose(_half_turn(P), (self.a, self.b)))
 
 
+def _add_laps(total: float, gaps: list[float], steps: int) -> float:
+    """total plus the first ``steps`` terms of the cycle ``gaps``, with the
+    bits of adding them one at a time.  Inside one binade an add moves the
+    sum by its gap rounded to the binade's ulp, unless the gap is a tie (an
+    odd multiple of half an ulp).  So after a lap stepped inside one binade
+    with no tie, the next m laps add m times its increment, exactly, while
+    the sum stays below the next power of two."""
+    laps, tail = divmod(steps, len(gaps) or 1)
+    while laps:
+        start = total
+        for g in gaps:
+            total += g
+        laps -= 1
+        ulp = math.ulp(start)
+        if laps and math.ulp(total) == ulp and not any(g / ulp % 1.0 == 0.5 for g in gaps):
+            lap = total - start
+            room = 2 ** 53 - int(total / ulp)  # ulps below the next power of two
+            m = min(laps, (room - 1) // int(lap / ulp))
+            total += m * lap
+            laps -= m
+    for g in gaps[:tail]:
+        total += g
+    return total
+
+
 class TangentMap:
     """Evaluable bar-billiard map of a body: ``TangentMap(body)``.
 
@@ -245,10 +269,10 @@ class TangentMap:
         (Brent, BIT 20, 1980) compares each angle with the one saved at the
         last power-of-two step.  At a repeat lam steps after the saved
         angle, one more lap collects the cycle's lam gaps, and the remaining
-        steps add them one at a time in orbit order: the sum is
-        bit-identical to stepping all n.  Orbits that never repeat exactly
-        (unlocked, or semi-stable and converging too slowly) cost one map
-        evaluation per step as before.
+        steps add them in orbit order, whole laps a binade at a time
+        (``_add_laps``): the sum is bit-identical to stepping all n.  Orbits
+        that never repeat exactly (unlocked, or semi-stable and converging
+        too slowly) cost one map evaluation per step as before.
         """
         if n < 0 or n > ITERATION_BUDGET:
             raise OutOfRange(f"lift iteration count {n} out of budget")
@@ -272,9 +296,7 @@ class TangentMap:
         for _ in range(min(k - saved_k, n - k)):
             gaps.append(self.gap_angle(a))
             a = (a + gaps[-1]) % 1.0
-        for g in islice(cycle(gaps), n - k):
-            total += g
-        return x + total
+        return x + _add_laps(total, gaps, n - k)
 
     def pieces(self, n: int) -> list[Piece]:
         """The n-fold map as Mobius pieces, in angle order from the first cut.

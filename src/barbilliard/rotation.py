@@ -11,12 +11,13 @@ rho > p/q or rho < p/q instead.
 from __future__ import annotations
 
 import math
+from cmath import phase, rect
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .circlemap import ITERATION_BUDGET, Piece, TangentMap
 from .search import brentq, golden_min
 from .errors import OutOfRange, OutOfTheoreticalRange, PreconditionFailed
-from .geometry import SNAP
+from .geometry import SNAP, TWO_PI
 
 #: |g(witness)| below this counts as a (semi-stable) tangency zero
 TANGENCY_TOL = 1e-9
@@ -146,6 +147,26 @@ _CELL = 2.0 ** -12
 #: against the band with the scalar function; a screen, not a tolerance
 _SCREEN = 1e-6
 
+#: a piece with |a| this large cannot say: its image angle can be off by a
+#: whole turn (seen from q = 21 on, at |a|^2 >= 1.8e15)
+_ILL_CONDITIONED = 1e4
+
+#: nor can a piece whose image lies this close to the anchor's turn
+_WRAP = 1e-9
+
+
+def _anchored(pc: Piece, x: float, anchor: float) -> Optional[float]:
+    """The lift L(x) of an increasing circle map with L(x + 1) = L(x) + 1,
+    from the piece that holds x: for x in [x0, x0 + 1) and anchor = L(x0),
+    L(x) = anchor + ((M(x) - anchor) mod 1), M(x) the piece's image angle
+    (Katok & Hasselblatt, 1995, 11.1).  None where the piece cannot say."""
+    if abs(pc.a) >= _ILL_CONDITIONED:
+        return None
+    z = rect(1.0, TWO_PI * x)
+    d = (phase((pc.a * z + pc.b) / (pc.b.conjugate() * z + pc.a.conjugate())) / TWO_PI
+         - anchor) % 1.0
+    return None if min(d, 1.0 - d) <= _WRAP else anchor + d
+
 
 def _circle_zeros(pieces: list[Piece], levels: Sequence[int],
                   residual: Callable[[float], float], f: Callable[[float], float]) -> ZeroScan:
@@ -154,12 +175,15 @@ def _circle_zeros(pieces: list[Piece], levels: Sequence[int],
     f vanishes where the residual R = lifted image - id meets an integer of
     ``levels``, and has the sign of R less that level nearby.  R is
     monotone between its extrema: the corners (cuts where the pieces'
-    one-sided slopes differ in sign) and the pieces' critical points.  An
-    extremum within the screen of a level (a double root, a close pair or
-    a near-circle complex pair) is one tangency when f there,
-    golden-polished unless at a corner, is within TANGENCY_TOL.  Each
-    other level crossed between two extrema is one sign change, located
-    at the fixed point in that span and left for ``ZeroScan.read``.
+    one-sided slopes differ in sign) and the pieces' critical points, where
+    R is read from the pieces, anchored by one ``residual`` at the first
+    cut (``_anchored``), and from ``residual`` where a piece cannot say or
+    puts R within twice the screen of an integer.  An extremum within the
+    screen of a level (a double root, a close pair or a near-circle complex
+    pair) is one tangency when f there, golden-polished unless at a
+    corner, is within TANGENCY_TOL.  Each other level crossed between two
+    extrema is one sign change, located at the fixed point in that span
+    and left for ``ZeroScan.read``.
     Zeros are located in [-MERGE_TOL, 1 - MERGE_TOL) and merged within
     MERGE_TOL.  Each carries its stretch; with one level no two share one.
 
@@ -167,10 +191,12 @@ def _circle_zeros(pieces: list[Piece], levels: Sequence[int],
     SNAP of its piece's ends is read on the wrong arc or rounded past the
     cut, so PreconditionFailed is raised before f or the residual is read.
     """
-    ext, fixed = [], []  # extrema (x, +1 at a minimum of R, -1 at a maximum, 0 at a corner)
+    # extrema (x, s, i): s is +1 at a minimum of R, -1 at a maximum and 0 at
+    # a corner, and pieces[i] holds x
+    ext, fixed = [], []
     for i, pc in enumerate(pieces):
         if (pieces[i - 1].slope(pc.lo) - 1.0) * (pc.slope(pc.lo) - 1.0) <= 0.0:
-            ext.append((pc.lo, 0))
+            ext.append((pc.lo, 0, i))
         for c, s in zip(pc.critical_points(), (1, -1)):
             x = pc.lo + (c - pc.lo) % 1.0
             if min(x - pc.lo, pc.lo + 1.0 - x, abs(x - pc.hi)) <= SNAP:
@@ -178,13 +204,24 @@ def _circle_zeros(pieces: list[Piece], levels: Sequence[int],
                     f"an extremum at {x % 1.0:.12g} lies within {SNAP} turns of a cut, "
                     "beyond float resolution")
             if x < pc.hi:
-                ext.append((x, s))
+                ext.append((x, s, i))
         for c in pc.fixed_points():
             x = pc.lo - SNAP + (c - pc.lo + SNAP) % 1.0
             if x <= pc.hi + SNAP:
                 fixed += [x, x + 1.0]
-    # R from the scalar map: the pieces place the extrema, not R's values
-    ext = [(x, residual(x), s) for x, s in sorted(ext) or [(pieces[0].lo, 0)]]
+    x0 = pieces[0].lo
+    r0 = residual(x0)
+
+    def read(x: float, i: int) -> float:
+        if x == x0:
+            return r0
+        lifted = _anchored(pieces[i], x, x0 + r0)
+        # near a level every decision is the scalar map's
+        if lifted is None or abs(lifted - x - round(lifted - x)) <= 2 * _SCREEN:
+            return residual(x)
+        return lifted - x
+
+    ext = [(x, read(x, i), s) for x, s, i in sorted(ext) or [(x0, 0, 0)]]
 
     n = len(ext)
     xs = [ext[-1][0] - 1.0] + [x for x, _, _ in ext] + [ext[0][0] + 1.0]

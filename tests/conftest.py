@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 
@@ -8,6 +9,15 @@ from barbilliard import ConvexBody, DiskPoint, TangentMap, Triangle
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def benchmark_inputs():
+    """The benchmark's input generators, ``benchmark/inputs.py``."""
+    path = os.path.join(os.path.dirname(SRC), "benchmark", "inputs.py")
+    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def src_env():

@@ -33,7 +33,14 @@ from barbilliard.errors import PreconditionFailed
 from barbilliard.geometry import SNAP, TWO_PI, angular_distance, ccw_gap
 from barbilliard.pentagram import triangle_map
 from barbilliard.rotation import _certify, _dedupe_cyclic
-from conftest import disk_xy, mp_lift, random_convex_polygon, random_disk_points, random_triangle
+from conftest import (
+    benchmark_inputs,
+    disk_xy,
+    mp_lift,
+    random_convex_polygon,
+    random_disk_points,
+    random_triangle,
+)
 from lemmas import one_sided_slopes
 
 SQRT7 = math.sqrt(7.0)
@@ -348,6 +355,75 @@ def first_repeat(tmap, x, n):
             return k, k - seen[a]
         seen[a] = k
     return None
+
+
+def brent_fires(tmap, x, n):
+    """The step within n at which lift_iter's cycle check fires on the
+    orbit of x: the first angle equal to the one saved at the last
+    power-of-two step.  None if it does not fire."""
+    a = saved = x % 1.0
+    next_save = 1
+    for k in range(1, n + 1):
+        a = (a + ccw_gap(a, tmap.eval_angle(a))) % 1.0
+        if a == saved:
+            return k
+        if k == next_save:
+            saved, next_save = a, 2 * k
+    return None
+
+
+def locked_certify_maps(count):
+    """The first ``count`` maps of the benchmark's certify batch at seed 21
+    whose rotation number locks: its sandwich and tall isosceles classes."""
+    items = [item for item in benchmark_inputs().certify_inputs(21)
+             if item.get("cls") in ("sandwich", "tall_isosceles")]
+    return [triangle_map(Triangle(*(DiskPoint(*v) for v in item["verts"])))
+            for item in items[:count]]
+
+
+class TestLapReplay:
+    """A locked orbit's remaining steps are added whole laps a binade at a
+    time, with the bits of adding each gap in turn."""
+
+    @staticmethod
+    def _stepped(total, gaps, steps):
+        for k in range(steps):
+            total += gaps[k % len(gaps)]
+        return total
+
+    def test_laps_match_one_add_at_a_time(self):
+        rng = random.Random(31)
+        crossed = 0
+        for case in range(3000):
+            # some sums start a few units below a power of two, to cross it
+            total = rng.choice((rng.uniform(1e-3, 1.0), rng.uniform(1.0, 64.0),
+                                2.0 ** rng.randint(1, 20) - rng.uniform(0.0, 4.0)))
+            gaps = [rng.uniform(1e-3, 1.0) for _ in range(rng.randint(1, 12))]
+            if case % 3 == 0:  # ties: odd multiples of half the first binade's ulp
+                half = math.ulp(total) / 2
+                gaps = [(2 * rng.randrange(2 ** 30) + 1) * half if rng.random() < 0.5 else g
+                        for g in gaps]
+            steps = rng.randint(0, 5000)
+            summed = circlemap._add_laps(total, gaps, steps)
+            assert summed == self._stepped(total, gaps, steps)
+            crossed += math.ulp(summed) > math.ulp(total)
+        assert crossed >= 1000
+
+    @pytest.mark.parametrize("n", [20_000, 100_000])
+    def test_locked_certify_maps_are_the_stepped_sum(self, n, eval_calls):
+        for tmap in locked_certify_maps(6):
+            plain = plain_lift(tmap, 0.0, n)
+            eval_calls[0] = 0
+            assert tmap.lift_iter(0.0, n) == plain
+            assert eval_calls[0] < n // 10
+
+    def test_no_step_left_to_replay(self):
+        """n at the step where the cycle check fires leaves an empty lap."""
+        for tmap in locked_certify_maps(6):
+            k = brent_fires(tmap, 0.0, 10_000)
+            assert k is not None
+            for n in (k - 1, k, k + 1):
+                assert tmap.lift_iter(0.0, n) == plain_lift(tmap, 0.0, n)
 
 
 class TestDerivative:

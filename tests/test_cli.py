@@ -506,6 +506,18 @@ def test_sweep_reproduces_pinned_band_csv():
         assert "\n".join([CSV_HEADER] + rows).encode() + b"\n" == fh.read()
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("seed", [21, 22])
+def test_sweep_reproduces_pinned_20x20_band(tmp_path, capsys, seed, jobs):
+    """The seeded 20x20 criterion-9-band sweep, in one process and across
+    a pool, byte for byte as pinned."""
+    out = tmp_path / "band.csv"
+    assert main(["sweep", "--t", "0.85:0.95:20", "--r=-0.04:-0.006:20", "--iters", "2000",
+                 "--seed", str(seed), "--jobs", str(jobs), "--out", str(out)]) == 0
+    with open(os.path.join(DATA, f"sweep_band_20x20_seed{seed}.csv"), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
 @pytest.mark.parametrize("seed, t_steps, r_steps", [(0, 1, 1), (3, 4, 4), (22, 3, 5)])
 def test_sweep_jitter_draws_t_then_r_from_random(tmp_path, capsys, seed, t_steps, r_steps):
     """A seeded sweep's cells: the t values take the first t_steps draws of

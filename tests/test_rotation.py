@@ -1,6 +1,5 @@
 import cmath
 import csv
-import importlib.util
 import json
 import math
 import os
@@ -28,7 +27,7 @@ from barbilliard import (
 )
 from barbilliard.pentagram import triangle_map
 from barbilliard import rotation
-from barbilliard.cli import _triangle_from_args, build_parser, main
+from barbilliard.cli import _grid_values, _triangle_from_args, build_parser, main
 from barbilliard.geometry import TWO_PI, angular_distance
 from barbilliard.circlemap import ITERATION_BUDGET, Piece, _compose, _half_turn
 from barbilliard.rotation import (
@@ -41,7 +40,7 @@ from barbilliard.rotation import (
     _dedupe_cyclic,
     scan_winding_zeros,
 )
-from conftest import random_convex_polygon, random_disk_points, random_triangle
+from conftest import benchmark_inputs, random_convex_polygon, random_disk_points, random_triangle
 
 
 def canonical_triangle(t, r):
@@ -269,19 +268,11 @@ class TestCertificateSemiStable:
         assert abs(res.certificate.residual) <= 1e-9
 
 
-def _benchmark_inputs():
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "benchmark", "inputs.py")
-    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("seed", [23, 28, 30])
 def test_witness_at_the_wrap_is_the_zero_at_0(seed):
     """A standard_pentagram orbit runs through angle 0, a corner, and float
     noise can put that zero a last bit below 1: it is still the witness."""
-    ts = [item["threshold"]["t"] for item in _benchmark_inputs().certify_inputs(seed)
+    ts = [item["threshold"]["t"] for item in benchmark_inputs().certify_inputs(seed)
           if item.get("cls") == "threshold" and item["threshold"]["family"] == "standard"]
     assert ts
     for t in ts:
@@ -340,7 +331,7 @@ class TestClassifyMatchesCertify:
 
 def _verdict_maps():
     """CLASSIFY_CASES and seeded triangles of the benchmark's classes."""
-    bench = _benchmark_inputs()
+    bench = benchmark_inputs()
     rng = random.Random(12)
     tris = list(CLASSIFY_CASES.values())
     for _ in range(3):
@@ -400,13 +391,14 @@ def _step(pc, x):
     return (cmath.phase(w) / TWO_PI - x + 0.5) % 1.0 - 0.5
 
 
-def _zeros(pieces, level):
+def _zeros(pieces, level, shift=0.0):
     """The engine on maps that move every point less than half a turn,
-    with R = level + the step and f = R - level."""
+    with R = level + the step - shift and f = R - level: the scalar map
+    reads shift below the pieces."""
 
     def step(x):
         x = pieces[0].lo + (x - pieces[0].lo) % 1.0
-        return _step(next(pc for pc in pieces if pc.lo <= x < pc.hi), x)
+        return _step(next(pc for pc in pieces if pc.lo <= x < pc.hi), x) - shift
 
     return _circle_zeros(pieces, (level,), lambda x: level + step(x), step)
 
@@ -448,14 +440,14 @@ class TestFindZeros:
             assert abs(x - want) <= 1e-13 and abs(v) <= 1e-15
 
     @staticmethod
-    def _dip(offset):
+    def _dip(offset, shift=0.0):
         """One piece whose residual has its minimum offset above level 1."""
         pc = _translation(0.1, 0.3, -0.3)
         x_min = pc.critical_points()[0] % 1.0
         # a rotation by phi after the map adds phi to its step
         phi = offset - _step(pc, x_min)
         r = cmath.exp(1j * math.pi * phi)
-        return x_min, _zeros([Piece(pc.lo, pc.hi, r * pc.a, r * pc.b)], 1)
+        return x_min, _zeros([Piece(pc.lo, pc.hi, r * pc.a, r * pc.b)], 1, shift)
 
     def test_tangency_in_the_band(self):
         # a dip into the band, and a close pair whose hump stays inside it
@@ -474,6 +466,15 @@ class TestFindZeros:
             assert abs(v) <= 1e-15 and 1e-6 < angular_distance(x, x_min) <= 1e-3
         _, scan = self._dip(5.0 * TANGENCY_TOL)
         assert (scan.roots, scan.sign) == ((), 1)
+
+    def test_a_level_is_decided_by_the_scalar_map(self):
+        # the pieces put this dip 1.5e-6 above the level, outside the screen,
+        # and the scalar map puts it in the band: near a level, R is read
+        # with the scalar map, so the dip is a tangency
+        x_min, scan = self._dip(1.5e-6, shift=1.5e-6 - 0.5 * TANGENCY_TOL)
+        ((x, v, kind),) = _polished(scan)
+        assert kind == "tangency" and abs(v) <= TANGENCY_TOL
+        assert angular_distance(x, x_min) <= 1e-6
 
     def test_duplicates_wrap_across_zero(self):
         # a zero just below 1 is reported at its wrapped value, first; the
@@ -609,6 +610,51 @@ class TestPiecesOnRandomTriangles:
                 assert (res.certificate is None) != (res.comparison is None)
 
 
+def _anchored_read_maps():
+    """Every fourth cell of the seeded 20x20 band sweep at seed 21, and 20
+    random triangles of the benchmark's kind."""
+    rng = random.Random(21)
+    ts = _grid_values(0.85, 0.95, 20, [rng.random() for _ in range(20)])
+    rs = _grid_values(-0.04, -0.006, 20, [rng.random() for _ in range(20)])
+    tris = [canonical_triangle(t, r) for t in ts for r in rs][1::4]
+    bench, rng = benchmark_inputs(), random.Random(3)
+    tris += [Triangle(*(DiskPoint(*v) for v in bench.random_triangle(rng))) for _ in range(20)]
+    return [triangle_map(tri) for tri in tris]
+
+
+class TestAnchoredRead:
+    """R at the extrema of a scan, read from the pieces and anchored by one
+    scalar lift, against the scalar lift."""
+
+    #: the worst guarded read measured, over the 1200 band cells of seeds 1,
+    #: 21 and 22 and 400 random triangles, is 1.43e-9 (seed 21's cell 381,
+    #: q = 64, |a|^2 = 1.5e7); every decision is made 2e-6 from a level
+    BOUND = 5e-9
+
+    @pytest.mark.parametrize("q", [3, 5, 8, 13, 21, 34, 55, 64])
+    def test_guarded_reads_match_the_scalar_lift(self, monkeypatch, q):
+        anchored, reads = rotation._anchored, []
+
+        def spy(pc, x, anchor):
+            lifted = anchored(pc, x, anchor)
+            if lifted is not None:
+                reads.append((x, lifted))
+            return lifted
+
+        monkeypatch.setattr(rotation, "_anchored", spy)
+        checked = 0
+        for tmap in _anchored_read_maps():
+            reads.clear()
+            try:
+                scan_winding_zeros(tmap, 1, q)
+            except PreconditionFailed:
+                continue
+            for x, lifted in reads:
+                assert abs(lifted - tmap.lift_iter(x, q)) <= self.BOUND
+            checked += len(reads)
+        assert checked >= 200
+
+
 def _witness_of_every_zero_polished(tmap, p, q):
     """The certificate's (x, residual, kind) when every located zero is
     polished first: the lowest-angle zero of the first kind present."""
@@ -626,7 +672,7 @@ class TestPolishOnlyTheWitness:
 
     @staticmethod
     def _cases():
-        bench = _benchmark_inputs()
+        bench = benchmark_inputs()
         rng = random.Random(11)
         maps = [triangle_map(standard_pentagram(0.9)[0]),
                 triangle_map(ellipse_pentagram(0.9, 0.1)[0])]
@@ -697,7 +743,7 @@ class TestPolishOnlyTheWitness:
 
 def _benchmark_verdict_maps(seed):
     """The maps of the benchmark's ``certify`` and ``rho-cli`` verdicts."""
-    bench = _benchmark_inputs()
+    bench = benchmark_inputs()
     for item in bench.certify_inputs(seed):
         if item["kind"] != "verdict":
             continue
