@@ -169,7 +169,8 @@ CSV_HEADER = (
     "t,r,d_pq,delta,delta2,half_delta1,cond48,cond53,"
     "rho_estimate,rho_p,rho_q,certificate_kind,consistent"
 )
-#: sweep cells per task handed to a pool worker
+#: the fewest cells a sweep worker claims at once; past 8192 cells chunks
+#: grow, so that their 4-byte tickets fit in one pipe write that cannot block
 CHUNK = 8
 
 
@@ -243,6 +244,78 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _work(cells: list, size: int, tickets) -> list:
+    """``(chunk, rows)`` for each chunk of ``size`` cells that the
+    ``tickets`` iterator yields.  A failing cell gives ``(chunk, error)``
+    and takes the tickets left: they all come after its chunk, so no
+    worker need run them."""
+    pairs = []
+    for k in tickets:
+        try:
+            # the module global, so that a rebinding of _sweep_cell holds
+            pairs.append((k, [_sweep_cell(c) for c in cells[k * size:(k + 1) * size]]))
+        except Exception as err:
+            pairs.append((k, err))
+            for _ in tickets:
+                pass
+    return pairs
+
+
+def _rows(cells: list, workers: int) -> list:
+    """``_sweep_cell`` of every cell, in cell order, from this process and
+    ``workers - 1`` children forked before it starts, which claim chunks
+    from one pipe of tickets and pickle their pairs into pipes of their
+    own.  The error raised is the first failing cell's, as with one worker."""
+    size = max(CHUNK, math.ceil(len(cells) / 1024))
+    tickets = iter(range(math.ceil(len(cells) / size)))
+    children = {}
+    if workers > 1:
+        import pickle
+        import signal
+
+        fd, w = os.pipe()
+        os.write(w, b"".join(k.to_bytes(4, "little") for k in tickets))
+        os.close(w)
+        # a pipe read of 4 bytes is atomic, so no two workers claim one chunk
+        tickets = (int.from_bytes(t, "little") for t in iter(lambda: os.read(fd, 4), b""))
+    try:
+        for _ in range(workers - 1):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    with open(w, "wb") as fh:
+                        pickle.dump(_work(cells, size, tickets), fh)
+                finally:
+                    os._exit(0)
+            # the child's EOF comes once no process but the child holds this
+            os.close(w)
+            children[pid] = r
+        pairs = _work(cells, size, tickets)
+        for pid, r in children.items():
+            try:
+                with open(r, "rb", closefd=False) as fh:
+                    pairs += pickle.load(fh)
+            except (EOFError, pickle.UnpicklingError) as exc:
+                raise RuntimeError(f"sweep worker {pid} ended without its rows") from exc
+    finally:
+        for pid, r in children.items():
+            os.close(r)
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+        if workers > 1:
+            os.close(fd)
+    rows = []
+    for _, part in sorted(pairs):
+        if isinstance(part, Exception):
+            raise part
+        rows += part
+    return rows
+
+
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise CliError("InvalidArgument", f"--jobs must be >= 1, got {args.jobs}")
@@ -276,16 +349,9 @@ def cmd_sweep(args) -> int:
             cells.append((t, r, args.iters))
 
     # a worker beyond the chunk count would get no cells, one beyond the
-    # usable CPUs would only share a CPU
+    # usable CPUs would only share a CPU; a platform without fork runs one
     workers = min(args.jobs, _usable_cpus(), math.ceil(len(cells) / CHUNK))
-    if workers > 1:
-        # only a pooled sweep pays for importing the pool
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_cell, cells, chunksize=CHUNK))
-    else:
-        rows = [_sweep_cell(c) for c in cells]
+    rows = _rows(cells, workers if hasattr(os, "fork") else 1)
 
     _write(args.out, "\n".join([CSV_HEADER] + [row for row, _, _ in rows]) + "\n")
 
@@ -372,8 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="jitter each grid value within its step by Python's "
                               "random.Random(seed), t values first (>= 0)")
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="worker processes, capped at the usable CPUs and at "
-                              f"one per {CHUNK} cells")
+                         help="worker processes, this one and forked children, "
+                              f"capped at the usable CPUs and at one per {CHUNK} cells")
     p_sweep.add_argument("--out", type=str, required=True)
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -1,14 +1,15 @@
 import argparse
 import builtins
-import concurrent.futures
 import hashlib
 import json
 import os
 import random
 import re
 import shlex
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from barbilliard import (
     DiskPoint,
     IdealPoint,
     OutOfTheoreticalRange,
+    PreconditionFailed,
     TangentMap,
     cli,
     errors,
@@ -29,6 +31,34 @@ from barbilliard.svgfig import figure_svg
 from conftest import SRC, src_env
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the sweep workers ``os.fork`` makes while a test runs;
+    once it has run, none may be left unreaped.  A test that waits on its
+    workers for a minute fails rather than hangs."""
+    pids = []
+    fork = os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    def overdue(signum, frame):
+        pytest.fail("a sweep with forked workers ran for 60 s")
+
+    monkeypatch.setattr(os, "fork", spy)
+    previous = signal.signal(signal.SIGALRM, overdue)
+    signal.alarm(60)
+    yield pids
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 def run_cli(args):
@@ -120,8 +150,8 @@ class TestRho:
     }
     CLASSES = sorted(cls.__name__ for cls in errors.BarBilliardError.__subclasses__())
     #: the outcomes of two errors from outside the package: a fork that
-    #: fails raises OSError, a killed sweep worker BrokenProcessPool, a
-    #: RuntimeError
+    #: fails raises OSError, and a sweep worker that dies before it sends
+    #: its rows a RuntimeError
     OTHER_OUTCOMES = {"OSError": ("IOFailure", 3), "RuntimeError": ("RuntimeError", 4)}
 
     def test_every_error_class_has_an_outcome(self):
@@ -164,25 +194,17 @@ class TestSweep:
             if fields[6] == "true" and fields[11] != "uncertified":
                 assert (fields[9], fields[10]) == ("2", "5")
 
-    def test_jobs_parallel_identical(self, tmp_path, monkeypatch):
-        # 18 cells are three chunks, so --jobs 2 runs a real two-worker pool
-        sizes = []
-
-        class SpyPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+    def test_jobs_parallel_identical(self, tmp_path, monkeypatch, forks):
+        # 18 cells are three chunks, so --jobs 2 forks one worker
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
         args = ["sweep", "--t", "0.86:0.9:3", "--r=-0.03:-0.02:6",
                 "--iters", "1500", "--seed", "5"]
         assert main(args + ["--jobs", "1", "--out", str(a)]) == 0
-        assert sizes == []
+        assert forks == []
         assert main(args + ["--jobs", "2", "--out", str(b)]) == 0
-        assert sizes == [2]
+        assert len(forks) == 1
         assert a.read_bytes() == b.read_bytes()
 
     def test_relative_interval_mode(self, tmp_path, capsys):
@@ -288,37 +310,23 @@ class TestResourceFlags:
         assert json.loads(capsys.readouterr().out)["error"] == "InvalidArgument"
         assert not out.exists()
 
-    def test_pool_capped_by_cpus_and_cells(self, tmp_path, monkeypatch, capsys):
-        """At most one worker per usable CPU and per chunk of cells."""
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                assert chunksize == cli.CHUNK
-                return map(fn, items)
-
-        # cmd_sweep imports the pool from concurrent.futures when it needs one
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    def test_pool_capped_by_cpus_and_cells(self, tmp_path, monkeypatch, capsys, forks):
+        """At most one worker per usable CPU and per chunk of cells: this
+        process and the children it forks."""
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
         out = tmp_path / "x.csv"
+        children = []
         for t_range, r_range in [
             ("0.86:0.9:3", "-0.03:-0.02:6"),   # 18 cells, 3 chunks: 3 workers
             ("0.86:0.9:2", "-0.03:-0.02:8"),   # 16 cells, 2 chunks: 2 workers
-            ("0.86:0.9:2", "-0.03:-0.02:4"),   # 8 cells, 1 chunk: no pool
-            ("0.9:0.9:1", "-0.03:-0.01:2"),    # 2 cells: no pool
+            ("0.86:0.9:2", "-0.03:-0.02:4"),   # 8 cells, 1 chunk: this process
+            ("0.9:0.9:1", "-0.03:-0.01:2"),    # 2 cells: this process
         ]:
+            before = len(forks)
             assert main(["sweep", "--t", t_range, f"--r={r_range}", "--iters", "1500",
                          "--jobs", "64", "--out", str(out)]) == 0
-        assert sizes == [3, 2]
+            children.append(len(forks) - before)
+        assert children == [2, 1, 0, 0]
 
     @pytest.mark.parametrize(
         "setup, t_range, r_range",
@@ -338,11 +346,28 @@ class TestResourceFlags:
                 "--jobs", "2", "--out", str(tmp_path / "x.csv")]
         code = (f"import os, sys; {setup}from barbilliard.cli import main; "
                 f"code = main({argv!r}); "
-                "print(code, 'concurrent.futures.process' in sys.modules)")
+                "print(code, 'concurrent.futures.process' in sys.modules, 'pickle' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=src_env())
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 False"
+        assert proc.stdout.splitlines()[-1] == "0 False False"
+
+    def test_forked_sweep_loads_no_pool_and_raises_no_warning(self, tmp_path):
+        """A sweep of several chunks at --jobs 2 forks with no other thread
+        running, which Python 3.12 and later would warn of (an error under
+        ``-W error``), and loads neither concurrent.futures nor
+        multiprocessing; it loads pickle for its child's rows."""
+        argv = ["sweep", "--t", "0.86:0.9:3", "--r=-0.03:-0.02:6", "--iters", "1500",
+                "--jobs", "2", "--out", str(tmp_path / "x.csv")]
+        code = ("import sys; from barbilliard import cli; cli._usable_cpus = lambda: 2; "
+                f"code = cli.main({argv!r}); "
+                "print(code, [m for m in sys.modules"
+                " if m.split('.')[0] in ('concurrent', 'multiprocessing')],"
+                " 'pickle' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                              capture_output=True, text=True, env=src_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 [] True"
 
 
 class TestInputChecks:
@@ -444,8 +469,8 @@ class TestInputChecks:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_sweep_names_the_cell_whose_scan_was_refused(self, tmp_path, capsys,
-                                                         monkeypatch, jobs):
-        # ten cells are two chunks, so --jobs 2 runs a two-worker pool; the
+                                                         monkeypatch, forks, jobs):
+        # ten cells are two chunks, so --jobs 2 forks one worker; the
         # five t = 1e-9 cells put an extremum of F^5 within SNAP of a cut
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         out = tmp_path / "x.csv"
@@ -458,8 +483,8 @@ class TestInputChecks:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_sweep_names_the_cell_whose_triangle_is_degenerate(self, tmp_path, capsys,
-                                                               monkeypatch, jobs):
-        # the r = 0 apex lies on the base; ten cells run a two-worker pool
+                                                               monkeypatch, forks, jobs):
+        # the r = 0 apex lies on the base; ten cells run two workers
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         out = tmp_path / "x.csv"
         assert main(["sweep", "--t", "0.5:0.6:2", "--r=-0.1:0.1:5", "--iters", "1500",
@@ -467,6 +492,72 @@ class TestInputChecks:
         err = json.loads(capsys.readouterr().out)
         assert err["error"] == "DegenerateBody"
         assert err["message"] == "cell t=0.5 r=0: triangle is degenerate (collinear vertices)"
+        assert not out.exists()
+
+    #: 24 cells, three chunks of one t value each
+    GRID = ["sweep", "--t", "0.86:0.9:3", "--r=-0.03:-0.01:8", "--iters", "1500"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2", "3"])
+    def test_sweep_reports_the_first_failing_cell_whatever_its_worker(
+            self, tmp_path, capsys, monkeypatch, forks, jobs):
+        """The last cell of the first and of the third chunk fail; whichever
+        worker runs which chunk, the first of them in cell order is named."""
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        cell = cli._sweep_cell
+
+        def sweep_cell(c):
+            if c[1] > -0.0101 and abs(c[0] - 0.88) > 0.01:
+                raise PreconditionFailed(f"refused t={fmt(c[0])}")
+            return cell(c)
+
+        monkeypatch.setattr(cli, "_sweep_cell", sweep_cell)
+        out = tmp_path / "x.csv"
+        assert main([*self.GRID, "--jobs", jobs, "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "PreconditionFailed", "message": "refused t=0.86"}
+        assert len(forks) == int(jobs) - 1
+        assert not out.exists()
+
+    def test_failing_cell_in_this_process_share_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                        forks):
+        """A cell that fails in the sweep's own process keeps its error name,
+        and its forked worker is reaped."""
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        parent, cell, slept = os.getpid(), cli._sweep_cell, []
+
+        def sweep_cell(c):
+            if os.getpid() == parent:
+                raise PreconditionFailed("refused in the sweep's own process")
+            if not slept:  # the child's first cell waits, so this process claims a chunk
+                slept.append(True)
+                time.sleep(0.2)
+            return cell(c)
+
+        monkeypatch.setattr(cli, "_sweep_cell", sweep_cell)
+        out = tmp_path / "x.csv"
+        assert main([*self.GRID, "--jobs", "2", "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "PreconditionFailed", "message": "refused in the sweep's own process"}
+        assert len(forks) == 1
+        assert not out.exists()
+
+    def test_sweep_worker_killed_by_a_signal_exits_4(self, tmp_path, capsys, monkeypatch,
+                                                     forks):
+        """A worker that dies before it sends its rows is an internal error."""
+        fork = os.fork
+
+        def fork_and_die():
+            pid = fork()
+            if pid == 0:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork_and_die)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        out = tmp_path / "x.csv"
+        assert main([*self.GRID, "--jobs", "2", "--out", str(out)]) == 4
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "RuntimeError", "message": f"sweep worker {forks[0]} ended without its rows"}
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -506,15 +597,50 @@ def test_sweep_reproduces_pinned_band_csv():
         assert "\n".join([CSV_HEADER] + rows).encode() + b"\n" == fh.read()
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
+#: the seeded 20x20 criterion-9-band sweep, whose bytes are pinned
+BAND = ["sweep", "--t", "0.85:0.95:20", "--r=-0.04:-0.006:20", "--iters", "2000"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
 @pytest.mark.parametrize("seed", [21, 22])
-def test_sweep_reproduces_pinned_20x20_band(tmp_path, capsys, seed, jobs):
-    """The seeded 20x20 criterion-9-band sweep, in one process and across
-    a pool, byte for byte as pinned."""
+def test_sweep_reproduces_pinned_20x20_band(tmp_path, capsys, monkeypatch, seed, jobs):
+    """The seeded 20x20 criterion-9-band sweep, in one process and with
+    one or two forked workers, byte for byte as pinned."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
     out = tmp_path / "band.csv"
-    assert main(["sweep", "--t", "0.85:0.95:20", "--r=-0.04:-0.006:20", "--iters", "2000",
-                 "--seed", str(seed), "--jobs", str(jobs), "--out", str(out)]) == 0
+    assert main([*BAND, "--seed", str(seed), "--jobs", str(jobs), "--out", str(out)]) == 0
     with open(os.path.join(DATA, f"sweep_band_20x20_seed{seed}.csv"), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
+def test_rows_of_many_cells_come_back_in_cell_order(monkeypatch, forks):
+    """Past 1024 chunks of CHUNK cells the chunks grow, so that the tickets
+    fit in one pipe write; each worker's rows outgrow a pipe's buffer."""
+    writes, write = [], os.write
+
+    def spy(fd, data):
+        writes.append(len(data))
+        return write(fd, data)
+
+    monkeypatch.setattr(os, "write", spy)
+    monkeypatch.setattr(cli, "_sweep_cell", lambda c: (str(c), True, False))
+    cells = list(range(20001))
+    assert cli._rows(cells, 3) == [(str(c), True, False) for c in cells]
+    assert len(forks) == 2
+    assert len(writes) == 1 and writes[0] <= 4096
+
+
+def test_sweep_without_fork_runs_one_worker(tmp_path, capsys, monkeypatch):
+    """On a platform without ``os.fork``, a --jobs 4 sweep makes no pipe
+    and writes the pinned bytes."""
+    pipes = []
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(os, "pipe", lambda: pipes.append(None))
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    out = tmp_path / "band.csv"
+    assert main([*BAND, "--seed", "21", "--jobs", "4", "--out", str(out)]) == 0
+    assert pipes == []
+    with open(os.path.join(DATA, "sweep_band_20x20_seed21.csv"), "rb") as fh:
         assert out.read_bytes() == fh.read()
 
 
@@ -731,14 +857,15 @@ def test_readme_commands_run(tmp_path, capsys):
 
 
 def test_cli_import_loads_no_scipy():
-    """Nor numpy: the package runs on the standard library alone.  Nor the
-    process pool, which only a sweep of several chunks at ``--jobs N``
-    with N > 1 uses.  Nor the figure code, which only ``render`` uses.
+    """Nor numpy: the package runs on the standard library alone.  Nor a
+    process pool, nor pickle, which only a sweep that forks workers uses.
+    Nor the figure code, which only ``render`` uses.
     Nor dataclasses or the inspect module it loads, which cost most of
     the package's own import."""
     code = ("import sys, barbilliard.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')"
-            " or m in ('concurrent.futures.process', 'barbilliard.svgfig', 'dataclasses',"
+            " or m in ('concurrent.futures.process', 'pickle', 'barbilliard.svgfig',"
+            " 'dataclasses',"
             " 'inspect')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=src_env())
