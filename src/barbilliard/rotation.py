@@ -15,7 +15,7 @@ from cmath import phase, rect
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .circlemap import ITERATION_BUDGET, Piece, TangentMap
-from .search import brentq, golden_min
+from .search import brentq
 from .errors import OutOfRange, OutOfTheoreticalRange, PreconditionFailed
 from .geometry import SNAP, TWO_PI
 
@@ -180,10 +180,11 @@ def _circle_zeros(pieces: list[Piece], levels: Sequence[int],
     cut (``_anchored``), and from ``residual`` where a piece cannot say or
     puts R within twice the screen of an integer.  An extremum within the
     screen of a level (a double root, a close pair or a near-circle complex
-    pair) is one tangency when f there, golden-polished unless at a
-    corner, is within TANGENCY_TOL.  Each other level crossed between two
-    extrema is one sign change, located at the fixed point in that span
-    and left for ``ZeroScan.read``.
+    pair) is one tangency when f, read once at that corner or critical
+    point, is within TANGENCY_TOL; it stays there, its stretch the arc
+    between the neighbouring extrema.  Each other level crossed between
+    two extrema is one sign change, located at the fixed point in that
+    span and left for ``ZeroScan.read``.
     Zeros are located in [-MERGE_TOL, 1 - MERGE_TOL) and merged within
     MERGE_TOL.  Each carries its stretch; with one level no two share one.
 
@@ -191,20 +192,19 @@ def _circle_zeros(pieces: list[Piece], levels: Sequence[int],
     SNAP of its piece's ends is read on the wrong arc or rounded past the
     cut, so PreconditionFailed is raised before f or the residual is read.
     """
-    # extrema (x, s, i): s is +1 at a minimum of R, -1 at a maximum and 0 at
-    # a corner, and pieces[i] holds x
+    # extrema (x, i): the corners and critical points, pieces[i] holds x
     ext, fixed = [], []
     for i, pc in enumerate(pieces):
         if (pieces[i - 1].slope(pc.lo) - 1.0) * (pc.slope(pc.lo) - 1.0) <= 0.0:
-            ext.append((pc.lo, 0, i))
-        for c, s in zip(pc.critical_points(), (1, -1)):
+            ext.append((pc.lo, i))
+        for c in pc.critical_points():
             x = pc.lo + (c - pc.lo) % 1.0
             if min(x - pc.lo, pc.lo + 1.0 - x, abs(x - pc.hi)) <= SNAP:
                 raise PreconditionFailed(
                     f"an extremum at {x % 1.0:.12g} lies within {SNAP} turns of a cut, "
                     "beyond float resolution")
             if x < pc.hi:
-                ext.append((x, s, i))
+                ext.append((x, i))
         for c in pc.fixed_points():
             x = pc.lo - SNAP + (c - pc.lo + SNAP) % 1.0
             if x <= pc.hi + SNAP:
@@ -221,32 +221,22 @@ def _circle_zeros(pieces: list[Piece], levels: Sequence[int],
             return residual(x)
         return lifted - x
 
-    ext = [(x, read(x, i), s) for x, s, i in sorted(ext) or [(x0, 0, 0)]]
+    ext = [(x, read(x, i)) for x, i in sorted(ext) or [(x0, 0)]]
 
     n = len(ext)
-    xs = [ext[-1][0] - 1.0] + [x for x, _, _ in ext] + [ext[0][0] + 1.0]
+    xs = [ext[-1][0] - 1.0] + [x for x, _ in ext] + [ext[0][0] + 1.0]
     roots, touched = [], set()
-    for j, (x, r, s) in enumerate(ext):
-        if round(r) not in levels or abs(r - round(r)) > _SCREEN:
-            continue
-        # the stretch between the neighbouring extrema, lifted with x
-        shift = x - x % 1.0 if s else 0.0
-        lo, hi = xs[j] - shift, xs[j + 2] - shift
-        if s:  # golden section on the two cells around the nearest multiple
-            # of _CELL, inside the stretch
-            c = round((x - shift) / _CELL) * _CELL
-            x, v = golden_min(lambda u: s * f(u), max(c - _CELL, lo), min(c + _CELL, hi))
-            v *= s
-        else:
+    for j, (x, r) in enumerate(ext):
+        if round(r) in levels and abs(r - round(r)) <= _SCREEN:
             v = f(x)
-        if abs(v) <= TANGENCY_TOL:
-            roots.append(Zero(_wrap(x), "tangency", (x, lo, hi), float(v)))
-            touched.add(j)
+            if abs(v) <= TANGENCY_TOL:
+                roots.append(Zero(_wrap(x), "tangency", (x, xs[j], xs[j + 2]), float(v)))
+                touched.add(j)
 
     for j in range(n):
         if touched & {j, (j + 1) % n}:
             continue
-        (xa, ra, _), (xb, rb) = ext[j], (xs[j + 2], ext[(j + 1) % n][1])
+        (xa, ra), (xb, rb) = ext[j], (xs[j + 2], ext[(j + 1) % n][1])
         for k in levels:
             if min(ra, rb) < k < max(ra, rb):
                 # R crosses one integer at most between extrema: a fixed

@@ -5,10 +5,12 @@ coarse for corner-shaped extremes (the map's iterates are only
 one-sided differentiable at breakpoints).  Golden-section with an
 absolute interval tolerance localizes those to machine precision.
 
-Both serve the zero engine of ``rotation`` alone, at fixed tolerances:
-golden section refines each tangency inside ``_circle_zeros``, and
-Brent's method polishes each sign change that a caller reads, in the
-one place a located zero is read (``ZeroScan.read``).
+Brent's method serves the zero engine of ``rotation`` alone, at fixed
+tolerances: it polishes each sign change that a caller reads, in the one
+place a located zero is read (``ZeroScan.read``).  Golden section no
+longer serves the engine, which reads each tangency at the extremum its
+pieces give; the benchmark's tracer still binds ``golden_min`` by name,
+and it goes when the tracer drops it.
 """
 
 from __future__ import annotations

@@ -82,6 +82,17 @@ def mp_lift(vertices, a, n):
     return a
 
 
+def mp_newton_step(R, w, h=1e-10):
+    """|R'(w)| / |R''(w)| by central differences of step h, at mpmath's
+    working precision: how far a witness w of a tangency lies from the
+    extremum of R, in the units of w."""
+    import mpmath
+
+    w, h = mpmath.mpf(w), mpmath.mpf(h)
+    lo, mid, hi = R(w - h), R(w), R(w + h)
+    return abs((hi - lo) / (2 * h)) / abs((hi - 2 * mid + lo) / (h * h))
+
+
 def disk_xy(rng, radius):
     """A point uniform in the disk of this radius, by rejection."""
     while True:

@@ -30,7 +30,7 @@ from barbilliard import (
 from barbilliard.geometry import angular_distance, ccw_gap
 from barbilliard.pentagram import ellipse_contact_xs, triangle_map
 from barbilliard.rotation import _certify
-from conftest import disk_xy, mp_lift, mp_turn, random_triangle
+from conftest import disk_xy, mp_lift, mp_newton_step, mp_turn, random_triangle
 from lemmas import (
     contraction_check,
     edge_incidence,
@@ -360,6 +360,20 @@ class TestTau:
         # 6.3e-9 above the threshold: two roots 2.66e-6 turns apart
         assert tau_n(p1, p2, DiskPoint(-0.00554013, 0.0), 2).count == 2
         assert tau_n(p1, p2, DiskPoint(-0.02, 0.0), 2).count == 2
+
+    def test_tangent_root_is_the_40_digit_extremum(self):
+        """At the threshold the one root is a tangency of the lifted
+        half-turn after F^{2n}, read at the extremum the pieces give: the
+        Newton step to the 40-digit extremum is at most 1e-13 turns
+        (measured: 2e-17)."""
+        mpmath = pytest.importorskip("mpmath")
+        p1, p2 = DiskPoint(0.0, 0.9), DiskPoint(0.0, -0.9)
+        pt = DiskPoint(-math.tanh(delta_n(math.log(19.0), 2)), 0.0)
+        (w,) = tau_n(p1, p2, pt, 2).roots
+        Q = mpmath.mpc(pt.x, pt.y)
+        with mpmath.workdps(40):
+            step = mp_newton_step(lambda u: mp_turn(Q, mp_lift((p1, p2), u, 4)) - u, w.angle)
+        assert step <= 1e-13
 
     def test_counts_match_brute_force(self):
         p1, p2 = DiskPoint(0.0, 0.9), DiskPoint(0.0, -0.9)

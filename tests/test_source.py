@@ -72,6 +72,7 @@ BENCHMARK_ONLY = {
     "ellipse_pentagram": "benchmark/workloads.py",
     "foot_and_delta": "benchmark/tracing.py",
     "TangentMap.gap_angles": "benchmark/tracing.py",
+    "golden_min": "benchmark/tracing.py",
 }
 
 #: library API that no command runs and the benchmark does not call, each
@@ -169,10 +170,12 @@ def test_only_rotation_reads_critical_points():
 
 
 def test_only_rotation_calls_the_searches():
-    """The zero engine alone refines tangencies (``golden_min``) and
-    polishes located zeros (``brentq``), so no caller grows a polish of
-    its own."""
-    assert _callers("brentq", "golden_min") == {"rotation"}
+    """The zero engine alone polishes located zeros (``brentq``), so no
+    caller grows a polish of its own, and it reads each tangency at the
+    extremum the pieces give: nothing in the package calls
+    ``golden_min``, which the benchmark's tracer alone still binds."""
+    assert _callers("brentq") == {"rotation"}
+    assert _callers("golden_min") == set()
 
 
 def test_newer_syntax_is_rejected():
