@@ -205,8 +205,8 @@ class TangentMap:
 
     Immutable, and compared, hashed and pickled by its body.  A slot
     class, not a named tuple: ``eval_angle`` reads two tables on every
-    lift step, and a slot reads in about a third of the time of a
-    named-tuple field.
+    call, and a slot reads in about a third of the time of a named-tuple
+    field.
     """
 
     __slots__ = ("body", "breakpoints", "_bp_angles", "_arc_verts")
@@ -272,16 +272,37 @@ class TangentMap:
         steps add them in orbit order, whole laps a binade at a time
         (``_add_laps``): the sum is bit-identical to stepping all n.  Orbits
         that never repeat exactly (unlocked, or semi-stable and converging
-        too slowly) cost one map evaluation per step as before.
+        too slowly) are stepped all n.
+
+        Each step is :meth:`eval_angle`'s half-turn taken inline, with the
+        arc vertices and their conjugates bound once per call.  On a
+        triangle's three breakpoints two comparisons find the arc that
+        ``bisect_right`` finds; other tables bisect.  The step makes
+        ``eval_angle``'s float operations in its order, so it keeps their
+        bits.  It must: the replay collects the cycle's gaps through
+        :meth:`gap_angle`, so a step rounded otherwise would replay a cycle
+        it never stepped, and every estimate and scalar scan read would
+        move.
         """
         if n < 0 or n > ITERATION_BUDGET:
             raise OutOfRange(f"lift iteration count {n} out of budget")
-        eval_angle = self.eval_angle
+        bps, arcs = self._bp_angles, [(P, P.conjugate()) for P in self._arc_verts]
+        three = len(bps) == 3
+        if three:
+            b0, b1, b2 = bps
+            A0, A1, A2 = arcs
         a = x % 1.0
         total = 0.0
         saved_a, saved_k, next_save = a, 0, 1
         for k in range(1, n + 1):
-            g = (eval_angle(a) - a) % 1.0
+            s = (a + SNAP) % 1.0
+            if three:
+                P, Q = (A0 if s >= b0 else A2) if s < b1 else A1 if s < b2 else A2
+            else:
+                P, Q = arcs[bisect_right(bps, s) - 1]
+            z = rect(1.0, TWO_PI * a)
+            b = phase((P - z) / (1.0 - Q * z)) / TWO_PI % 1.0
+            g = ((b if b < 1.0 else 0.0) - a) % 1.0
             if g == 0.0:
                 g = 1.0
             total += g

@@ -60,7 +60,7 @@ def estimate_rho(tmap: TangentMap, n: int = 100_000) -> RotationResult:
 
     The n-step lift replays an exactly repeating float cycle (a locked
     orbit) with the step-by-step loop's bits; unlocked and semi-stable
-    orbits are stepped and cost one map evaluation per step.
+    orbits are stepped all n, one inline half-turn per step.
     """
     if n < 1:
         raise OutOfRange(f"estimate needs n >= 1, got {n}")

@@ -319,18 +319,40 @@ class TestHalfTurn:
         tmap = TangentMap(body)
         assert tmap.lift_iter(x, n) == plain_lift(tmap, x, n)
 
+    def test_lift_iter_takes_the_arc_at_its_edges(self):
+        """Started on a breakpoint, SNAP before one or SNAP before the wrap,
+        or one float either side of these, the lift's first step takes the
+        arc that ``eval_angle``'s bisection takes, on bodies of 0 to 5
+        breakpoints."""
+        rng = np.random.default_rng(36)
+        bodies = [ConvexBody.point(DiskPoint(0.3, -0.2)),
+                  ConvexBody.segment(DiskPoint(-0.3, 0.4), DiskPoint(0.2, -0.5)),
+                  fig_triangle_map().body, canonical_map(0.9).body,
+                  ConvexBody.polygon(standard_pentagram(0.9)[0].vertices),
+                  random_convex_polygon(rng, n=4), random_convex_polygon(rng, n=5)]
+        maps = [TangentMap(body) for body in bodies]
+        assert [len(tmap.breakpoints) for tmap in maps] == [0, 2, 3, 3, 3, 4, 5]
+        for tmap in maps:
+            bps = [u.angle for u, _ in tmap.breakpoints]
+            starts = [1.0 - SNAP] + bps + [b - SNAP for b in bps]
+            for x in [y for s in starts for y in (math.nextafter(s, -1.0), s,
+                                                  math.nextafter(s, 2.0))]:
+                for n in (*range(1, 9), 200):
+                    assert tmap.lift_iter(x, n) == plain_lift(tmap, x, n)
+
 
 @pytest.fixture
 def eval_calls(monkeypatch):
-    """A one-item list counting TangentMap.eval_angle calls."""
-    eval_angle = TangentMap.eval_angle
+    """A one-item list counting map steps: ``eval_angle`` calls and the
+    steps ``lift_iter`` takes inline alike, as each places its boundary
+    point with one ``circlemap.rect`` call."""
     calls = [0]
 
-    def counted(self, a):
+    def counted(r, phi):
         calls[0] += 1
-        return eval_angle(self, a)
+        return rect(r, phi)
 
-    monkeypatch.setattr(TangentMap, "eval_angle", counted)
+    monkeypatch.setattr(circlemap, "rect", counted)
     return calls
 
 
@@ -372,13 +394,29 @@ def brent_fires(tmap, x, n):
     return None
 
 
+def certify_maps(classes):
+    """The verdict maps of ``classes`` in the benchmark's certify batch at
+    seed 21, in batch order.  The package builds a threshold triangle from
+    its parameters, as the workload does."""
+    maps = []
+    for item in benchmark_inputs().certify_inputs(21):
+        if item.get("cls") not in classes:
+            continue
+        th = item.get("threshold")
+        if th is None:
+            tri = Triangle(*(DiskPoint(*v) for v in item["verts"]))
+        elif th["family"] == "standard":
+            tri = standard_pentagram(th["t"])[0]
+        else:
+            tri = ellipse_pentagram(th["t"], th["v"], th["side"])[0]
+        maps.append(triangle_map(tri))
+    return maps
+
+
 def locked_certify_maps(count):
     """The first ``count`` maps of the benchmark's certify batch at seed 21
     whose rotation number locks: its sandwich and tall isosceles classes."""
-    items = [item for item in benchmark_inputs().certify_inputs(21)
-             if item.get("cls") in ("sandwich", "tall_isosceles")]
-    return [triangle_map(Triangle(*(DiskPoint(*v) for v in item["verts"])))
-            for item in items[:count]]
+    return certify_maps(("sandwich", "tall_isosceles"))[:count]
 
 
 class TestLapReplay:
@@ -416,6 +454,17 @@ class TestLapReplay:
             eval_calls[0] = 0
             assert tmap.lift_iter(0.0, n) == plain
             assert eval_calls[0] < n // 10
+
+    def test_unlocked_certify_maps_are_the_stepped_sum(self, eval_calls):
+        """The batch's strict-inside and threshold maps, about half of whose
+        float orbits never repeat, so that every one of their steps is taken."""
+        n, stepped = 10_000, 0
+        for tmap in certify_maps(("strict_inside", "threshold")):
+            plain = plain_lift(tmap, 0.0, n)
+            eval_calls[0] = 0
+            assert tmap.lift_iter(0.0, n) == plain
+            stepped += eval_calls[0] == n
+        assert stepped >= 10
 
     def test_no_step_left_to_replay(self):
         """n at the step where the cycle check fires leaves an empty lap."""
