@@ -18,7 +18,12 @@ written as complex numbers it is the Mobius map
 
 the matrix [[-1, P], [-conj(P), 1]], an involution whose interior fixed
 point P / (1 + sqrt(1 - |P|^2)) is P's Poincare coordinate.  The table
-stores P per arc, and every evaluation is this one step.
+stores P per arc, and every image is this one step.
+
+The lift steps the winding gap alone: as 1 - conj(P) z = z conj(z - P)
+on |z| = 1, the half-turn moves the angle a by 1/2 + arg(1 - P conj(z)) / pi
+(:meth:`TangentMap.gap_angle`).  Images keep the quotient, which places
+them more accurately than a plus that gap, and the pieces rest on its bits.
 
 Scaled by its known 1/sqrt(1 - |P|^2) and by i, the matrix lies in
 SU(1,1): [[a, b], [conj(b), conj(a)]] with |a|^2 - |b|^2 = 1, kept as the
@@ -44,7 +49,6 @@ from .geometry import (
     IdealPoint,
     _signed_area2,
     _validated,
-    ccw_gap,
     chord_through,
 )
 
@@ -251,8 +255,18 @@ class TangentMap:
         return b if b < 1.0 else 0.0
 
     def gap_angle(self, a: float) -> float:
-        """CCW winding gap from a to its image, in (0, 1) turns."""
-        return ccw_gap(a, self.eval_angle(a))
+        """CCW winding gap from a to its image, in (0, 1) turns.
+
+        For |z| = 1, 1 - conj(P) z = z conj(z - P), so the half-turn about
+        P sends z to -z (1 - P conj(z)) / conj(1 - P conj(z)): it moves the
+        angle a by 1/2 + arg(1 - P conj(z)) / pi, which Re(1 - P conj(z))
+        >= 1 - |P| > 0 keeps strictly inside (0, 1), with no wrap.  That is
+        a more accurate gap than a's distance to :meth:`eval_angle`, but a
+        plus it is a less accurate image than the quotient, which
+        :meth:`eval_angle` and the pullback of :meth:`pieces` keep.
+        """
+        P = self._arc_verts[bisect_right(self._bp_angles, (a + SNAP) % 1.0) - 1]
+        return 0.5 + phase(1.0 - P * rect(1.0, -TWO_PI * a)) / math.pi
 
     def gap_angles(self, angles) -> list[float]:
         """:meth:`gap_angle` of each angle, reduced mod 1.  Its only caller
@@ -260,8 +274,9 @@ class TangentMap:
         return [self.gap_angle(float(a) % 1.0) for a in angles]
 
     def lift_iter(self, x: float, n: int) -> float:
-        """n-fold lift F^n(x) of the map, accumulating the winding gap per
-        step; the lift F has F(x+1) = F(x) + 1 and F(x) - x in (0, 1].
+        """n-fold lift F^n(x) of the map, accumulating the winding gap
+        1/2 + arg(1 - P conj(z)) / pi per step; the lift F has
+        F(x+1) = F(x) + 1 and F(x) - x in (0, 1).
 
         The gap depends on the angle alone, so once the float orbit repeats
         an angle exactly (on a locked rotation number every orbit is drawn
@@ -274,37 +289,30 @@ class TangentMap:
         that never repeat exactly (unlocked, or semi-stable and converging
         too slowly) are stepped all n.
 
-        Each step is :meth:`eval_angle`'s half-turn taken inline, with the
-        arc vertices and their conjugates bound once per call.  On a
-        triangle's three breakpoints two comparisons find the arc that
-        ``bisect_right`` finds; other tables bisect.  The step makes
-        ``eval_angle``'s float operations in its order, so it keeps their
-        bits.  It must: the replay collects the cycle's gaps through
-        :meth:`gap_angle`, so a step rounded otherwise would replay a cycle
-        it never stepped, and every estimate and scalar scan read would
-        move.
+        Each step is :meth:`gap_angle` taken inline, in its float
+        operations and their order; on a triangle's three breakpoints two
+        comparisons find the arc that ``bisect_right`` finds.  The step
+        must keep :meth:`gap_angle`'s bits: the replay collects the cycle's
+        gaps through it, so a step rounded otherwise would replay a cycle
+        it never stepped.
         """
         if n < 0 or n > ITERATION_BUDGET:
             raise OutOfRange(f"lift iteration count {n} out of budget")
-        bps, arcs = self._bp_angles, [(P, P.conjugate()) for P in self._arc_verts]
+        bps, arcs = self._bp_angles, self._arc_verts
         three = len(bps) == 3
         if three:
             b0, b1, b2 = bps
-            A0, A1, A2 = arcs
+            P0, P1, P2 = arcs
         a = x % 1.0
         total = 0.0
         saved_a, saved_k, next_save = a, 0, 1
         for k in range(1, n + 1):
             s = (a + SNAP) % 1.0
             if three:
-                P, Q = (A0 if s >= b0 else A2) if s < b1 else A1 if s < b2 else A2
+                P = (P0 if s >= b0 else P2) if s < b1 else P1 if s < b2 else P2
             else:
-                P, Q = arcs[bisect_right(bps, s) - 1]
-            z = rect(1.0, TWO_PI * a)
-            b = phase((P - z) / (1.0 - Q * z)) / TWO_PI % 1.0
-            g = ((b if b < 1.0 else 0.0) - a) % 1.0
-            if g == 0.0:
-                g = 1.0
+                P = arcs[bisect_right(bps, s) - 1]
+            g = 0.5 + phase(1.0 - P * rect(1.0, -TWO_PI * a)) / math.pi
             total += g
             a = (a + g) % 1.0
             if a == saved_a:

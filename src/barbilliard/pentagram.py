@@ -22,6 +22,7 @@ from .geometry import (
     Triangle,
     _sides_and_drops,
     angular_distance,
+    ccw_gap,
     chord_through,
     delta_n,
 )
@@ -249,8 +250,7 @@ def tau_n(p1: DiskPoint, p2: DiskPoint, pt: DiskPoint, n: int) -> TauResult:
     def image(u: float) -> tuple[float, float]:
         """F^{2n}(u) lifted, and its half-turn about pt lifted after it."""
         b = tmap.lift_iter(u, 2 * n)
-        gap = (second_intersection(IdealPoint(b), pt).angle - b) % 1.0 or 1.0
-        return b, b + gap
+        return b, b + ccw_gap(b, second_intersection(IdealPoint(b), pt).angle)
 
     def h(u: float) -> float:
         # the chord distance, signed by the way the half-turn misses u: the

@@ -58,9 +58,11 @@ class RotationResult(NamedTuple):
 def estimate_rho(tmap: TangentMap, n: int = 100_000) -> RotationResult:
     """Lift-average estimate with the standard 1/n error bound.
 
-    The n-step lift replays an exactly repeating float cycle (a locked
-    orbit) with the step-by-step loop's bits; unlocked and semi-stable
-    orbits are stepped all n, one inline half-turn per step.
+    The average is of the per-step gaps 1/2 + arg(1 - P conj(z)) / pi,
+    read without the half-turn's image (``TangentMap.gap_angle``).  The
+    n-step lift replays an exactly repeating float cycle (a locked orbit)
+    with the step-by-step loop's bits; unlocked and semi-stable orbits are
+    stepped all n.
     """
     if n < 1:
         raise OutOfRange(f"estimate needs n >= 1, got {n}")
