@@ -6,11 +6,7 @@ map, estimates and certifies its rotation number, and checks the
 hyperbolic distance conditions governing the 1/3 and 2/5 regimes.
 """
 
-from .circlemap import (
-    ConvexBody,
-    TangentMap,
-    second_intersection,
-)
+from .circlemap import ConvexBody, TangentMap
 from .errors import (
     BarBilliardError,
     InvalidBody,

@@ -50,6 +50,7 @@ from .geometry import (
     _signed_area2,
     _validated,
     chord_through,
+    wrap_turns,
 )
 
 #: hard cap on orbit/estimate iteration counts
@@ -104,12 +105,6 @@ def _ccw_convex(vertices: tuple[DiskPoint, ...]) -> tuple[DiskPoint, ...]:
         if _signed_area2(vertices[i], vertices[(i + 1) % n], vertices[(i + 2) % n]) <= 1e-12:
             raise InvalidBody("polygon is not strictly convex in CCW order")
     return vertices
-
-
-def second_intersection(v: IdealPoint, p: DiskPoint) -> IdealPoint:
-    """Chord map of a single interior point: v across p to the boundary,
-    the half-turn about p (the step of :meth:`TangentMap.eval_angle`)."""
-    return IdealPoint(_turn(complex(p.x, p.y), v.angle))
 
 
 def _turn(P: complex, a: float) -> float:
@@ -208,9 +203,9 @@ class TangentMap:
     angle 1 and is the only arc of a point body.
 
     Immutable, and compared, hashed and pickled by its body.  A slot
-    class, not a named tuple: ``eval_angle`` reads two tables on every
-    call, and a slot reads in about a third of the time of a named-tuple
-    field.
+    class, not a named tuple: equality, hash and pickling read the body
+    alone, and the tables stay private fields, where a named tuple would
+    make them public and compare them too.
     """
 
     __slots__ = ("body", "breakpoints", "_bp_angles", "_arc_verts")
@@ -250,9 +245,7 @@ class TangentMap:
     def eval_angle(self, a: float) -> float:
         """Image angle (turns in [0,1)) of the boundary point at angle a."""
         P = self._arc_verts[bisect_right(self._bp_angles, (a + SNAP) % 1.0) - 1]
-        z = rect(1.0, TWO_PI * a)
-        b = phase((P - z) / (1.0 - P.conjugate() * z)) / TWO_PI % 1.0
-        return b if b < 1.0 else 0.0
+        return wrap_turns(_turn(P, a))
 
     def gap_angle(self, a: float) -> float:
         """CCW winding gap from a to its image, in (0, 1) turns.

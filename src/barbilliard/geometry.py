@@ -50,12 +50,6 @@ def wrap_turns(a: float) -> float:
     return a if a < 1.0 else 0.0
 
 
-def ccw_gap(a: float, b: float) -> float:
-    """Counterclockwise gap from angle a to angle b, in (0, 1] turns."""
-    g = (b - a) % 1.0
-    return g if g > 0.0 else 1.0
-
-
 def angular_distance(a: float, b: float) -> float:
     """Shortest circular distance between two angles in turns."""
     d = abs(a - b) % 1.0

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .circlemap import ConvexBody, TangentMap, second_intersection
+from .circlemap import ConvexBody, TangentMap
 from .errors import OutOfRange, PointOnLine, PreconditionFailed
 from .geometry import (
     DiskPoint,
@@ -22,7 +22,6 @@ from .geometry import (
     Triangle,
     _sides_and_drops,
     angular_distance,
-    ccw_gap,
     chord_through,
     delta_n,
 )
@@ -153,21 +152,6 @@ def standard_pentagram(t: float) -> tuple[Triangle, Pentagram]:
     return tri, Pentagram.build(tmap, pts)
 
 
-def ellipse_contact_xs(t: float, v: float) -> tuple[float, float, float, float, float]:
-    """Closed-form abscissas of the five contact points (apex on the left),
-    the cross-check for the points that :func:`ellipse_pentagram` walks."""
-    s = math.sqrt(1.0 - v * v)
-    t2 = t * t
-    t4 = t2 * t2
-    return (
-        s * (t2 - 1.0) / (2.0 * v * t - t2 - 1.0),
-        -s,
-        -s * (t2 - 1.0) / (2.0 * v * t + t2 + 1.0),
-        -s * (t4 - 2.0 * t2 + 1.0) / (4.0 * v * t * t2 + t4 + 4.0 * v * t + 6.0 * t2 + 1.0),
-        s * (t4 - 2.0 * t2 + 1.0) / (4.0 * v * t * t2 - t4 + 4.0 * v * t - 6.0 * t2 - 1.0),
-    )
-
-
 def ellipse_pentagram(t: float, v: float, side: str = "left") -> tuple[Triangle, Pentagram]:
     """Closing configuration with the apex on the order-2 threshold ellipse.
 
@@ -175,7 +159,7 @@ def ellipse_pentagram(t: float, v: float, side: str = "left") -> tuple[Triangle,
     distance to the vertical base equals the order-2 threshold.  The map
     walks the boundary orbit from the contact point at height v on the
     apex's side, and ``Pentagram.build`` checks that the five points kept
-    close; :func:`ellipse_contact_xs` gives their abscissas in closed form.
+    close.
     """
     if not 0.0 < t < 1.0:
         raise OutOfRange(f"parameter must satisfy 0 < t < 1, got {t}")
@@ -244,13 +228,15 @@ def tau_n(p1: DiskPoint, p2: DiskPoint, pt: DiskPoint, n: int) -> TauResult:
     if _chord_distance(pt, ch.a.angle, ch.b.angle) <= 1e-12:
         raise PointOnLine("query point lies on the base line")
     tmap = TangentMap(ConvexBody.segment(p1, p2))
+    turn = TangentMap(ConvexBody.point(pt))
     P = complex(pt.x, pt.y)
     pieces = [pc.then_half_turn(P) for pc in tmap.pieces(2 * n)]
 
     def image(u: float) -> tuple[float, float]:
-        """F^{2n}(u) lifted, and its half-turn about pt lifted after it."""
+        """F^{2n}(u) lifted, and its half-turn about pt lifted after it:
+        the point body's map, stepped by its gap."""
         b = tmap.lift_iter(u, 2 * n)
-        return b, b + ccw_gap(b, second_intersection(IdealPoint(b), pt).angle)
+        return b, b + turn.gap_angle(b % 1.0)
 
     def h(u: float) -> float:
         # the chord distance, signed by the way the half-turn misses u: the

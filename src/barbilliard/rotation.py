@@ -113,7 +113,7 @@ class ZeroScan(NamedTuple):
         for a, b in ((max(c, lo), min(c + _CELL, hi)), (lo, hi)):
             fa, fb = self.f(a), self.f(b)
             if fa == 0.0 or fb == 0.0 or (fa < 0.0) != (fb < 0.0):
-                x = a if fa == 0.0 else b if fb == 0.0 else brentq(self.f, a, b)
+                x = a if fa == 0.0 else b if fb == 0.0 else brentq(self.f, a, b, fa, fb)
                 break
         return _wrap(x), float(self.f(x))
 

@@ -51,8 +51,9 @@ def golden_min(f: Callable[[float], float], lo: float, hi: float) -> tuple[float
     return x, min(fc, fd)
 
 
-def brentq(f: Callable[[float], float], xa: float, xb: float) -> float:
-    """Zero of f in [xa, xb], where f(xa) and f(xb) differ in sign.
+def brentq(f: Callable[[float], float], xa: float, xb: float, fa: float, fb: float) -> float:
+    """Zero of f in [xa, xb], where fa = f(xa) and fb = f(xb) differ in
+    sign; the caller has read them, so f is not read at the ends again.
 
     Brent's method (Brent, 1973, ch. 4), step for step as the classic C
     ``brentq`` routine, so it returns the same floats to the bit.  The
@@ -61,15 +62,15 @@ def brentq(f: Callable[[float], float], xa: float, xb: float) -> float:
     ``RuntimeError`` when ``_BRENT_MAXITER`` steps do not converge.
     """
 
-    def fval(x: float) -> float:
-        fx = float(f(x))
+    def checked(x: float, fx: float) -> float:
+        fx = float(fx)
         if math.isnan(fx):
             raise ValueError(f"f({x}) is NaN")
         return fx
 
     xpre, xcur = float(xa), float(xb)
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = fval(xpre), fval(xcur)
+    fpre, fcur = checked(xpre, fa), checked(xcur, fb)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -108,5 +109,5 @@ def brentq(f: Callable[[float], float], xa: float, xb: float) -> float:
             xcur += scur
         else:
             xcur += delta if sbis > 0.0 else -delta
-        fcur = fval(xcur)
+        fcur = checked(xcur, f(xcur))
     raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations, value is {xcur}")

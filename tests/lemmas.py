@@ -5,7 +5,10 @@ the distance thresholds and the drop.  The proofs behind them also use
 disk isometries, the six-step chain of the canonical triangle with its
 distance ratios, the contraction of the fifth iterate and the closing
 witness of a pentagram.  No command needs them, so they live with the
-tests that check them, next to the oracles of ``conftest``.
+tests that check them, next to the oracles of ``conftest``.  So do three
+closed forms that the package spells otherwise: the chord map of one
+point (the point body's map), the counterclockwise gap of two angles and
+the contact abscissas of the ellipse pentagram (the orbit the map walks).
 
 An isometry is the SU(1,1) pair (a, b) that :mod:`barbilliard.circlemap`
 composes for its pieces: the Mobius map z -> (a z + b)/(conj(b) z +
@@ -23,7 +26,7 @@ from bisect import bisect_right
 from cmath import phase, rect
 from typing import Optional
 
-from barbilliard.circlemap import TangentMap, _compose, second_intersection
+from barbilliard.circlemap import TangentMap, _compose
 from barbilliard.errors import InvalidBody, OutOfRange, PreconditionFailed
 from barbilliard.geometry import (
     SNAP,
@@ -34,7 +37,6 @@ from barbilliard.geometry import (
     _boundary_gap,
     _validated,
     angular_distance,
-    ccw_gap,
     chord_through,
     delta_n,
     foot_and_delta,
@@ -48,6 +50,36 @@ from barbilliard.pentagram import (
     standard_pentagram,
     triangle_map,
 )
+
+
+def ccw_gap(a: float, b: float) -> float:
+    """Counterclockwise gap from angle a to angle b, in (0, 1] turns."""
+    g = (b - a) % 1.0
+    return g if g > 0.0 else 1.0
+
+
+def second_intersection(v: IdealPoint, p: DiskPoint) -> IdealPoint:
+    """Chord map of a single interior point: v across p to the boundary,
+    the Mobius quotient of the half-turn about p written out, which the
+    point body's ``TangentMap(ConvexBody.point(p)).eval_angle`` keeps."""
+    P = complex(p.x, p.y)
+    z = rect(1.0, TWO_PI * v.angle)
+    return IdealPoint(phase((P - z) / (1.0 - P.conjugate() * z)) / TWO_PI)
+
+
+def ellipse_contact_xs(t: float, v: float) -> tuple[float, float, float, float, float]:
+    """Closed-form abscissas of the five contact points (apex on the left),
+    the cross-check for the points that ``ellipse_pentagram`` walks."""
+    s = math.sqrt(1.0 - v * v)
+    t2 = t * t
+    t4 = t2 * t2
+    return (
+        s * (t2 - 1.0) / (2.0 * v * t - t2 - 1.0),
+        -s,
+        -s * (t2 - 1.0) / (2.0 * v * t + t2 + 1.0),
+        -s * (t4 - 2.0 * t2 + 1.0) / (4.0 * v * t * t2 + t4 + 4.0 * v * t + 6.0 * t2 + 1.0),
+        s * (t4 - 2.0 * t2 + 1.0) / (4.0 * v * t * t2 - t4 + 4.0 * v * t - 6.0 * t2 - 1.0),
+    )
 
 
 def _poincare(p: DiskPoint) -> complex:

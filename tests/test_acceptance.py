@@ -29,9 +29,15 @@ from barbilliard import (
     tau_n,
 )
 from barbilliard.geometry import angular_distance
-from barbilliard.pentagram import ellipse_contact_xs, triangle_map
+from barbilliard.pentagram import triangle_map
 from conftest import delta_from_sides, random_convex_polygon, random_triangle, src_env
-from lemmas import ideal_chain, normalize_pair, one_sided_slopes, orbit_derivative_product
+from lemmas import (
+    ellipse_contact_xs,
+    ideal_chain,
+    normalize_pair,
+    one_sided_slopes,
+    orbit_derivative_product,
+)
 from test_pentagram import brute_tau_signs
 
 SQRT5 = math.sqrt(5.0)

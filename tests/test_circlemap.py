@@ -18,7 +18,6 @@ from barbilliard import (
     circlemap,
     cli,
     ellipse_pentagram,
-    second_intersection,
     standard_pentagram,
 )
 from barbilliard.circlemap import (
@@ -30,7 +29,7 @@ from barbilliard.circlemap import (
     _turn,
 )
 from barbilliard.errors import PreconditionFailed
-from barbilliard.geometry import SNAP, TWO_PI, angular_distance, ccw_gap
+from barbilliard.geometry import SNAP, TWO_PI, angular_distance
 from barbilliard.pentagram import triangle_map
 from barbilliard.rotation import _certify, _dedupe_cyclic
 from conftest import (
@@ -42,7 +41,7 @@ from conftest import (
     random_disk_points,
     random_triangle,
 )
-from lemmas import one_sided_slopes
+from lemmas import ccw_gap, one_sided_slopes, second_intersection
 
 SQRT7 = math.sqrt(7.0)
 
@@ -59,18 +58,24 @@ def canonical_map(t):
     return TangentMap(ConvexBody.polygon(tri.vertices))
 
 
+def point_map(p: DiskPoint, a: float) -> IdealPoint:
+    """The half-turn about p of the boundary point at angle a, as the
+    package spells it: the point body's map."""
+    return IdealPoint(TangentMap(ConvexBody.point(p)).eval_angle(a))
+
+
 class TestSecondIntersection:
     def test_antipode_through_center(self):
-        w = second_intersection(IdealPoint(0.0), DiskPoint(0.0, 0.0))
+        w = point_map(DiskPoint(0.0, 0.0), 0.0)
         assert w.angle == pytest.approx(0.5, abs=1e-12)
 
     def test_high_point(self):
-        w = second_intersection(IdealPoint.from_xy(1.0, 0.0), DiskPoint(0.0, 0.9))
+        w = point_map(DiskPoint(0.0, 0.9), IdealPoint.from_xy(1.0, 0.0).angle)
         assert w.xy[0] == pytest.approx(-0.19 / 1.81, abs=1e-12)
         assert w.xy[1] == pytest.approx(1.8 / 1.81, abs=1e-12)
 
     def test_diameter(self):
-        w = second_intersection(IdealPoint.from_xy(1.0, 0.0), DiskPoint(0.5, 0.0))
+        w = point_map(DiskPoint(0.5, 0.0), IdealPoint.from_xy(1.0, 0.0).angle)
         assert w.xy[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_collinearity(self, rng):
@@ -78,12 +83,26 @@ class TestSecondIntersection:
             v = IdealPoint(float(rng.uniform(0, 1)))
             x, y = rng.uniform(-0.6, 0.6, 2)
             p = DiskPoint(float(x), float(y))
-            w = second_intersection(v, p)
+            w = point_map(p, v.angle)
             vx, vy = v.xy
             wx, wy = w.xy
             cross = (wx - vx) * (p.y - vy) - (wy - vy) * (p.x - vx)
             assert abs(cross) < 1e-12
             assert angular_distance(v.angle, w.angle) > 1e-9
+
+    def test_point_body_is_the_chord_map_to_the_bit(self):
+        """The point body's map is the closed-form chord map of its one
+        point, bit for bit, at seeded points and angles, boundary and wrap
+        included: the package keeps no second spelling of it."""
+        rnd = random.Random(11)
+        angles = [0.0, 0.25, 0.5, 1.0 - 2.0 ** -53] + [rnd.random() for _ in range(40)]
+        for _ in range(60):
+            r, phi = 0.999 * math.sqrt(rnd.random()), TWO_PI * rnd.random()
+            p = DiskPoint(r * math.cos(phi), r * math.sin(phi))
+            tmap = TangentMap(ConvexBody.point(p))
+            for a in angles:
+                want = second_intersection(IdealPoint(a), p).angle
+                assert tmap.eval_angle(a).hex() == want.hex()
 
 
 class TestBuildTangentMap:

@@ -27,13 +27,15 @@ from barbilliard import (
     standard_pentagram,
     tau_n,
 )
-from barbilliard.geometry import angular_distance, ccw_gap
-from barbilliard.pentagram import ellipse_contact_xs, triangle_map
+from barbilliard.geometry import angular_distance
+from barbilliard.pentagram import triangle_map
 from barbilliard.rotation import _certify
 from conftest import disk_xy, mp_lift, mp_newton_step, mp_turn, random_triangle
 from lemmas import (
+    ccw_gap,
     contraction_check,
     edge_incidence,
+    ellipse_contact_xs,
     ideal_chain,
     normalize_pair,
     one_sided_slopes,

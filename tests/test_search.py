@@ -44,7 +44,7 @@ def test_matches_scipy_bit_for_bit(monkeypatch, seed):
         maxiter = rng.choice([100, 100, 100, 3])
         monkeypatch.setattr(search, "_BRENT_MAXITER", maxiter)
         want = _solve(scipy_optimize.brentq, f, lo, hi, maxiter=maxiter, **TOLS)
-        got = _solve(brentq, f, lo, hi)
+        got = _solve(brentq, f, lo, hi, f(lo), f(hi))
         assert got == want, (a, b, c, lo, hi, maxiter)
         outcomes.add(got[0])
     assert outcomes == {"root", "ValueError", "RuntimeError"}
@@ -59,24 +59,25 @@ def test_zero_at_an_endpoint():
     for lo, hi in ((0.25, 1.0), (-1.0, 0.25)):
         f = lambda x: x - 0.25  # noqa: E731
         want = _solve(scipy_optimize.brentq, f, lo, hi, **TOLS)
-        assert _solve(brentq, f, lo, hi) == want == ("root", 0.25)
+        assert _solve(brentq, f, lo, hi, f(lo), f(hi)) == want == ("root", 0.25)
 
 
 def test_same_sign_bracket_raises():
     with pytest.raises(ValueError):
         scipy_optimize.brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-13)
     with pytest.raises(ValueError):
-        brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+        brentq(lambda x: x * x + 1.0, -1.0, 1.0, 2.0, 2.0)
 
 
 def test_returns_plain_float_for_numpy_bounds():
-    x = brentq(lambda u: np.float64(u) - 0.3, np.float64(0.0), np.float64(1.0))
+    x = brentq(lambda u: np.float64(u) - 0.3, np.float64(0.0), np.float64(1.0),
+               np.float64(-0.3), np.float64(0.7))
     assert type(x) is float
 
 
 def test_nan_value_rejected():
     with pytest.raises(ValueError, match="NaN"):
-        brentq(lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0)
+        brentq(lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0, -0.75, math.nan)
 
 
 @pytest.mark.parametrize("lo, hi, c", [(0.0, 1.0, 0.3141592653589793), (0.0, 1.0, 0.9),

@@ -1,10 +1,10 @@
 """The package source parses as Python 3.10, the oldest version that
 ``pyproject.toml`` allows, whichever interpreter runs the suite, it
 names each operation once, every module is loaded by an entry point,
-every public function, class and method is used in the package, called
-by the benchmark or listed as library API, every error class is raised
-somewhere, and only the zero scan reads the pieces' critical points and
-calls the searches that refine its zeros."""
+every public function, class and method is used in the package or
+called by the benchmark, every error class is raised somewhere, and
+only the zero scan reads the pieces' critical points and calls the
+searches that refine its zeros."""
 
 import ast
 import importlib
@@ -75,15 +75,6 @@ BENCHMARK_ONLY = {
     "golden_min": "benchmark/tracing.py",
 }
 
-#: library API that no command runs and the benchmark does not call, each
-#: with a test file that relies on it: a point body's map is the closed-form
-#: oracle of the rotation, circle-map, value-type and figure tests, and the
-#: contact abscissas that of the ellipse pentagram the map walks
-LIBRARY_API = {
-    "ConvexBody.point": "tests/test_rotation.py",
-    "ellipse_contact_xs": "tests/test_pentagram.py",
-}
-
 
 def _unreferenced(sources=None) -> set:
     """The public module-level functions and classes, and the public methods
@@ -118,25 +109,24 @@ def _unreferenced(sources=None) -> set:
 
 def test_no_public_name_goes_unused():
     """Code that no command runs is deleted, not kept for tests: a public
-    name that nothing in the package uses must be one the benchmark calls
-    or listed library API, and both lists are exact, so they cannot go
-    stale either way."""
-    assert _unreferenced() == set(BENCHMARK_ONLY) | set(LIBRARY_API)
-    assert not set(BENCHMARK_ONLY) & set(LIBRARY_API)
+    name that nothing in the package uses must be one the benchmark calls,
+    and the list is exact, so it cannot go stale either way."""
+    assert _unreferenced() == set(BENCHMARK_ONLY)
     repo = pathlib.Path(__file__).resolve().parents[1]
-    for qual, user in {**BENCHMARK_ONLY, **LIBRARY_API}.items():
+    for qual, user in BENCHMARK_ONLY.items():
         assert qual.rpartition(".")[2] in (repo / user).read_text(), (qual, user)
 
 
 def test_a_method_named_like_a_flag_is_still_unused():
-    """``args.point`` and cli's local ``point`` do not use a method named
-    ``point``: one planted on ``TangentMap`` is reported."""
+    """``args.steps`` and the local ``steps`` of cli and circlemap do not
+    use a method named ``steps``: one planted on ``TangentMap`` is
+    reported."""
     sources = {p: p.read_text() for p in MODULES}
     path = next(p for p in MODULES if p.name == "circlemap.py")
     head, sep, tail = sources[path].partition("class TangentMap")
     body, sep2, rest = tail.partition("\n    def ")
-    sources[path] = head + sep + body + "\n    def point(self):\n        return 0\n" + sep2 + rest
-    assert "TangentMap.point" in _unreferenced(sources)
+    sources[path] = head + sep + body + "\n    def steps(self):\n        return 0\n" + sep2 + rest
+    assert "TangentMap.steps" in _unreferenced(sources)
 
 
 def test_every_error_class_is_raised():
