@@ -9,6 +9,7 @@ hyperbolic distance conditions governing the 1/3 and 2/5 regimes.
 from .circlemap import ConvexBody, TangentMap
 from .errors import (
     BarBilliardError,
+    InvalidArgument,
     InvalidBody,
     OutOfRange,
     OutOfTheoreticalRange,

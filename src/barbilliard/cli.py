@@ -18,13 +18,7 @@ import sys
 from typing import Optional
 
 from .circlemap import ITERATION_BUDGET
-from .errors import (
-    BarBilliardError,
-    InvalidBody,
-    OutOfRange,
-    PointOnLine,
-    PreconditionFailed,
-)
+from .errors import BarBilliardError, InvalidArgument, InvalidBody, OutOfTheoreticalRange
 from .geometry import EPS_BOUNDARY, DiskPoint, IdealPoint, Triangle, delta_n, fmt, hyp_distance
 from .pentagram import (
     conjecture_check,
@@ -38,24 +32,10 @@ def _round12(x: float) -> float:
     return float(fmt(x))
 
 
-class CliError(Exception):
-    def __init__(self, code: str, message: str, exit_code: int = 2):
-        super().__init__(message)
-        self.code = code
-        self.exit_code = exit_code
-
-
-def _emit_error(err: CliError) -> int:
-    print(json.dumps({"error": err.code, "message": str(err)}, sort_keys=True))
-    return err.exit_code
-
-
 def _check_budget(iters: int) -> None:
     """Reject an --iters value no run could honour, before any work."""
     if not 1 <= iters <= ITERATION_BUDGET:
-        raise CliError(
-            "InvalidArgument", f"--iters must be in [1, {ITERATION_BUDGET}], got {iters}"
-        )
+        raise InvalidArgument(f"--iters must be in [1, {ITERATION_BUDGET}], got {iters}")
 
 
 def _number(text: str, flag: str, kind=float):
@@ -64,9 +44,9 @@ def _number(text: str, flag: str, kind=float):
     try:
         value = kind(text)
     except ValueError as exc:
-        raise CliError("InvalidArgument", f"{flag}: not a number: {text!r}") from exc
+        raise InvalidArgument(f"{flag}: not a number: {text!r}") from exc
     if not math.isfinite(value):
-        raise CliError("InvalidArgument", f"{flag}: not a finite number: {text!r}")
+        raise InvalidArgument(f"{flag}: not a finite number: {text!r}")
     return value
 
 
@@ -74,20 +54,20 @@ def _numbers(text: str, flag: str, shape: str) -> list[float]:
     """A flag's comma-separated numbers, as many as ``shape`` names."""
     vals = [_number(v, flag) for v in text.split(",")]
     if len(vals) != shape.count(",") + 1:
-        raise CliError("InvalidArgument", f"{flag} needs {shape}")
+        raise InvalidArgument(f"{flag} needs {shape}")
     return vals
 
 
 def _triangle_from_args(args) -> tuple[Triangle, Optional[float], Optional[float]]:
     given = (args.vertices is not None, args.t is not None, args.r is not None)
     if given not in ((True, False, False), (False, True, True)):
-        raise CliError("InvalidArgument", "give either --vertices or both --t and --r")
+        raise InvalidArgument("give either --vertices or both --t and --r")
     if args.vertices is not None:
         v = _numbers(args.vertices, "--vertices", "x1,y1,x2,y2,x3,y3")
         return Triangle(*(DiskPoint(*v[i:i + 2]) for i in (0, 2, 4))), None, None
     t, r = _number(args.t, "--t"), _number(args.r, "--r")
     if not 0.0 < t < 1.0:
-        raise CliError("InvalidArgument", f"--t must be in (0, 1), got {t}")
+        raise InvalidArgument(f"--t must be in (0, 1), got {t}")
     tri = Triangle(DiskPoint(0.0, t), DiskPoint(0.0, -t), DiskPoint(r, 0.0))
     return tri, t, r
 
@@ -222,18 +202,19 @@ def _relative_radius(t: float, frac: float) -> float:
         x_inner = math.tanh(delta_n(d, 2))
         x = x_inner + frac * (math.tanh(0.5 * delta_n(d, 1)) - x_inner)
     if not x * x < 1.0 - EPS_BOUNDARY:  # as DiskPoint would reject the apex
-        raise CliError("InvalidArgument",
-                       f"--t {t} with --r {frac} puts the apex on or outside the unit circle")
+        raise InvalidArgument(
+            f"--t {t} with --r {frac} puts the apex on or outside the unit circle")
     return x
 
 
 def _write(path: str, text: str) -> None:
-    """Write a command's output file; a failure is an IOFailure (exit 3)."""
+    """Write a command's output file; a failure is an OSError that names
+    the path, so an IOFailure (exit 3)."""
     try:
         with open(path, "w", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise CliError("IOFailure", f"cannot write {path}: {exc}", exit_code=3) from exc
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 def _usable_cpus() -> int:
@@ -318,17 +299,17 @@ def _rows(cells: list, workers: int) -> list:
 
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
-        raise CliError("InvalidArgument", f"--jobs must be >= 1, got {args.jobs}")
+        raise InvalidArgument(f"--jobs must be >= 1, got {args.jobs}")
     t_lo, t_hi, t_steps = _parse_range(args.t_range, "--t")
     r_lo, r_hi, r_steps = _parse_range(args.r_range, "--r")
     if not 0.0 < t_lo <= t_hi < 1.0:
-        raise CliError("InvalidArgument", "t range must satisfy 0 < lo <= hi < 1")
+        raise InvalidArgument("t range must satisfy 0 < lo <= hi < 1")
     if t_steps < 1 or r_steps < 1:
-        raise CliError("InvalidArgument", "grid steps must be >= 1")
+        raise InvalidArgument("grid steps must be >= 1")
     if args.iters < 1000:
-        raise CliError("InvalidArgument", "sweep needs --iters >= 1000")
+        raise InvalidArgument("sweep needs --iters >= 1000")
     if args.seed is not None and args.seed < 0:
-        raise CliError("InvalidArgument", f"--seed must be >= 0, got {args.seed}")
+        raise InvalidArgument(f"--seed must be >= 0, got {args.seed}")
     _check_budget(args.iters)
 
     if args.seed is not None:
@@ -364,13 +345,13 @@ def cmd_sweep(args) -> int:
 
 def _parse_range(text: Optional[str], flag: str) -> tuple[float, float, int]:
     if text is None:
-        raise CliError("InvalidArgument", f"{flag} range is required (lo:hi[:steps])")
+        raise InvalidArgument(f"{flag} range is required (lo:hi[:steps])")
     parts = text.split(":")
     if len(parts) == 2:
         return _number(parts[0], flag), _number(parts[1], flag), 10
     if len(parts) == 3:
         return _number(parts[0], flag), _number(parts[1], flag), _number(parts[2], flag, int)
-    raise CliError("InvalidArgument", f"{flag} must look like lo:hi or lo:hi:steps")
+    raise InvalidArgument(f"{flag} must look like lo:hi or lo:hi:steps")
 
 
 def cmd_tau(args) -> int:
@@ -396,7 +377,7 @@ def cmd_render(args) -> int:
 
     tri, _, _ = _triangle_from_args(args)
     if args.steps < 0 or args.steps > 10_000:
-        raise CliError("InvalidArgument", "--steps must be in [0, 10000]")
+        raise InvalidArgument("--steps must be in [0, 10000]")
     start = IdealPoint(_number(args.start, "--start"))
     tmap = triangle_map(tri)
     orbits = detect_period5(tmap).orbits
@@ -469,16 +450,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as err:
-        return _emit_error(err)
-    except InvalidBody as err:
-        return _emit_error(CliError("DegenerateBody", str(err)))
-    except (OutOfRange, PointOnLine, PreconditionFailed) as err:
-        return _emit_error(CliError(type(err).__name__, str(err)))
-    except OSError as err:
-        return _emit_error(CliError("IOFailure", str(err), exit_code=3))
-    except (BarBilliardError, RuntimeError) as err:
-        return _emit_error(CliError(type(err).__name__, str(err), exit_code=4))
+    except (BarBilliardError, OSError, RuntimeError) as err:
+        # a bad input exits 2, an I/O failure 3 and a bug 4
+        if isinstance(err, OSError):
+            name, code = "IOFailure", 3
+        else:
+            name = "DegenerateBody" if isinstance(err, InvalidBody) else type(err).__name__
+            code = 4 if isinstance(err, (OutOfTheoreticalRange, RuntimeError)) else 2
+        print(json.dumps({"error": name, "message": str(err)}, sort_keys=True))
+        return code
 
 
 if __name__ == "__main__":

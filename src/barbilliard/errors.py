@@ -1,9 +1,14 @@
 """Exception hierarchy shared by all modules: one class per outcome the
-command line reports."""
+command line reports, but for an I/O failure, which is any OSError."""
 
 
 class BarBilliardError(Exception):
     """Base class for every error raised by this package."""
+
+
+class InvalidArgument(BarBilliardError):
+    """A command-line flag is missing, malformed, out of range or at odds
+    with another flag."""
 
 
 class InvalidBody(BarBilliardError):

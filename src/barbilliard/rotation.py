@@ -103,8 +103,8 @@ class ZeroScan(NamedTuple):
         """A located zero's angle and f there.  A tangency as located.  A
         sign change is polished by brentq on the first bracket where f
         changes sign, its _CELL-turn cell inside its stretch, then the
-        stretch; with neither it keeps its closed form.  The fixed cell keeps
-        its bits free of the closed form's.  f is read there, then x wrapped."""
+        stretch; with neither it keeps its closed form, where f is read.  The
+        fixed cell keeps its bits free of the closed form's."""
         if zero.kind == "tangency":
             return zero.x, zero.residual
         x, lo, hi = zero.span
@@ -113,8 +113,8 @@ class ZeroScan(NamedTuple):
         for a, b in ((max(c, lo), min(c + _CELL, hi)), (lo, hi)):
             fa, fb = self.f(a), self.f(b)
             if fa == 0.0 or fb == 0.0 or (fa < 0.0) != (fb < 0.0):
-                x = a if fa == 0.0 else b if fb == 0.0 else brentq(self.f, a, b, fa, fb)
-                break
+                x, fx = brentq(self.f, a, b, fa, fb)
+                return _wrap(x), fx
         return _wrap(x), float(self.f(x))
 
 

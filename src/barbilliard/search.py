@@ -51,9 +51,10 @@ def golden_min(f: Callable[[float], float], lo: float, hi: float) -> tuple[float
     return x, min(fc, fd)
 
 
-def brentq(f: Callable[[float], float], xa: float, xb: float, fa: float, fb: float) -> float:
-    """Zero of f in [xa, xb], where fa = f(xa) and fb = f(xb) differ in
-    sign; the caller has read them, so f is not read at the ends again.
+def brentq(f: Callable[[float], float], xa: float, xb: float, fa: float,
+           fb: float) -> tuple[float, float]:
+    """(x, f(x)) at a zero x of f in [xa, xb], where fa = f(xa) and fb = f(xb)
+    differ in sign; the caller has read them, so f is not read at the ends again.
 
     Brent's method (Brent, 1973, ch. 4), step for step as the classic C
     ``brentq`` routine, so it returns the same floats to the bit.  The
@@ -72,9 +73,9 @@ def brentq(f: Callable[[float], float], xa: float, xb: float, fa: float, fb: flo
     xblk = fblk = spre = scur = 0.0
     fpre, fcur = checked(xpre, fa), checked(xcur, fb)
     if fpre == 0.0:
-        return xpre
+        return xpre, fpre
     if fcur == 0.0:
-        return xcur
+        return xcur, fcur
     # f values are nonzero and not NaN from here on, so `< 0` is the sign bit
     if (fpre < 0.0) == (fcur < 0.0):
         raise ValueError("f(a) and f(b) must have different signs")
@@ -88,7 +89,7 @@ def brentq(f: Callable[[float], float], xa: float, xb: float, fa: float, fb: flo
         delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
         if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
+            return xcur, fcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:
                 # interpolate

@@ -803,6 +803,9 @@ class TestPiecesFromTaggedCuts:
         ("standard-threshold", 64, 4e-11, 1e-8),
         ("random-segments", 34, 1e-10, 1e-10),
         ("random-segments", 64, 2e-7, 0.1),
+        pytest.param("random-segments-seed-5", 34, 1e-10, 1e-10, marks=pytest.mark.xfail(
+            strict=True, reason="FOUND in CHANGES.md: tagged pieces of F^34 on some segment "
+                                "maps miss the 80-digit walk by far more than 1e-10 turns")),
     ])
     def test_differing_wide_pieces_against_an_80_digit_walk(
             self, name, q, tagged_bound, walked_least):
@@ -813,10 +816,12 @@ class TestPiecesFromTaggedCuts:
         segments off the axis that ``random.Random(3)`` draws, at q = 34
         and 64), while the walked map is off by at least the second figure
         (measured: 1.6e-8, 3.4e-10 and 0.42).  The q = 34 bound holds on
-        that draw only: other seeds' segments miss by up to 3.4e-7."""
+        that draw only: ``random.Random(5)``'s segments miss by 3.4e-7, a
+        strict xfail until the tagged pieces resolve them."""
         mpmath = pytest.importorskip("mpmath")
-        if name == "random-segments":
-            rng = random.Random(3)
+        seeds = {"random-segments": 3, "random-segments-seed-5": 5}
+        if name in seeds:
+            rng = random.Random(seeds[name])
             maps = [TangentMap(ConvexBody.segment(DiskPoint(*disk_xy(rng, 0.9)),
                                                   DiskPoint(*disk_xy(rng, 0.9))))
                     for _ in range(20)]

@@ -142,6 +142,7 @@ class TestRho:
 
     #: the JSON error name and exit code of each package error class
     OUTCOMES = {
+        "InvalidArgument": ("InvalidArgument", 2),
         "InvalidBody": ("DegenerateBody", 2),
         "OutOfRange": ("OutOfRange", 2),
         "PointOnLine": ("PointOnLine", 2),
@@ -672,6 +673,96 @@ def test_cli_reproduces_pinned_output(case, capsys):
         assert out == case["stdout"]
     else:
         assert json.loads(out)["count"] == case["count"]
+
+
+SWEEP_2X2 = ["sweep", "--t", "0.88:0.92:2", "--r=-0.03:-0.01:2", "--iters", "1500"]
+OUT_CSV = ["--out", "{tmp}/x.csv"]
+
+
+#: each refusal's argv, exit code and stdout line, ``{tmp}`` standing for a
+#: temporary directory: one case per ``raise`` site in ``cli`` and per
+#: package error class that a command reaches.  The sweep worker that dies
+#: before it sends its rows is ``test_sweep_worker_killed_by_a_signal_exits_4``,
+#: and ``OutOfTheoreticalRange``, which no input reaches, is
+#: ``test_invariant_breach_exits_4_with_json``.
+REFUSALS = {
+    "iters-budget": (["rho", "--t", "0.9", "--r=-0.02", "--iters", "0"], 2,
+                     '{"error": "InvalidArgument", "message": '
+                     '"--iters must be in [1, 10000000], got 0"}'),
+    "not-a-number": (["rho", "--t", "abc", "--r=-0.02"], 2,
+                     '{"error": "InvalidArgument", "message": "--t: not a number: \'abc\'"}'),
+    "not-finite": (["verify", "--t", "0.9", "--r=nan"], 2,
+                   '{"error": "InvalidArgument", "message": "--r: not a finite number: \'nan\'"}'),
+    "vertex-count": (["rho", "--vertices=0,0.5,0.5,0,-0.5"], 2,
+                     '{"error": "InvalidArgument", "message": '
+                     '"--vertices needs x1,y1,x2,y2,x3,y3"}'),
+    "triangle-spec": (["rho", "--t", "0.9"], 2,
+                      '{"error": "InvalidArgument", "message": '
+                      '"give either --vertices or both --t and --r"}'),
+    "t-range": (["verify", "--t", "1.0", "--r=-0.02"], 2,
+                '{"error": "InvalidArgument", "message": "--t must be in (0, 1), got 1.0"}'),
+    "sweep-jobs": ([*SWEEP_2X2, "--jobs", "0", *OUT_CSV], 2,
+                   '{"error": "InvalidArgument", "message": "--jobs must be >= 1, got 0"}'),
+    "sweep-t-order": (["sweep", "--t", "0.92:0.88:2", "--r=-0.03:-0.01:2", *OUT_CSV], 2,
+                      '{"error": "InvalidArgument", "message": '
+                      '"t range must satisfy 0 < lo <= hi < 1"}'),
+    "sweep-steps": (["sweep", "--t", "0.88:0.92:0", "--r=-0.03:-0.01:2", *OUT_CSV], 2,
+                    '{"error": "InvalidArgument", "message": "grid steps must be >= 1"}'),
+    "sweep-iters": ([*SWEEP_2X2, "--iters", "10", *OUT_CSV], 2,
+                    '{"error": "InvalidArgument", "message": "sweep needs --iters >= 1000"}'),
+    "sweep-seed": ([*SWEEP_2X2, "--seed", "-1", *OUT_CSV], 2,
+                   '{"error": "InvalidArgument", "message": "--seed must be >= 0, got -1"}'),
+    "sweep-no-range": (["sweep", "--r=-0.03:-0.01:2", *OUT_CSV], 2,
+                       '{"error": "InvalidArgument", "message": '
+                       '"--t range is required (lo:hi[:steps])"}'),
+    "sweep-range-shape": (["sweep", "--t", "0.88", "--r=-0.03:-0.01:2", *OUT_CSV], 2,
+                          '{"error": "InvalidArgument", "message": '
+                          '"--t must look like lo:hi or lo:hi:steps"}'),
+    "sweep-apex-on-circle": (["sweep", "--t", "1e-20:1e-20:1", "--r", "0.5:0.5:1",
+                              "--r-mode", "relative_interval", *OUT_CSV], 2,
+                             '{"error": "InvalidArgument", "message": "--t 1e-20 with --r 0.5 '
+                             'puts the apex on or outside the unit circle"}'),
+    "render-steps": (["render", "--t", "0.5", "--r=-0.2", "--steps", "20000",
+                      "--out", "{tmp}/x.svg"], 2,
+                     '{"error": "InvalidArgument", "message": "--steps must be in [0, 10000]"}'),
+    "sweep-unwritable": ([*SWEEP_2X2, "--out", "{tmp}/missing/x.csv"], 3,
+                         '{"error": "IOFailure", "message": "cannot write {tmp}/missing/x.csv: '
+                         '[Errno 2] No such file or directory: \'{tmp}/missing/x.csv\'"}'),
+    "render-unwritable": (["render", "--t", "0.9", "--r=-0.02", "--out", "{tmp}/missing/x.svg"],
+                          3, '{"error": "IOFailure", "message": "cannot write {tmp}/missing/x.svg: '
+                          '[Errno 2] No such file or directory: \'{tmp}/missing/x.svg\'"}'),
+    "degenerate-body": (["rho", "--vertices", "0,0.5,0,-0.5,0,0"], 2,
+                        '{"error": "DegenerateBody", "message": '
+                        '"triangle is degenerate (collinear vertices)"}'),
+    "out-of-range": (["tau", "--pair=0,0.9,0,-0.9", "--point=-0.02,0", "--n", "33"], 2,
+                     '{"error": "OutOfRange", "message": '
+                     '"fold order must be an integer in [1, 32], got 33"}'),
+    "point-on-line": (["tau", "--pair=0,0.9,0,-0.9", "--point=0,0.2"], 2,
+                      '{"error": "PointOnLine", "message": "query point lies on the base line"}'),
+    "precondition-failed": (["tau", "--pair=0,0.9,0,-0.9", "--point=-0.02,0", "--n", "9"], 2,
+                            '{"error": "PreconditionFailed", "message": "an extremum at '
+                            '0.749999999999 lies within 1e-12 turns of a cut, beyond float '
+                            'resolution"}'),
+    "cell-degenerate": (["sweep", "--t", "0.5:0.6:2", "--r=-0.1:0.1:5", "--iters", "1500",
+                         *OUT_CSV], 2,
+                        '{"error": "DegenerateBody", "message": '
+                        '"cell t=0.5 r=0: triangle is degenerate (collinear vertices)"}'),
+    "cell-precondition": (["sweep", "--t", "1e-9:0.9:2", "--r", "0.5:0.5:5",
+                           "--r-mode", "relative_interval", *OUT_CSV], 2,
+                          '{"error": "PreconditionFailed", "message": "cell t=1e-09 '
+                          'r=-0.999999999: an extremum at 0.499999999841 lies within 1e-12 '
+                          'turns of a cut, beyond float resolution"}'),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_refusal_exit_code_and_line(tmp_path, capsys, name):
+    """Each refusal prints one JSON line, byte for byte as recorded, exits
+    with its code and writes no file."""
+    argv, code, line = REFUSALS[name]
+    assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == code
+    assert capsys.readouterr().out == line.replace("{tmp}", str(tmp_path)) + "\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestTauCmd:

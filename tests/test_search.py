@@ -31,6 +31,17 @@ def _solve(solver, *args, **kwargs):
         return (type(exc).__name__,)
 
 
+def _ours(f, lo, hi):
+    """``_solve`` of the package's brentq given the end values, its zero
+    alone once its second value is checked to be f at the zero."""
+    got = _solve(brentq, f, lo, hi, f(lo), f(hi))
+    if got[0] != "root":
+        return got
+    x, fx = got[1]
+    assert fx == f(x), (x, fx)
+    return ("root", x)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_matches_scipy_bit_for_bit(monkeypatch, seed):
     """Brent's method at the package's tolerances, its step cap cut to 3
@@ -44,7 +55,7 @@ def test_matches_scipy_bit_for_bit(monkeypatch, seed):
         maxiter = rng.choice([100, 100, 100, 3])
         monkeypatch.setattr(search, "_BRENT_MAXITER", maxiter)
         want = _solve(scipy_optimize.brentq, f, lo, hi, maxiter=maxiter, **TOLS)
-        got = _solve(brentq, f, lo, hi, f(lo), f(hi))
+        got = _ours(f, lo, hi)
         assert got == want, (a, b, c, lo, hi, maxiter)
         outcomes.add(got[0])
     assert outcomes == {"root", "ValueError", "RuntimeError"}
@@ -59,7 +70,7 @@ def test_zero_at_an_endpoint():
     for lo, hi in ((0.25, 1.0), (-1.0, 0.25)):
         f = lambda x: x - 0.25  # noqa: E731
         want = _solve(scipy_optimize.brentq, f, lo, hi, **TOLS)
-        assert _solve(brentq, f, lo, hi, f(lo), f(hi)) == want == ("root", 0.25)
+        assert _ours(f, lo, hi) == want == ("root", 0.25)
 
 
 def test_same_sign_bracket_raises():
@@ -70,9 +81,10 @@ def test_same_sign_bracket_raises():
 
 
 def test_returns_plain_float_for_numpy_bounds():
-    x = brentq(lambda u: np.float64(u) - 0.3, np.float64(0.0), np.float64(1.0),
-               np.float64(-0.3), np.float64(0.7))
-    assert type(x) is float
+    x, fx = brentq(lambda u: np.float64(u) - 0.3, np.float64(0.0), np.float64(1.0),
+                   np.float64(-0.3), np.float64(0.7))
+    assert (type(x), type(fx)) == (float, float)
+    assert fx == x - 0.3
 
 
 def test_nan_value_rejected():
