@@ -275,19 +275,23 @@ class TangentMap:
         an angle exactly (on a locked rotation number every orbit is drawn
         to a periodic one) its gaps repeat too.  Brent's cycle detection
         (Brent, BIT 20, 1980) compares each angle with the one saved at the
-        last power-of-two step.  At a repeat lam steps after the saved
-        angle, one more lap collects the cycle's lam gaps, and the remaining
-        steps add them in orbit order, whole laps a binade at a time
-        (``_add_laps``): the sum is bit-identical to stepping all n.  Orbits
-        that never repeat exactly (unlocked, or semi-stable and converging
-        too slowly) are stepped all n.
+        last power-of-two step: the steps run in blocks that end at steps
+        1, 2, 4, 8, ..., each comparing with the angle saved at its start.
+        At a repeat lam steps after the saved angle, one more lap collects
+        the cycle's lam gaps, and the remaining steps add them in orbit
+        order, whole laps a binade at a time (``_add_laps``): the sum is
+        bit-identical to stepping all n.  Orbits that never repeat exactly
+        (unlocked, or semi-stable and converging too slowly) are stepped
+        all n.
 
         Each step is :meth:`gap_angle` taken inline, in its float
         operations and their order; on a triangle's three breakpoints two
-        comparisons find the arc that ``bisect_right`` finds.  The step
-        must keep :meth:`gap_angle`'s bits: the replay collects the cycle's
-        gaps through it, so a step rounded otherwise would replay a cycle
-        it never stepped.
+        comparisons find the arc that ``bisect_right`` finds, which picks
+        it on other bodies.  An angle in [0, 1] and SNAP or a gap in (0, 1)
+        sum below 2, so subtracting 1 from a sum at or past 1 is exact and
+        wraps it as ``% 1.0`` does.  The step must keep :meth:`gap_angle`'s
+        bits: the replay collects the cycle's gaps through it, so a step
+        rounded otherwise would replay a cycle it never stepped.
         """
         if n < 0 or n > ITERATION_BUDGET:
             raise OutOfRange(f"lift iteration count {n} out of budget")
@@ -296,24 +300,30 @@ class TangentMap:
         if three:
             b0, b1, b2 = bps
             P0, P1, P2 = arcs
+        snap, turn, arg, pi, back = SNAP, rect, phase, math.pi, -TWO_PI
         a = x % 1.0
-        total = 0.0
-        saved_a, saved_k, next_save = a, 0, 1
-        for k in range(1, n + 1):
-            s = (a + SNAP) % 1.0
-            if three:
-                P = (P0 if s >= b0 else P2) if s < b1 else P1 if s < b2 else P2
-            else:
-                P = arcs[bisect_right(bps, s) - 1]
-            g = 0.5 + phase(1.0 - P * rect(1.0, -TWO_PI * a)) / math.pi
-            total += g
-            a = (a + g) % 1.0
-            if a == saved_a:
-                break
-            if k == next_save:
-                saved_a, saved_k, next_save = a, k, 2 * k
+        total, k, end = 0.0, 0, 1
+        while k < n:
+            saved_a, saved_k = a, k
+            for k in range(k + 1, (end if end < n else n) + 1):
+                s = a + snap
+                if s >= 1.0:
+                    s -= 1.0
+                P = (((P0 if s >= b0 else P2) if s < b1 else P1 if s < b2 else P2) if three
+                     else arcs[bisect_right(bps, s) - 1])
+                g = 0.5 + arg(1.0 - P * turn(1.0, back * a)) / pi
+                total += g
+                a += g
+                if a >= 1.0:
+                    a -= 1.0
+                if a == saved_a:
+                    break
+            else:  # no repeat in this block: save the angle, run the next
+                end += end
+                continue
+            break  # a repeat: collect its lap
         else:
-            return x + total
+            return x + total  # no repeat within n steps
         gaps = []
         for _ in range(min(k - saved_k, n - k)):
             gaps.append(self.gap_angle(a))
@@ -381,9 +391,13 @@ class TangentMap:
         for p, g in enumerate(tags or [[]]):
             for k in g:
                 steps[k // m] = turns[k % m]
-            for j in range(min(g, default=m * n) // m if p else 0, n):
-                prefix[j + 1] = _compose(steps[j], prefix[j])
-            pieces.append(Piece(ends[p], ends[p + 1], *prefix[n]))
+            start = min(g, default=m * n) // m if p else 0
+            a, b = prefix[start]
+            for j in range(start, n):  # _compose(steps[j], prefix[j]), inline
+                sa, sb = steps[j]
+                a, b = sa * a + sb * b.conjugate(), sa * b + sb * a.conjugate()
+                prefix[j + 1] = a, b
+            pieces.append(Piece(ends[p], ends[p + 1], a, b))
         return pieces
 
     def orbit(self, v: IdealPoint, n: int) -> list[IdealPoint]:

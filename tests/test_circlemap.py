@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from bisect import bisect_right
@@ -529,6 +530,37 @@ class TestLapReplay:
             for n in (k - 1, k, k + 1):
                 assert tmap.lift_iter(0.0, n) == plain_lift(tmap, 0.0, n)
 
+    def test_steps_taken_are_the_save_schedule(self, eval_calls):
+        """A locked lift places one boundary point per step up to the step
+        k where the cycle check fires, then one per gap of the lap it
+        collects: the k - K steps since the angle saved at the last power
+        of two K below k, or the n - k steps left if fewer."""
+        for tmap in locked_certify_maps(6):
+            k = brent_fires(tmap, 0.0, 10_000)
+            saved = 1 << ((k - 1).bit_length() - 1) if k > 1 else 0
+            for n in (k, k + 1, 10_000):
+                eval_calls[0] = 0
+                tmap.lift_iter(0.0, n)
+                assert eval_calls[0] == k + min(k - saved, n - k)
+
+    def test_block_edges_are_the_stepped_sum(self):
+        """The lift saves its angle at the powers of two; one step either
+        side of each up to 2^13 keeps the stepped sum's bits, on locked and
+        unlocked triangle maps and on a segment and a point body."""
+        ns = sorted({m for j in range(14) for m in (2 ** j - 1, 2 ** j, 2 ** j + 1)})
+        bodies = [ConvexBody.segment(DiskPoint(-0.3, 0.4), DiskPoint(0.2, -0.5)),
+                  ConvexBody.point(DiskPoint(0.3, -0.2))]
+        maps = (locked_certify_maps(6) + certify_maps(("strict_inside", "threshold"))[:6]
+                + [TangentMap(body) for body in bodies])
+        for tmap in maps:
+            a, total, stepped = 0.0, 0.0, [0.0]  # stepped[n] is plain_lift(tmap, 0.0, n)
+            for _ in range(ns[-1]):
+                g = tmap.gap_angle(a)
+                total += g
+                a = (a + g) % 1.0
+                stepped.append(total)
+            assert [tmap.lift_iter(0.0, n) for n in ns] == [stepped[n] for n in ns]
+
 
 class TestDerivative:
     def test_fig_triangle_value(self):
@@ -863,6 +895,19 @@ class TestPiecesFromTaggedCuts:
         tagged = verdicts()
         monkeypatch.setattr(TangentMap, "pieces", walked_pieces)
         assert verdicts() == tagged
+
+    def test_pieces_keep_their_bits(self):
+        """Every piece's ends and pair, by ``float.hex``, on 20 random
+        triangles at q = 5, 13, 34 and 64: a product composed with other
+        float operations, or in another order, moves the digest."""
+        digest = hashlib.sha256()
+        for tmap in triangle_maps()[:20]:
+            for q in (5, 13, 34, 64):
+                for pc in tmap.pieces(q):
+                    bits = (pc.lo, pc.hi, pc.a.real, pc.a.imag, pc.b.real, pc.b.imag)
+                    digest.update(" ".join(v.hex() for v in bits).encode() + b"\n")
+        assert digest.hexdigest() == \
+            "561d6ff6685e66a25277857db3d79012fa29a323c45ddf504072a65b82456f7b"
 
     def test_tau_segment_tables_are_the_walk(self):
         for tmap in tau_segment_maps():
