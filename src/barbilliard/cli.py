@@ -32,6 +32,11 @@ def _round12(x: float) -> float:
     return float(fmt(x))
 
 
+def _fields(record) -> dict:
+    """A record's fields by name, its floats to 12 significant digits."""
+    return {k: _round12(v) if isinstance(v, float) else v for k, v in record._asdict().items()}
+
+
 def _check_budget(iters: int) -> None:
     """Reject an --iters value no run could honour, before any work."""
     if not 1 <= iters <= ITERATION_BUDGET:
@@ -84,9 +89,7 @@ def _rotation_dict(rotation) -> dict:
         "certificate_kind": cert.kind if cert else "uncertified",
         "witness_x": _round12(cert.witness_x) if cert else None,
         "residual": _round12(cert.residual) if cert else None,
-        "comparison": (
-            {"p": comp.p, "q": comp.q, "relation": comp.relation} if comp else None
-        ),
+        "comparison": comp._asdict() if comp else None,
     }
 
 
@@ -97,23 +100,7 @@ def _report_dict(report) -> dict:
         "one_third": report.one_third,
         "isosceles_above": report.isosceles_above,
         "isosceles_below": report.isosceles_below,
-        "labelings": [
-            {
-                "pair": list(l.pair),
-                "apex": l.apex,
-                "d_base": _round12(l.d_base),
-                "delta": _round12(l.delta),
-                "delta1": _round12(l.delta1),
-                "delta2": _round12(l.delta2),
-                "half_delta1": _round12(l.half_delta1),
-                "sandwich": l.sandwich,
-                "orientation": l.orientation,
-                "one_third": l.one_third,
-                "strict_inside": l.strict_inside,
-                "isosceles": l.isosceles,
-            }
-            for l in report.labelings
-        ],
+        "labelings": [_fields(l) for l in report.labelings],
     }
 
 
@@ -311,6 +298,9 @@ def cmd_sweep(args) -> int:
     if args.seed is not None and args.seed < 0:
         raise InvalidArgument(f"--seed must be >= 0, got {args.seed}")
     _check_budget(args.iters)
+    if t_steps * r_steps > ITERATION_BUDGET:
+        raise InvalidArgument(
+            f"a sweep grid holds at most {ITERATION_BUDGET} cells, got {t_steps}x{r_steps}")
 
     if args.seed is not None:
         import random
@@ -358,16 +348,8 @@ def cmd_tau(args) -> int:
     pair = _numbers(args.pair, "--pair", "x1,y1,x2,y2")
     point = _numbers(args.point, "--point", "x,y")
     result = tau_n(DiskPoint(*pair[:2]), DiskPoint(*pair[2:]), DiskPoint(*point), args.n)
-    print(
-        json.dumps(
-            {
-                "n": result.n,
-                "count": result.count,
-                "roots": [_round12(p.angle) for p in result.roots],
-            },
-            sort_keys=True,
-        )
-    )
+    roots = [_round12(p.angle) for p in result.roots]
+    print(json.dumps(dict(result._asdict(), roots=roots), sort_keys=True))
     return 0
 
 

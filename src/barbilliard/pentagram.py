@@ -77,7 +77,8 @@ class TauResult(NamedTuple):
 
 
 class LabelingReport(NamedTuple):
-    """Distance data for one choice of base pair (i, j) and apex k."""
+    """Distance data for one choice of base pair (i, j) and apex k.  The
+    ``rho`` and ``verify`` JSON prints every field, under its own name."""
 
     pair: tuple[int, int]
     apex: int
@@ -91,8 +92,6 @@ class LabelingReport(NamedTuple):
     one_third: bool
     strict_inside: bool
     isosceles: bool
-    isosceles_above: bool
-    isosceles_below: bool
 
 
 class ConditionReport(NamedTuple):
@@ -260,7 +259,6 @@ def condition_report(tri: Triangle) -> ConditionReport:
         d2 = delta_n(base, 2)
         half1 = 0.5 * d1
         lo, hi = min(d2, half1), max(d2, half1)
-        iso = abs(side_ik - side_jk) <= 1e-9
         labelings.append(
             LabelingReport(
                 pair=(i, j),
@@ -274,9 +272,7 @@ def condition_report(tri: Triangle) -> ConditionReport:
                 orientation="inner_to_half" if d2 <= half1 else "half_to_inner",
                 one_third=(delta >= d1 - 1e-9),
                 strict_inside=(delta < d2),
-                isosceles=iso,
-                isosceles_above=(iso and base > LOG3 and delta < d2),
-                isosceles_below=(iso and base > LOG9 and delta > half1),
+                isosceles=abs(side_ik - side_jk) <= 1e-9,
             )
         )
     labelings = tuple(labelings)
@@ -285,8 +281,10 @@ def condition_report(tri: Triangle) -> ConditionReport:
         one_third=any(l.one_third for l in labelings),
         two_fifths_sandwich=any(l.sandwich for l in labelings),
         all_strictly_inside=all(l.strict_inside for l in labelings),
-        isosceles_above=any(l.isosceles_above for l in labelings),
-        isosceles_below=any(l.isosceles_below for l in labelings),
+        isosceles_above=any(l.isosceles and l.d_base > LOG3 and l.delta < l.delta2
+                            for l in labelings),
+        isosceles_below=any(l.isosceles and l.d_base > LOG9 and l.delta > l.half_delta1
+                            for l in labelings),
     )
 
 

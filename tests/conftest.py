@@ -101,6 +101,11 @@ def disk_xy(rng, radius):
             return x, y
 
 
+def canonical_triangle(t, r):
+    """The triangle with base (0, +-t) and apex (r, 0)."""
+    return Triangle(DiskPoint(0.0, t), DiskPoint(0.0, -t), DiskPoint(r, 0.0))
+
+
 def random_disk_points(rng, count, rmax=0.92):
     pts = []
     while len(pts) < count:

@@ -684,6 +684,10 @@ REFUSALS = {
                       '"t range must satisfy 0 < lo <= hi < 1"}'),
     "sweep-steps": (["sweep", "--t", "0.88:0.92:0", "--r=-0.03:-0.01:2", *OUT_CSV], 2,
                     '{"error": "InvalidArgument", "message": "grid steps must be >= 1"}'),
+    "sweep-grid-cap": (["sweep", "--t", "0.5:0.9:100000", "--r=-0.04:-0.006:100000",
+                        *OUT_CSV], 2,
+                       '{"error": "InvalidArgument", "message": '
+                       '"a sweep grid holds at most 10000000 cells, got 100000x100000"}'),
     "sweep-iters": ([*SWEEP_2X2, "--iters", "10", *OUT_CSV], 2,
                     '{"error": "InvalidArgument", "message": "sweep needs --iters >= 1000"}'),
     "sweep-seed": ([*SWEEP_2X2, "--seed", "-1", *OUT_CSV], 2,

@@ -30,7 +30,8 @@ from barbilliard import (
 from barbilliard.geometry import angular_distance
 from barbilliard.pentagram import triangle_map
 from barbilliard.rotation import _certify
-from conftest import disk_xy, mp_lift, mp_newton_step, mp_turn, random_triangle
+from conftest import (canonical_triangle, disk_xy, mp_lift, mp_newton_step, mp_turn,
+                      random_triangle)
 from lemmas import (
     ccw_gap,
     contraction_check,
@@ -42,10 +43,6 @@ from lemmas import (
     orbit_derivative_product,
     pentagram_witness,
 )
-
-
-def canonical_triangle(t, r):
-    return Triangle(DiskPoint(0.0, t), DiskPoint(0.0, -t), DiskPoint(r, 0.0))
 
 
 def closure_residual(tmap, pent):

@@ -40,12 +40,8 @@ from barbilliard.rotation import (
     _dedupe_cyclic,
     scan_winding_zeros,
 )
-from conftest import (benchmark_inputs, mp_lift, mp_newton_step, random_convex_polygon,
-                      random_disk_points, random_triangle)
-
-
-def canonical_triangle(t, r):
-    return Triangle(DiskPoint(0.0, t), DiskPoint(0.0, -t), DiskPoint(r, 0.0))
+from conftest import (benchmark_inputs, canonical_triangle, mp_lift, mp_newton_step,
+                      random_convex_polygon, random_disk_points, random_triangle)
 
 
 class TestEstimateRho:

@@ -80,31 +80,38 @@ def _unreferenced(sources=None) -> set:
     """The public module-level functions and classes, and the public methods
     of those classes (``Class.method``), that no module but ``__init__``
     uses outside the definition itself.  A function or class is used where
-    its name is read, bare or as an attribute; a method only where it is
-    read as an attribute of something other than the parsed flags
-    ``args``, so a local variable or a flag of the same name does not
-    count.  ``sources`` maps each module path to its text (default: the
-    package as installed)."""
+    its name is read, bare or as an attribute; a ``@property`` where it is
+    read as an attribute; any other method only where it is called as one,
+    so a field, local variable or flag of the same name does not count.
+    ``sources`` maps each module path to its text (default: the package as
+    installed)."""
     defs, refs = [], []
     for path, text in (sources or {p: p.read_text() for p in MODULES}).items():
         tree = ast.parse(text, filename=str(path))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                defs.append((node.name, node, path))
+                defs.append((node.name, node, path, {"name", "attribute"}))
                 if isinstance(node, ast.ClassDef):
-                    defs += [(f"{node.name}.{sub.name}", sub, path) for sub in node.body
+                    defs += [(f"{node.name}.{sub.name}", sub, path,
+                              {"attribute"} if _is_property(sub) else {"call"})
+                             for sub in node.body
                              if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")]
         if path.name != "__init__.py":
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
-                    refs.append((path, node.id, node.lineno, False))
+                    refs.append((path, node.id, node.lineno, "name"))
                 elif isinstance(node, ast.Attribute):
-                    flag = isinstance(node.value, ast.Name) and node.value.id == "args"
-                    refs.append((path, node.attr, node.lineno, not flag))
-    return {qual for qual, node, path in defs
-            if not any(name == qual.rpartition(".")[2] and (method_read or "." not in qual)
+                    refs.append((path, node.attr, node.lineno, "attribute"))
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    refs.append((path, node.func.attr, node.lineno, "call"))
+    return {qual for qual, node, path, ways in defs
+            if not any(name == qual.rpartition(".")[2] and way in ways
                        and not (where == path and node.lineno <= line <= node.end_lineno)
-                       for where, name, line, method_read in refs)}
+                       for where, name, line, way in refs)}
+
+
+def _is_property(node: ast.FunctionDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "property" for d in node.decorator_list)
 
 
 def test_no_public_name_goes_unused():
@@ -117,16 +124,30 @@ def test_no_public_name_goes_unused():
         assert qual.rpartition(".")[2] in (repo / user).read_text(), (qual, user)
 
 
-def test_a_method_named_like_a_flag_is_still_unused():
-    """``args.steps`` and the local ``steps`` of cli and circlemap do not
-    use a method named ``steps``: one planted on ``TangentMap`` is
-    reported."""
+def _with_method(name: str) -> dict:
+    """The package's sources with a public method ``name`` planted on
+    ``TangentMap``."""
     sources = {p: p.read_text() for p in MODULES}
     path = next(p for p in MODULES if p.name == "circlemap.py")
     head, sep, tail = sources[path].partition("class TangentMap")
     body, sep2, rest = tail.partition("\n    def ")
-    sources[path] = head + sep + body + "\n    def steps(self):\n        return 0\n" + sep2 + rest
-    assert "TangentMap.steps" in _unreferenced(sources)
+    sources[path] = (head + sep + body + f"\n    def {name}(self):\n        return 0\n"
+                     + sep2 + rest)
+    return sources
+
+
+def test_a_method_named_like_a_flag_is_still_unused():
+    """``args.steps`` and the local ``steps`` of cli and circlemap do not
+    use a method named ``steps``: one planted on ``TangentMap`` is
+    reported."""
+    assert "TangentMap.steps" in _unreferenced(_with_method("steps"))
+
+
+def test_a_method_named_like_a_field_is_still_unused():
+    """``_sweep_cell`` reads the ``apex`` field of a labeling, which does
+    not call a method named ``apex``: one planted on ``TangentMap`` is
+    reported."""
+    assert "TangentMap.apex" in _unreferenced(_with_method("apex"))
 
 
 def test_every_error_class_is_raised():
